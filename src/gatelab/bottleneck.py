@@ -22,18 +22,20 @@ c and 1/c and provably cannot move the potential.
 ``verify_bottleneck_chain`` re-derives the averaged bound link by link
 (triangle inequality, per-window two-row change bound, max versus average)
 and reports the slack of each link, which is nonnegative up to float noise
-for every algorithm and every P, Q.
+for every algorithm and every P, Q.  It reads its scan report from the same
+replay, so it equals ``scan_bottlenecks`` exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import Constant, LinearAlgorithm, apply_gate_rows, touched
+from .gates import Constant, LinearAlgorithm, replay, touched
 from .potential import quasi_entropy
 
 
@@ -50,6 +52,35 @@ def _window_sets(algorithm: LinearAlgorithm, R: int) -> list[tuple[int, ...]]:
             idx.update(touched(gate))
         sets.append(tuple(sorted(idx)))
     return sets
+
+
+def _window_walk(
+    algorithm: LinearAlgorithm, P: np.ndarray | None, Q: np.ndarray | None, R: int
+) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, np.ndarray, np.ndarray]]]:
+    """The windows' row sets, and one replay that stops at each window boundary.
+
+    The replay yields ``(w, A, B)`` for boundaries w = 0..len(window sets),
+    with A, B the live arrays after w*R gates.  Padding repeats the final
+    state, so a boundary past step m sees the state at step m.
+    """
+    if not 1 <= R <= algorithm.n // 2:
+        raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
+    window_sets = _window_sets(algorithm, R)
+    steps = replay(algorithm, P, Q)
+
+    def boundaries():
+        for t, _, A, B in steps:
+            if t % R == 0:
+                yield t // R, A, B
+        if algorithm.m % R:
+            yield len(window_sets), A, B
+
+    return window_sets, boundaries()
+
+
+def _scanned(algorithm: LinearAlgorithm, R: int, w: int, include_constants: bool) -> bool:
+    """Whether a scan rates window w: the R = 1 scan skips constant-gate steps."""
+    return R > 1 or include_constants or not isinstance(algorithm.gates[w], Constant)
 
 
 def _block_product(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
@@ -75,6 +106,42 @@ class BottleneckReport:
     m_padded: int
 
 
+def _scan_report(
+    algorithm: LinearAlgorithm,
+    R: int,
+    window_sets: list[tuple[int, ...]],
+    products: dict[int, float],
+    phi_identity: float,
+    phi_final: float,
+) -> BottleneckReport:
+    """Scan report from the start products of the scanned windows, in window order."""
+    m = algorithm.m
+    rhs = R * (phi_final - phi_identity) / (m * math.log2(2 * R)) if m else 0.0
+    scanned = list(products)
+    per_step = list(products.values())
+    if per_step:
+        best = int(np.argmax(per_step))
+        lhs = per_step[best]
+        t_star: int | None = scanned[best] * R
+        best_affected = window_sets[scanned[best]]
+    else:
+        lhs, t_star, best_affected = 0.0, None, ()
+    return BottleneckReport(
+        R=R,
+        t_star=t_star,
+        affected=best_affected,
+        lhs=lhs,
+        rhs=rhs,
+        slack=lhs - rhs,
+        window_starts=[w * R for w in scanned],
+        per_step_lhs=per_step,
+        phi_final=phi_final,
+        phi_identity=phi_identity,
+        m=m,
+        m_padded=_padded_length(m, R),
+    )
+
+
 def scan_bottlenecks(
     algorithm: LinearAlgorithm,
     P: np.ndarray | None = None,
@@ -87,63 +154,14 @@ def scan_bottlenecks(
     ``include_constants`` widens the R = 1 scan to constant-gate steps, whose
     single touched row plays the role of both indices.
     """
-    n = algorithm.n
-    if not 1 <= R <= n // 2:
-        raise ValueError(f"window size {R} out of range [1, {n // 2}]")
-    m = algorithm.m
-    A = np.eye(n) if P is None else np.array(P, dtype=float)
-    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError(f"P and Q must be {n}x{n}")
-    phi_identity = quasi_entropy(A, B)
-
-    window_sets = _window_sets(algorithm, R)
-    windows: list[tuple[int, tuple[int, ...]]] = []
-    for w, rows in enumerate(window_sets):
-        start = w * R
-        if R == 1 and not include_constants and isinstance(algorithm.gates[start], Constant):
-            continue
-        windows.append((start, rows))
-
-    starts: list[int] = []
-    per_step: list[float] = []
-    affected: list[tuple[int, ...]] = []
-    wi = 0
-    for t in range(m + 1):
-        while wi < len(windows) and windows[wi][0] == t:
-            start, rows = windows[wi]
-            starts.append(start)
-            per_step.append(_block_product(A, B, rows))
-            affected.append(rows)
-            wi += 1
-        if t < m:
-            gate = algorithm.gates[t]
-            apply_gate_rows(A, gate)
-            apply_gate_rows(B, gate, inverse_transpose=True)
-
-    phi_final = quasi_entropy(A, B)
-    rhs = R * (phi_final - phi_identity) / (m * math.log2(2 * R)) if m else 0.0
-    if per_step:
-        best = int(np.argmax(per_step))
-        lhs = per_step[best]
-        t_star: int | None = starts[best]
-        best_affected = affected[best]
-    else:
-        lhs, t_star, best_affected = 0.0, None, ()
-    return BottleneckReport(
-        R=R,
-        t_star=t_star,
-        affected=best_affected,
-        lhs=lhs,
-        rhs=rhs,
-        slack=lhs - rhs,
-        window_starts=starts,
-        per_step_lhs=per_step,
-        phi_final=phi_final,
-        phi_identity=phi_identity,
-        m=m,
-        m_padded=_padded_length(m, R),
-    )
+    window_sets, boundaries = _window_walk(algorithm, P, Q, R)
+    products: dict[int, float] = {}
+    for w, A, B in boundaries:
+        if w == 0:
+            phi_identity = quasi_entropy(A, B)
+        if w < len(window_sets) and _scanned(algorithm, R, w, include_constants):
+            products[w] = _block_product(A, B, window_sets[w])
+    return _scan_report(algorithm, R, window_sets, products, phi_identity, quasi_entropy(A, B))
 
 
 @dataclass
@@ -185,43 +203,17 @@ def verify_bottleneck_chain(
     window's two-row change bound evaluated at both endpoints, (c) the final
     max-versus-average step.  All slacks are nonnegative up to float noise.
     """
-    n = algorithm.n
-    if not 1 <= R <= n // 2:
-        raise ValueError(f"window size {R} out of range [1, {n // 2}]")
-    m = algorithm.m
-    A = np.eye(n) if P is None else np.array(P, dtype=float)
-    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError(f"P and Q must be {n}x{n}")
-
-    window_sets = _window_sets(algorithm, R)
+    window_sets, boundaries = _window_walk(algorithm, P, Q, R)
     n_windows = len(window_sets)
-    m_padded = _padded_length(m, R)
     phis: list[float] = []
     start_products = [0.0] * n_windows
     end_products = [0.0] * n_windows
-
-    def at_boundary(b_index: int) -> None:
+    for w, A, B in boundaries:
         phis.append(quasi_entropy(A, B))
-        if b_index < n_windows:
-            start_products[b_index] = _block_product(A, B, window_sets[b_index])
-        if b_index > 0:
-            end_products[b_index - 1] = _block_product(A, B, window_sets[b_index - 1])
-
-    boundary = 0
-    for t in range(m + 1):
-        if t == boundary * R:
-            at_boundary(boundary)
-            boundary += 1
-        if t < m:
-            gate = algorithm.gates[t]
-            apply_gate_rows(A, gate)
-            apply_gate_rows(B, gate, inverse_transpose=True)
-    # Padding repeats the final matrix, so any remaining boundary sees the
-    # same state as step m.
-    while boundary <= n_windows:
-        at_boundary(boundary)
-        boundary += 1
+        if w < n_windows:
+            start_products[w] = _block_product(A, B, window_sets[w])
+        if w > 0:
+            end_products[w - 1] = _block_product(A, B, window_sets[w - 1])
 
     windows: list[WindowLink] = []
     for w, rows in enumerate(window_sets):
@@ -250,11 +242,12 @@ def verify_bottleneck_chain(
     average_requirement = (
         (phis[-1] - phis[0]) / (2 * n_windows * math.log2(2 * R)) if n_windows else 0.0
     )
-    scan = scan_bottlenecks(algorithm, P, Q, R)
+    scanned = {w: p for w, p in enumerate(start_products) if _scanned(algorithm, R, w, False)}
+    scan = _scan_report(algorithm, R, window_sets, scanned, phis[0], phis[-1])
     return ChainReport(
         R=R,
-        m=m,
-        m_padded=m_padded,
+        m=algorithm.m,
+        m_padded=_padded_length(algorithm.m, R),
         phi_identity=phis[0],
         phi_final=phis[-1],
         triangle_lhs=triangle_lhs,

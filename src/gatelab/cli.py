@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,11 +27,18 @@ SLACK_TOL = 1e-7
 
 
 def parse_number(text: str) -> float:
-    """Plain float or power literal ``B^E`` with integer exponent."""
+    """Finite plain float or power literal ``B^E`` with integer exponent."""
     if "^" in text:
         base_text, _, exp_text = text.partition("^")
-        return float(base_text) ** int(exp_text)
-    return float(text)
+        try:
+            value = float(base_text) ** int(exp_text)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+    else:
+        value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text!r} is not finite")
+    return value
 
 
 def parse_operator(spec: str, n: int) -> np.ndarray | None:
@@ -127,14 +136,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     Q = parse_operator(args.Q, algorithm.n)
     trace = potential.trace_potential(algorithm, P, Q)
     lines = [f"# schema_version={SCHEMA_VERSION}", "t,phi,delta,bound,touched_i,touched_j"]
-    for t in range(len(trace.values)):
-        rows = trace.touched_sets[t]
+    columns = zip(trace.values, trace.per_step_delta, trace.per_step_bound, trace.touched_sets)
+    for t, (phi, delta, bound, rows) in enumerate(columns):
         ti = str(rows[0]) if rows else ""
         tj = str(rows[1]) if len(rows) > 1 else ""
-        lines.append(
-            f"{t},{trace.values[t]!r},{trace.per_step_delta[t]!r},"
-            f"{trace.per_step_bound[t]!r},{ti},{tj}"
-        )
+        lines.append(f"{t},{float(phi)!r},{float(delta)!r},{float(bound)!r},{ti},{tj}")
     _emit("\n".join(lines) + "\n", args.output)
     worst = max(
         (d - b for d, b in zip(trace.per_step_delta, trace.per_step_bound)), default=0.0
@@ -296,13 +302,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         word_budget=args.W,
     )
     lines = [f"# schema_version={SCHEMA_VERSION}", "t,i,mean_bits,max_abs,overflow_flag"]
-    steps, n = stats.mean_bits.shape
-    for t in range(steps):
-        for i in range(n):
-            lines.append(
-                f"{t},{i},{stats.mean_bits[t, i]!r},{stats.max_abs[t, i]!r},"
-                f"{int(stats.overflow_flags[t, i])}"
-            )
+    for t, (bits_row, max_row, flag_row) in enumerate(
+        zip(stats.mean_bits, stats.max_abs, stats.overflow_flags)
+    ):
+        cells = zip(bits_row.tolist(), max_row.tolist(), flag_row.tolist())
+        for i, (bits, max_abs, flag) in enumerate(cells):
+            lines.append(f"{t},{i},{bits!r},{max_abs!r},{int(flag)}")
     _emit("\n".join(lines) + "\n", args.output)
     if args.summary is not None:
         flagged = stats.flagged_cells()
@@ -343,17 +348,21 @@ def cmd_underflow(args: argparse.Namespace) -> int:
     return 0
 
 
+class UsageError(Exception):
+    """A command line argparse rejected."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code reserved for a failed
+    # inequality; raise instead so ``main`` can report it with exit code 1.
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gatelab",
         description="Analysis lab for in-place rotation/constant gate algorithms.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker-thread cap; the current implementation is single-threaded "
-        "for bit-reproducibility, larger values are accepted and ignored",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -442,13 +451,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except gates.ParseError as exc:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    try:
+        return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

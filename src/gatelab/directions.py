@@ -17,7 +17,9 @@ are below tau, so in particular every product is below tau squared.
 Because an extracted direction is the projected row itself (normalized), the
 same (t, i) pair can never re-qualify on the same side: its projected row is
 annihilated by the update P <- P - v v^T.  Each step contributes at most two
-coordinates, so a system of size k spans at least k/2 distinct steps.
+coordinates, so a system of size k spans at least k/2 distinct steps; the
+unrestricted scan offers all n coordinates at every step, so there it spans
+at least k/n.
 
 The default threshold is sqrt(b/2) for speedup factor b = n*log2(n)/m.
 """
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import LinearAlgorithm, apply_gate_rows, touched
+from .gates import LinearAlgorithm, matrices_at, replay
 
 
 def speedup_factor(algorithm: LinearAlgorithm) -> float:
@@ -61,8 +63,12 @@ class DirectionSystem:
         V = np.array(self.vectors)
         return float(np.abs(V @ V.T - np.eye(self.size)).max())
 
-    def check(self, ortho_tol: float = 1e-8) -> None:
-        """Raise if the extraction guarantees do not hold."""
+    def check(self, ortho_tol: float = 1e-8, per_step: int = 2) -> None:
+        """Raise if the extraction guarantees do not hold.
+
+        ``per_step`` is the most coordinates the scan offered at one step: 2
+        for the touched-row scan, n for the unrestricted one.
+        """
         if self.gram_residual() > ortho_tol:
             raise RuntimeError(f"direction system not orthonormal within {ortho_tol}")
         for mag in self.magnitudes:
@@ -71,7 +77,7 @@ class DirectionSystem:
         pairs = list(zip(self.steps, self.coords))
         if len(set(pairs)) != len(pairs):
             raise RuntimeError("repeated (step, coordinate) pair in direction system")
-        if self.size and len(set(self.steps)) < (self.size + 1) // 2:
+        if len(set(self.steps)) < math.ceil(self.size / per_step):
             raise RuntimeError("direction system concentrated on too few steps")
 
 
@@ -102,9 +108,8 @@ def extract_directions(
     overflow side when both factors are equal.
     """
     n = algorithm.n
-    m = algorithm.m
     if require_wht_target:
-        M_final, _ = _replay_raw(algorithm)
+        M_final, _ = matrices_at(algorithm, algorithm.m)
         if float(np.abs(M_final - wht_matrix(n)).max()) > target_tol:
             raise ValueError(
                 "final matrix is not the Walsh-Hadamard transform; "
@@ -138,18 +143,10 @@ def extract_directions(
         projection -= np.outer(v, v)
         projection[:] = (projection + projection.T) / 2.0
 
-    over.check()
-    under.check()
+    per_step = n if unrestricted else 2
+    over.check(per_step=per_step)
+    under.check(per_step=per_step)
     return over, under
-
-
-def _replay_raw(algorithm: LinearAlgorithm) -> tuple[np.ndarray, np.ndarray]:
-    M = np.eye(algorithm.n)
-    Minv_T = np.eye(algorithm.n)
-    for gate in algorithm.gates:
-        apply_gate_rows(M, gate)
-        apply_gate_rows(Minv_T, gate, inverse_transpose=True)
-    return M, Minv_T
 
 
 def _best_candidate(
@@ -160,30 +157,16 @@ def _best_candidate(
     unrestricted: bool,
 ):
     """Scan one pass for the qualifying pair with the largest factor product."""
-    n = algorithm.n
-    A = P.copy()  # rows of M(t) P
-    B = Q.copy()  # rows of M(t)^{-T} Q
     best = None
-
-    def consider(t: int, i: int) -> None:
-        nonlocal best
-        norm_m = float(np.linalg.norm(A[i]))
-        norm_q = float(np.linalg.norm(B[i]))
-        if max(norm_m, norm_q) < tau:
-            return
-        score = norm_m * norm_q
-        if best is None or score > best[0]:
-            best = (score, t, i, norm_m, norm_q, A[i].copy(), B[i].copy())
-
-    if unrestricted:
-        for i in range(n):
-            consider(0, i)
-    for t, gate in enumerate(algorithm.gates, start=1):
-        apply_gate_rows(A, gate)
-        apply_gate_rows(B, gate, inverse_transpose=True)
-        coords = range(n) if unrestricted else sorted(touched(gate))
-        for i in coords:
-            consider(t, i)
+    for t, rows, A, B in replay(algorithm, P, Q):
+        for i in range(algorithm.n) if unrestricted else sorted(rows):
+            norm_m = float(np.linalg.norm(A[i]))
+            norm_q = float(np.linalg.norm(B[i]))
+            if max(norm_m, norm_q) < tau:
+                continue
+            score = norm_m * norm_q
+            if best is None or score > best[0]:
+                best = (score, t, i, norm_m, norm_q, A[i].copy(), B[i].copy())
     return best
 
 

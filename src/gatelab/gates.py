@@ -8,7 +8,7 @@ transpose, which evolves under equally cheap row operations: a rotation
 applies to its rows unchanged (rotations are orthogonal), a scaling by c
 scales the matching row by 1/c.  Every gate therefore touches at most two
 rows of both matrices, which the analysis modules exploit for O(n) per-gate
-updates.
+updates; ``replay`` is the one walk over the trajectory that they all use.
 
 Coordinates are 0-based everywhere, including the text file format.
 """
@@ -16,8 +16,8 @@ Coordinates are 0-based everywhere, including the text file format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -96,27 +96,6 @@ class LinearAlgorithm:
         return len(self.gates)
 
 
-@dataclass
-class TrajectoryState:
-    """The pair (M(t), M(t)^{-T}) with touched-row bookkeeping.
-
-    ``advance`` updates the arrays in place (O(n) per gate) and returns the
-    same object; take copies before advancing if a snapshot is needed.
-    """
-
-    t: int
-    M: np.ndarray
-    Minv_T: np.ndarray
-    touched: tuple[int, ...] = field(default_factory=tuple)
-
-    @classmethod
-    def identity(cls, n: int) -> "TrajectoryState":
-        return cls(t=0, M=np.eye(n), Minv_T=np.eye(n))
-
-    def copy(self) -> "TrajectoryState":
-        return TrajectoryState(self.t, self.M.copy(), self.Minv_T.copy(), self.touched)
-
-
 def rotate_rows(A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float) -> None:
     """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place."""
     ri = cos_t * A[i] + sin_t * A[j]
@@ -137,15 +116,6 @@ def apply_gate_rows(A: np.ndarray, gate: Gate, inverse_transpose: bool = False) 
         A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
 
 
-def advance(state: TrajectoryState, gate: Gate) -> TrajectoryState:
-    """Advance the trajectory by one gate (in place, O(n))."""
-    apply_gate_rows(state.M, gate)
-    apply_gate_rows(state.Minv_T, gate, inverse_transpose=True)
-    state.t += 1
-    state.touched = touched(gate)
-    return state
-
-
 def apply_to_vector(
     algorithm: LinearAlgorithm, x: Iterable[float], upto_t: int | None = None
 ) -> np.ndarray:
@@ -159,25 +129,48 @@ def apply_to_vector(
         raise ValueError(f"step index {upto_t} out of range [0, {algorithm.m}]")
     y = x.copy()
     for gate in algorithm.gates[:upto_t]:
-        if isinstance(gate, Rotation):
-            c, s = math.cos(gate.theta), math.sin(gate.theta)
-            yi = c * y[gate.i] + s * y[gate.j]
-            yj = -s * y[gate.i] + c * y[gate.j]
-            y[gate.i] = yi
-            y[gate.j] = yj
-        else:
-            y[gate.i] *= gate.c
+        apply_gate_rows(y, gate)
     return y
+
+
+def replay(
+    algorithm: LinearAlgorithm,
+    P: np.ndarray | None = None,
+    Q: np.ndarray | None = None,
+    stop: int | None = None,
+) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray]]:
+    """Walk the trajectory (M(t) P, M(t)^{-T} Q) for t = 0..stop (default m).
+
+    Yields ``(t, rows, A, B)`` with ``rows`` the rows gate t rewrote (``()``
+    at t = 0).  A and B are the same two arrays at every step, updated in
+    place (O(n) per gate): copy them to keep a snapshot.  P or Q of None
+    means identity.  The arguments are checked when ``replay`` is called.
+    """
+    n = algorithm.n
+    if stop is None:
+        stop = algorithm.m
+    if not 0 <= stop <= algorithm.m:
+        raise ValueError(f"step index {stop} out of range [0, {algorithm.m}]")
+    A = np.eye(n) if P is None else np.array(P, dtype=float)
+    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
+    if A.shape != (n, n) or B.shape != (n, n):
+        raise ValueError(f"P and Q must be {n}x{n}")
+
+    def steps():
+        yield 0, (), A, B
+        for t, gate in enumerate(algorithm.gates[:stop], start=1):
+            apply_gate_rows(A, gate)
+            apply_gate_rows(B, gate, inverse_transpose=True)
+            yield t, touched(gate), A, B
+
+    return steps()
 
 
 def matrices_at(algorithm: LinearAlgorithm, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense (M(t), M(t)^{-T}) obtained by replaying gates from the identity."""
-    if not 0 <= t <= algorithm.m:
-        raise ValueError(f"step index {t} out of range [0, {algorithm.m}]")
-    state = TrajectoryState.identity(algorithm.n)
-    for gate in algorithm.gates[:t]:
-        advance(state, gate)
-    return state.M, state.Minv_T
+    for _, _, M, Minv_T in replay(algorithm, stop=t):
+        pass
+    return M, Minv_T
 
 
 @dataclass
@@ -203,23 +196,16 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
     """
     n = algorithm.n
     eye = np.eye(n)
-    state = TrajectoryState.identity(n)
     max_residual = 0.0
     kappas: list[float] = []
     touched_sets: list[tuple[int, ...]] = []
-
-    def step_stats() -> None:
-        nonlocal max_residual
-        residual = float(np.abs(state.M @ state.Minv_T.T - eye).max())
+    for t, rows, M, Minv_T in replay(algorithm):
+        if t:
+            touched_sets.append(rows)
+        residual = float(np.abs(M @ Minv_T.T - eye).max())
         max_residual = max(max_residual, residual)
-        svals = np.linalg.svd(state.M, compute_uv=False)
+        svals = np.linalg.svd(M, compute_uv=False)
         kappas.append(float(svals[0] / svals[-1]))
-
-    step_stats()
-    for gate in algorithm.gates:
-        advance(state, gate)
-        touched_sets.append(state.touched)
-        step_stats()
     return TrajectoryDiagnostics(
         n=n,
         m=algorithm.m,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import LinearAlgorithm, apply_gate_rows, touched
+from .gates import LinearAlgorithm, replay, touched
 
 # Entry products below this threshold are treated as exact zeros; keeps log2
 # clear of subnormal underflow.
@@ -123,12 +123,8 @@ def trace_potential(
     disagreement beyond ``drift_tol`` relative to the largest row-block
     contribution seen (the scale healthy float drift tracks) is an error.
     """
-    n = algorithm.n
-    A = np.eye(n) if P is None else np.array(P, dtype=float)
-    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError(f"P and Q must be {n}x{n}")
-
+    steps = replay(algorithm, P, Q)
+    _, _, A, B = next(steps)
     total = quasi_entropy(A, B)
     values = [total]
     deltas = [0.0]
@@ -141,8 +137,7 @@ def trace_potential(
         idx = list(rows)
         a_before, b_before = A[idx].copy(), B[idx].copy()
         old_contrib = _row_block_contrib(A, B, rows)
-        apply_gate_rows(A, gate)
-        apply_gate_rows(B, gate, inverse_transpose=True)
+        next(steps)
         new_contrib = _row_block_contrib(A, B, rows)
         total += new_contrib - old_contrib
         contrib_scale = max(contrib_scale, abs(old_contrib), abs(new_contrib))

@@ -33,7 +33,7 @@ from .directions import (
     speedup_factor,
     uncertainty_volume_log,
 )
-from .gates import LinearAlgorithm, Rotation, matrices_at, touched
+from .gates import Gate, LinearAlgorithm, apply_gate_rows, matrices_at, replay, touched
 
 # Fixed vectorization width so results are byte-identical regardless of
 # available memory; chunks degrade gracefully for very wide problems.
@@ -60,6 +60,16 @@ def quantize(values: np.ndarray, epsilon: float) -> np.ndarray:
 
 def _bits(values: np.ndarray, epsilon: float) -> np.ndarray:
     return np.log2(1.0 + np.abs(values) / epsilon) + 1.0
+
+
+def _quantized_step(X: np.ndarray, gate: Gate, epsilon: float) -> tuple[int, ...]:
+    """Apply one gate to the rows of X, round the rows it wrote; returns them."""
+    apply_gate_rows(X, gate)
+    rows = touched(gate)
+    for r in rows:
+        row = X[r]  # a view: ``quantize``'s operations in place, without temporaries
+        np.multiply(np.rint(np.divide(row, epsilon, out=row), out=row), epsilon, out=row)
+    return rows
 
 
 @dataclass
@@ -94,13 +104,6 @@ def simulate(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     n, m = algorithm.n, algorithm.m
-    prepared = []
-    for gate in algorithm.gates:
-        if isinstance(gate, Rotation):
-            prepared.append((gate.i, gate.j, math.cos(gate.theta), math.sin(gate.theta)))
-        else:
-            prepared.append((gate.i, -1, gate.c, 0.0))
-
     children = np.random.SeedSequence(seed).spawn(samples)
     chunk = _chunk_size(n, samples)
     bits_sum = np.zeros((m + 1, n))
@@ -115,17 +118,8 @@ def simulate(
         chunk_max = np.empty((m + 1, n))
         chunk_bits[0] = cur_bits
         chunk_max[0] = cur_max
-        for t, (i, j, a, b) in enumerate(prepared, start=1):
-            if j >= 0:
-                xi = a * X[i] + b * X[j]
-                xj = -b * X[i] + a * X[j]
-                X[i] = quantize(xi, epsilon)
-                X[j] = quantize(xj, epsilon)
-                rows = (i, j)
-            else:
-                X[i] = quantize(a * X[i], epsilon)
-                rows = (i,)
-            for r in rows:
+        for t, gate in enumerate(algorithm.gates, start=1):
+            for r in _quantized_step(X, gate, epsilon):
                 cur_bits[r] = _bits(X[r], epsilon).sum()
                 cur_max[r] = np.abs(X[r]).max()
             chunk_bits[t] = cur_bits
@@ -228,7 +222,7 @@ def empirical_uncertainty_check(
     if step is None or coord is None:
         step, coord = _most_informative_cell(algorithm, z)
 
-    _, Minv_T = matrices_at(algorithm, step)
+    M, Minv_T = matrices_at(algorithm, step)
     coefficient = float(Minv_T[coord] @ z)
     row_norm = float(np.linalg.norm(Minv_T[coord]))
     predicted = epsilon * abs(coefficient)
@@ -238,26 +232,15 @@ def empirical_uncertainty_check(
     words = np.empty(samples)
     exact = np.empty(samples)
     g = np.empty(samples)
-    prepared = algorithm.gates[:step]
     for lo in range(0, samples, chunk):
         segment = children[lo : lo + chunk]
         X0 = _draw_inputs(segment, sigma, n)
         g[lo : lo + len(segment)] = z @ X0
         Xq = quantize(X0, epsilon)
-        Xe = X0.copy()
-        for gate in prepared:
-            if isinstance(gate, Rotation):
-                a, b = math.cos(gate.theta), math.sin(gate.theta)
-                for X, rounded in ((Xq, True), (Xe, False)):
-                    xi = a * X[gate.i] + b * X[gate.j]
-                    xj = -b * X[gate.i] + a * X[gate.j]
-                    X[gate.i] = quantize(xi, epsilon) if rounded else xi
-                    X[gate.j] = quantize(xj, epsilon) if rounded else xj
-            else:
-                Xq[gate.i] = quantize(gate.c * Xq[gate.i], epsilon)
-                Xe[gate.i] = gate.c * Xe[gate.i]
+        for gate in algorithm.gates[:step]:
+            _quantized_step(Xq, gate, epsilon)
         words[lo : lo + len(segment)] = Xq[coord]
-        exact[lo : lo + len(segment)] = Xe[coord]
+        exact[lo : lo + len(segment)] = M[coord] @ X0
 
     keys = np.rint(words / epsilon).astype(np.int64)
     order = np.argsort(keys, kind="stable")
@@ -302,14 +285,10 @@ def empirical_uncertainty_check(
 
 def _most_informative_cell(algorithm: LinearAlgorithm, z: np.ndarray) -> tuple[int, int]:
     """The (step, coordinate) whose word carries the largest component of z."""
-    from .gates import TrajectoryState, advance
-
-    state = TrajectoryState.identity(algorithm.n)
     best = (0.0, 1, 0)
-    for t, gate in enumerate(algorithm.gates, start=1):
-        advance(state, gate)
-        for i in sorted(touched(gate)):
-            weight = abs(float(state.Minv_T[i] @ z))
+    for t, rows, _, Minv_T in replay(algorithm):
+        for i in sorted(rows):
+            weight = abs(float(Minv_T[i] @ z))
             if weight > best[0]:
                 best = (weight, t, i)
     return best[1], best[2]

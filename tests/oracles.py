@@ -60,6 +60,16 @@ def compose_dense(algorithm, t: int | None = None) -> np.ndarray:
     return M
 
 
+def compose_dense_inverse_transpose(algorithm, t: int | None = None) -> np.ndarray:
+    """M(t)^{-T} as the product of the dense gates' inverse transposes."""
+    if t is None:
+        t = algorithm.m
+    N = np.eye(algorithm.n)
+    for gate in algorithm.gates[:t]:
+        N = np.linalg.inv(gate_matrix(gate, algorithm.n)).T @ N
+    return N
+
+
 def potential_brute(A: np.ndarray, B: np.ndarray) -> float:
     total = 0.0
     for a, b in zip(np.ravel(A), np.ravel(B)):

@@ -1,9 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gatelab import (
+    build_dft_real,
     build_inverse_scaled_fixture,
     build_random,
     build_scaled_bottleneck_fixture,
@@ -237,3 +239,20 @@ def test_final_matrix_feeding_rhs_is_the_transform():
     assert abs(report.phi_final - 24.0) < 1e-9
     M, _ = matrices_at(a, a.m)
     assert np.abs(M - wht_sign_matrix(8)).max() < 1e-10
+
+
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_chain_scan_equals_standalone_scan_exactly(R):
+    # the chain reads its scan from its own replay; it must be the scan
+    algorithms = [
+        build_wht(8),
+        build_dft_real(8),
+        build_scaled_bottleneck_fixture(8, 2.0**20, 4),
+        build_random(8, 61, seed=3),
+    ]
+    for algorithm in algorithms:
+        chain_scan = verify_bottleneck_chain(algorithm, R=R).scan
+        scan = scan_bottlenecks(algorithm, R=R)
+        for field in fields(scan):
+            name = field.name
+            assert getattr(chain_scan, name) == getattr(scan, name), (algorithm.label, R, name)

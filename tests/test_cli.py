@@ -19,6 +19,9 @@ def test_parse_number_power_literal():
     assert parse_number("1e-3") == 1e-3
     with pytest.raises(ValueError):
         parse_number("2^0.5")
+    for text in ("nan", "inf", "-inf", "10^400", "0^-1"):
+        with pytest.raises(ValueError):
+            parse_number(text)
 
 
 def test_parse_operator_specs(tmp_path):
@@ -140,3 +143,57 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
         run(["trace", alg, "-o", trace])
         pairs.append((scan.read_bytes(), sim.read_bytes(), trace.read_bytes()))
     assert pairs[0] == pairs[1]
+
+
+def test_extract_unrestricted_gives_orthonormal_systems(tmp_path):
+    alg = tmp_path / "wht16.alg"
+    run(["build", "--wht", 16, "-o", alg])
+    out = tmp_path / "ex.json"
+    assert run(["extract", alg, "--unrestricted", "-o", out]) == 0
+    payload = json.loads(out.read_text())
+    for kind in ("overflow", "underflow"):
+        V = np.array(payload[kind]["vectors"]).reshape(payload[kind]["size"], 16)
+        assert np.abs(V @ V.T - np.eye(len(V))).max() < 1e-8
+    assert payload["overflow"]["size"] + payload["underflow"]["size"] > 0
+
+
+def test_every_csv_cell_is_a_number(tmp_path):
+    alg = tmp_path / "scaled8.alg"
+    run(["build", "--scaled", "8,2^8,4", "-o", alg])
+    trace, sim = tmp_path / "trace.csv", tmp_path / "sim.csv"
+    assert run(["trace", alg, "-o", trace]) == 0
+    assert run(["simulate", alg, "--eps", "2^-10", "--samples", 50, "-o", sim]) == 0
+    for path, numeric in ((trace, 4), (sim, 5)):
+        for line in path.read_text().splitlines()[2:]:
+            cells = line.split(",")
+            for cell in cells[:numeric]:
+                float(cell)
+            # touched_i/touched_j are empty where a step touches fewer rows
+            assert all(cell == "" or int(cell) >= 0 for cell in cells[numeric:])
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["trace"], "required: algorithm"),
+        # the removed global flag: argparse takes its value for the subcommand
+        (["--threads", "4", "trace", "ALG"], "invalid choice: '4'"),
+        (["trace", "ALG", "--threads", "4"], "unrecognized arguments: --threads 4"),
+        (["simulate", "ALG", "--eps", "nan"], "--eps"),
+    ],
+)
+def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):
+    alg = tmp_path / "wht4.alg"
+    run(["build", "--wht", 4, "-o", alg])
+    capsys.readouterr()
+    assert run([alg if a == "ALG" else a for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "usage: gatelab" in capsys.readouterr().out

@@ -10,8 +10,6 @@ from gatelab import (
     LinearAlgorithm,
     ParseError,
     Rotation,
-    TrajectoryState,
-    advance,
     apply_to_vector,
     build_random,
     build_wht,
@@ -19,11 +17,12 @@ from gatelab import (
     matrices_at,
     parse_algorithm,
     render_algorithm,
+    replay,
     touched,
     validate,
 )
 
-from oracles import compose_dense, wht_sign_matrix
+from oracles import compose_dense, compose_dense_inverse_transpose, wht_sign_matrix
 
 
 def test_apply_to_vector_wht2():
@@ -53,23 +52,62 @@ def test_apply_to_vector_rejects_bad_inputs():
         apply_to_vector(a, np.zeros(4), upto_t=a.m + 1)
 
 
-def test_advance_quarter_turn_rotation():
-    state = TrajectoryState.identity(2)
-    advance(state, Rotation(0, 1, math.pi / 4))
+def test_replay_quarter_turn_rotation():
+    steps = replay(LinearAlgorithm(2, (Rotation(0, 1, math.pi / 4),)))
+    assert next(steps)[:2] == (0, ())
+    t, rows, M, Minv_T = next(steps)
     r = math.sqrt(2) / 2
     expected = np.array([[r, r], [-r, r]])
-    assert np.allclose(state.M, expected, atol=1e-15)
+    assert np.allclose(M, expected, atol=1e-15)
     # rotations are orthogonal, so the inverse transpose tracks M exactly
-    assert np.allclose(state.Minv_T, expected, atol=1e-15)
-    assert state.touched == (0, 1)
+    assert np.allclose(Minv_T, expected, atol=1e-15)
+    assert (t, rows) == (1, (0, 1))
 
 
-def test_advance_constant_scales_inverse_row():
-    state = TrajectoryState.identity(2)
-    advance(state, Constant(0, 4.0))
-    assert np.allclose(state.M[0], [4.0, 0.0])
-    assert np.allclose(state.Minv_T[0], [0.25, 0.0])
-    assert state.touched == (0,)
+def test_replay_constant_scales_inverse_row():
+    steps = replay(LinearAlgorithm(2, (Constant(0, 4.0),)))
+    next(steps)
+    t, rows, M, Minv_T = next(steps)
+    assert np.allclose(M[0], [4.0, 0.0])
+    assert np.allclose(Minv_T[0], [0.25, 0.0])
+    assert (t, rows) == (1, (0,))
+
+
+def test_replay_checks_arguments_when_called():
+    a = build_wht(4)
+    with pytest.raises(ValueError):
+        replay(a, stop=a.m + 1)
+    with pytest.raises(ValueError):
+        replay(a, P=np.eye(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("R"), st.integers(0, 3), st.integers(0, 3), st.floats(-7, 7)),
+            st.tuples(
+                st.just("C"), st.integers(0, 3), st.sampled_from([-1.0, 1.0]), st.floats(0.5, 2.0)
+            ),
+        ),
+        max_size=30,
+    )
+)
+def test_replay_matches_dense_composition_at_every_step(raw_gates):
+    # n = 4 makes rows repeat across gates; about half the gates are constants
+    gates = []
+    for kind, i, second, value in raw_gates:
+        if kind == "C":
+            gates.append(Constant(i, second * value))
+        elif i != second:
+            gates.append(Rotation(i, second, value))
+    a = LinearAlgorithm(4, tuple(gates))
+    for t, _, M, Minv_T in replay(a):
+        want_M = compose_dense(a, t)
+        want_N = compose_dense_inverse_transpose(a, t)
+        # 1e-10 relative to the trajectory scale, which constants move
+        assert np.abs(M - want_M).max() <= 1e-10 * max(1.0, np.abs(want_M).max())
+        assert np.abs(Minv_T - want_N).max() <= 1e-10 * max(1.0, np.abs(want_N).max())
 
 
 def test_full_wht4_matches_dense_gate_product():
