@@ -5,8 +5,9 @@ simulate, underflow.  Machine-readable outputs (CSV or JSON) carry a
 schema_version marker.  Numeric options accept a power literal ``B^E``
 (decimal base, integer exponent), e.g. ``--eps 2^-10``.
 
-Exit codes: 0 success, 1 usage or I/O error, 2 a verified inequality failed
-beyond tolerance (regression signal).
+Exit codes: 0 success, 1 usage, input, I/O or out-of-memory error, 2 a
+verification failed: an inequality beyond tolerance (regression signal), an
+extraction guarantee, or the incremental-potential drift guard.
 """
 
 from __future__ import annotations
@@ -39,6 +40,32 @@ def parse_number(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"number {text!r} is not finite")
     return value
+
+
+def parse_int_list(text: str) -> list[int]:
+    """Comma-separated integers, e.g. ``8,16,32``."""
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"{text!r} is not a comma-separated list of integers") from None
+
+
+def _option(convert):
+    """An argparse type whose error message is the converter's reason.
+
+    argparse reports a plain ``ValueError`` as ``invalid <function name> value``.
+    """
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_number = _option(parse_number)
 
 
 def parse_operator(spec: str, n: int) -> np.ndarray | None:
@@ -408,15 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-trials", type=int, default=10_000)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--proj-trials", type=int, default=100)
-    p.add_argument("--n-list", dest="n_list", default="8,16,32",
-                   type=lambda s: [int(tok) for tok in s.split(",") if tok])
+    p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_option(parse_int_list))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lemma)
 
     p = sub.add_parser("extract", help="extract overflow/underflow direction systems")
     p.add_argument("algorithm")
-    p.add_argument("--tau", type=parse_number, default=None)
+    p.add_argument("--tau", type=_number, default=None)
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--no-target-check", action="store_true")
     p.add_argument("-o", "--output", default=None)
@@ -424,26 +450,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="uncertainty-volume lower bounds from the underflow basis")
     p.add_argument("algorithm")
-    p.add_argument("--tau", type=parse_number, default=None)
-    p.add_argument("--b", type=parse_number, default=None)
+    p.add_argument("--tau", type=_number, default=None)
+    p.add_argument("--b", type=_number, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("simulate", help="quantized replay with bit-usage statistics")
     p.add_argument("algorithm")
-    p.add_argument("--eps", type=parse_number, required=True)
-    p.add_argument("--sigma", type=parse_number, default=1.0)
+    p.add_argument("--eps", type=_number, required=True)
+    p.add_argument("--sigma", type=_number, default=1.0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--W", type=parse_number, default=32.0)
+    p.add_argument("--W", type=_number, default=32.0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("underflow", help="per-direction uncertainty widths")
     p.add_argument("algorithm")
-    p.add_argument("--eps", type=parse_number, required=True)
-    p.add_argument("--tau", type=parse_number, default=None)
+    p.add_argument("--eps", type=_number, required=True)
+    p.add_argument("--tau", type=_number, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_underflow)
 
@@ -454,13 +480,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return _fail(exc, 1)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    except (ValueError, OSError, MemoryError) as exc:
+        return _fail(exc, 1)
+    except (RuntimeError, ArithmeticError) as exc:
+        # a failed extraction guarantee or the drift guard of trace_potential
+        return _fail(exc, 2)
+
+
+def _fail(exc: BaseException, code: int) -> int:
+    sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
+    return code
 
 
 if __name__ == "__main__":

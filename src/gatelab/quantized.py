@@ -46,10 +46,29 @@ def _chunk_size(n: int, samples: int) -> int:
     return max(1, _CHUNK_BUDGET // n)
 
 
-def _draw_inputs(children, sigma: float, n: int) -> np.ndarray:
-    X = np.empty((n, len(children)))
-    for col, child in enumerate(children):
-        X[:, col] = np.random.default_rng(child).normal(0.0, sigma, n)
+# Spawn indices of 2**32 or more take two words of a child's entropy, which
+# the bulk derivation in ``_seeds`` does not handle.
+_MAX_SAMPLES = 1 << 32
+
+
+def _check_draws(seed: int, samples: int) -> int:
+    """The seed as an int; rejects what ``_draw_inputs`` cannot reproduce."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"at most 2**32 samples are supported, got {samples}")
+    return int(seed)
+
+
+def _draw_inputs(seed: int, lo: int, hi: int, sigma: float, n: int) -> np.ndarray:
+    """Inputs of samples lo..hi-1 as the columns of an (n, hi - lo) array."""
+    # Imported here: loading numpy.random would add about 15 ms to every
+    # CLI start, and only the draws need it.
+    from ._seeds import spawned_generators
+
+    X = np.empty((n, hi - lo))
+    for col, rng in enumerate(spawned_generators(seed, lo, hi)):
+        X[:, col] = rng.normal(0.0, sigma, n)
     return X
 
 
@@ -96,22 +115,23 @@ def simulate(
 ) -> QuantizedRunStats:
     """Quantized replay over Gaussian inputs with per-sample derived seeds.
 
-    Inputs are N(0, sigma^2 Id), one derived seed per sample, so results do
-    not depend on chunking; means use pairwise summation per chunk.
+    Inputs are N(0, sigma^2 Id): sample k of a non-negative integer seed is
+    ``default_rng(SeedSequence(seed).spawn(samples)[k]).normal(0, sigma, n)``,
+    so inputs and ``max_abs`` do not depend on chunking.  Means use pairwise
+    summation per chunk, so across chunkings they agree up to rounding.
     """
     if epsilon <= 0:
         raise ValueError(f"quantization step must be positive, got {epsilon}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    seed = _check_draws(seed, samples)
     n, m = algorithm.n, algorithm.m
-    children = np.random.SeedSequence(seed).spawn(samples)
     chunk = _chunk_size(n, samples)
     bits_sum = np.zeros((m + 1, n))
     max_abs = np.zeros((m + 1, n))
 
     for lo in range(0, samples, chunk):
-        segment = children[lo : lo + chunk]
-        X = quantize(_draw_inputs(segment, sigma, n), epsilon)
+        X = quantize(_draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n), epsilon)
         cur_bits = _bits(X, epsilon).sum(axis=1)
         cur_max = np.abs(X).max(axis=1)
         chunk_bits = np.empty((m + 1, n))
@@ -213,6 +233,7 @@ def empirical_uncertainty_check(
     qualify the check is inconclusive rather than failed.
     """
     n = algorithm.n
+    seed = _check_draws(seed, samples)
     z = np.asarray(direction, dtype=float)
     if z.shape != (n,):
         raise ValueError(f"direction must have length {n}")
@@ -227,20 +248,19 @@ def empirical_uncertainty_check(
     row_norm = float(np.linalg.norm(Minv_T[coord]))
     predicted = epsilon * abs(coefficient)
 
-    children = np.random.SeedSequence(seed).spawn(samples)
     chunk = _chunk_size(n, samples)
     words = np.empty(samples)
     exact = np.empty(samples)
     g = np.empty(samples)
     for lo in range(0, samples, chunk):
-        segment = children[lo : lo + chunk]
-        X0 = _draw_inputs(segment, sigma, n)
-        g[lo : lo + len(segment)] = z @ X0
+        hi = min(lo + chunk, samples)
+        X0 = _draw_inputs(seed, lo, hi, sigma, n)
+        g[lo:hi] = z @ X0
         Xq = quantize(X0, epsilon)
         for gate in algorithm.gates[:step]:
             _quantized_step(Xq, gate, epsilon)
-        words[lo : lo + len(segment)] = Xq[coord]
-        exact[lo : lo + len(segment)] = M[coord] @ X0
+        words[lo:hi] = Xq[coord]
+        exact[lo:hi] = M[coord] @ X0
 
     keys = np.rint(words / epsilon).astype(np.int64)
     order = np.argsort(keys, kind="stable")

@@ -4,8 +4,9 @@ Everything here is computed from first principles with plain numpy: closed
 forms for the reference transforms, dense gate matrices composed with @, and
 brute-force potential evaluation.  Nothing reuses the package's incremental
 replay paths, so an agreement between the two is a genuine dual-route check.
-``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
-contract the README documents.
+``spawned_normal_draws`` is the per-sample seeding that ``quantized`` derives
+in bulk.  ``assert_lemma_contract`` checks a ``lemma`` report against the
+exit-code contract the README documents.
 """
 
 import math
@@ -77,6 +78,15 @@ def potential_brute(A: np.ndarray, B: np.ndarray) -> float:
         if p != 0.0:
             total -= p * math.log2(abs(p))
     return total
+
+
+def spawned_normal_draws(seed: int, lo: int, hi: int, sigma: float, n: int) -> np.ndarray:
+    """Inputs of samples lo..hi-1 as columns: one spawned child and generator each."""
+    children = np.random.SeedSequence(seed).spawn(hi)[lo:hi]
+    X = np.empty((n, len(children)))
+    for col, child in enumerate(children):
+        X[:, col] = np.random.default_rng(child).normal(0.0, sigma, n)
+    return X
 
 
 def assert_lemma_contract(code: int, payload: dict) -> None:

@@ -62,9 +62,11 @@ def test_scan_cli_values(tmp_path):
     assert payload["slack"] >= 0.0
 
 
-def test_simulate_cli_no_overflow(tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_simulate_cli_no_overflow(tmp_path, capsys):
     alg = tmp_path / "wht8.alg"
     run(["build", "--wht", 8, "-o", alg])
+    capsys.readouterr()
     csv_path = tmp_path / "sim.csv"
     summary = tmp_path / "sim.json"
     assert run([
@@ -76,6 +78,7 @@ def test_simulate_cli_no_overflow(tmp_path):
     assert payload["epsilon"] == 2.0**-10
     header = csv_path.read_text().splitlines()[1]
     assert header == "t,i,mean_bits,max_abs,overflow_flag"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_chain_validate_extract_underflow_lemma(tmp_path):
@@ -179,7 +182,12 @@ def test_every_csv_cell_is_a_number(tmp_path):
         # the removed global flag: argparse takes its value for the subcommand
         (["--threads", "4", "trace", "ALG"], "invalid choice: '4'"),
         (["trace", "ALG", "--threads", "4"], "unrecognized arguments: --threads 4"),
-        (["simulate", "ALG", "--eps", "nan"], "--eps"),
+        pytest.param(["simulate", "ALG", "--eps", "nan"],
+                     "argument --eps: number 'nan' is not finite", id="args3---eps"),
+        (["lemma", "--n-list", "abc"],
+         "argument --n-list: 'abc' is not a comma-separated list of integers"),
+        (["simulate", "ALG", "--eps", "2^-10", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):
@@ -190,6 +198,33 @@ def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize(
+    "target, exc, args, code, message",
+    [
+        ("gatelab.directions.extract_directions", RuntimeError("not orthonormal"),
+         ["extract", "ALG"], 2, "not orthonormal"),
+        ("gatelab.potential.trace_potential", ArithmeticError("drifted by 1e-3"),
+         ["trace", "ALG"], 2, "drifted by 1e-3"),
+        # an exception without a message is reported by its type
+        ("gatelab.quantized.simulate", MemoryError(),
+         ["simulate", "ALG", "--eps", "1"], 1, "MemoryError"),
+    ],
+)
+def test_library_failures_exit_with_a_one_line_message(
+    target, exc, args, code, message, tmp_path, capsys, monkeypatch
+):
+    alg = tmp_path / "wht4.alg"
+    run(["build", "--wht", 4, "-o", alg])
+    capsys.readouterr()
+
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, fail)
+    assert run([alg if a == "ALG" else a for a in args]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_help_exits_zero(capsys):

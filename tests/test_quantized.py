@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gatelab import quantized
 from gatelab import (
     Constant,
     LinearAlgorithm,
@@ -16,6 +20,8 @@ from gatelab import (
     simulate,
     underflow_widths,
 )
+
+from oracles import spawned_normal_draws
 
 EPS = 2.0**-10
 
@@ -82,6 +88,63 @@ def test_simulation_rejects_bad_parameters():
         simulate(a, epsilon=0.0)
     with pytest.raises(ValueError):
         simulate(a, epsilon=EPS, samples=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**130),
+    lo=st.integers(min_value=0, max_value=150),
+    count=st.integers(min_value=1, max_value=60),
+    n=st.integers(min_value=2, max_value=64),
+    sigma=st.sampled_from([1.0, 2.0, 0.125, 3.7]),
+)
+@example(seed=0, lo=0, count=5, n=2, sigma=1.0)
+@example(seed=2**32 + 5, lo=3, count=4, n=3, sigma=2.0)
+@example(seed=2**128 + 1, lo=0, count=3, n=64, sigma=0.125)
+def test_draw_inputs_match_spawned_reference(seed, lo, count, n, sigma):
+    # seeds above 2**128 take five entropy words, one more than the pool holds;
+    # a uint32 overflow warning from the bulk hash would be an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = quantized._draw_inputs(seed, lo, lo + count, sigma, n)
+    assert np.array_equal(got, spawned_normal_draws(seed, lo, lo + count, sigma, n))
+
+
+def test_results_do_not_depend_on_chunking(monkeypatch):
+    a = build_scaled_bottleneck_fixture(8, 2.0**8, 4)
+    w = build_wht(4)
+    _, Minv_T = matrices_at(w, 1)
+    z = Minv_T[0] / np.linalg.norm(Minv_T[0])
+    samples = 1000
+    whole = simulate(a, epsilon=EPS, samples=samples, seed=11, word_budget=16.0)
+    check = empirical_uncertainty_check(w, 2.0**-6, z, samples=samples, seed=5, step=1, coord=0)
+    # chunks of 137 and 333 samples: several full chunks and an uneven last one
+    monkeypatch.setattr(quantized, "_CHUNK_BUDGET", 8 * 137)
+    chunked = simulate(a, epsilon=EPS, samples=samples, seed=11, word_budget=16.0)
+    monkeypatch.setattr(quantized, "_CHUNK_BUDGET", 4 * 333)
+    assert empirical_uncertainty_check(
+        w, 2.0**-6, z, samples=samples, seed=5, step=1, coord=0
+    ) == check
+    assert np.array_equal(chunked.max_abs, whole.max_abs)
+    assert np.array_equal(chunked.overflow_flags, whole.overflow_flags)
+    # means sum each chunk pairwise, so only the summation order differs; two
+    # orders of n positive terms agree within (n - 1) * eps relative
+    rtol = samples * np.finfo(float).eps
+    assert np.allclose(chunked.mean_bits, whole.mean_bits, rtol=rtol, atol=0.0)
+
+
+def test_draws_reject_negative_seeds_and_too_many_samples():
+    a = build_wht(4)
+    z = np.eye(4)[0]
+    for seed in (-1, None, 1.5):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            simulate(a, epsilon=EPS, seed=seed)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            empirical_uncertainty_check(a, EPS, z, seed=seed)
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 samples"):
+        simulate(a, epsilon=EPS, samples=2**32 + 1)
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 samples"):
+        empirical_uncertainty_check(a, EPS, z, samples=2**32 + 1)
 
 
 def test_underflow_widths_on_plain_transform():
