@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from typing import NoReturn
 
@@ -88,17 +89,18 @@ def parse_operator(spec: str, n: int) -> np.ndarray | None:
     raise ValueError(f"bad operator spec {spec!r}; use id, proj:i,j,..., or file:PATH")
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(pieces: Iterable[str], path: str | None) -> None:
+    """Write each piece to ``path``, or to stdout, as the iterable yields it."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], path)
 
 
 def _load(path: str) -> gates.LinearAlgorithm:
@@ -168,7 +170,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ti = str(rows[0]) if rows else ""
         tj = str(rows[1]) if len(rows) > 1 else ""
         lines.append(f"{t},{float(phi)!r},{float(delta)!r},{float(bound)!r},{ti},{tj}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(["\n".join(lines) + "\n"], args.output)
     worst = max(
         (d - b for d, b in zip(trace.per_step_delta, trace.per_step_bound)), default=0.0
     )
@@ -318,6 +320,36 @@ def cmd_volume(args: argparse.Namespace) -> int:
     return 0 if bound.sum_log2_gamma >= bound.closed_form - 1e-9 else 2
 
 
+def _simulate_csv(stats: quantized.QuantizedRunStats) -> Iterator[str]:
+    """The ``simulate`` CSV: the two header lines, then one block of rows per step.
+
+    A gate rewrites at most two coordinates, so row t of the statistics
+    repeats row t-1 in all but a few cells.  Each cell's text is kept and
+    formatted again only where its value bits (so ``-0.0`` against ``0.0``
+    counts as a change and NaN against NaN does not) or its flag changed.
+    """
+    yield f"# schema_version={SCHEMA_VERSION}\n"
+    yield "t,i,mean_bits,max_abs,overflow_flag\n"
+    bits, max_abs, flags = stats.mean_bits, stats.max_abs, stats.overflow_flags
+    bits_key, max_key = bits.view(np.int64), max_abs.view(np.int64)
+    m1, n = bits.shape
+    cells = [""] * n
+    changed = np.arange(n)
+    for t in range(m1):
+        if t:
+            changed = np.flatnonzero(
+                (bits_key[t] != bits_key[t - 1])
+                | (max_key[t] != max_key[t - 1])
+                | (flags[t] != flags[t - 1])
+            )
+        rows = zip(changed.tolist(), bits[t, changed].tolist(),
+                   max_abs[t, changed].tolist(), flags[t, changed].tolist())
+        for i, b, a, flag in rows:
+            cells[i] = f"{i},{b!r},{a!r},{int(flag)}\n"
+        prefix = f"{t},"
+        yield prefix + prefix.join(cells)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     algorithm = _load(args.algorithm)
     stats = quantized.simulate(
@@ -328,14 +360,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         word_budget=args.W,
     )
-    lines = [f"# schema_version={SCHEMA_VERSION}", "t,i,mean_bits,max_abs,overflow_flag"]
-    for t, (bits_row, max_row, flag_row) in enumerate(
-        zip(stats.mean_bits, stats.max_abs, stats.overflow_flags)
-    ):
-        cells = zip(bits_row.tolist(), max_row.tolist(), flag_row.tolist())
-        for i, (bits, max_abs, flag) in enumerate(cells):
-            lines.append(f"{t},{i},{bits!r},{max_abs!r},{int(flag)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_simulate_csv(stats), args.output)
     if args.summary is not None:
         flagged = stats.flagged_cells()
         _emit_json(

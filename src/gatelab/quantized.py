@@ -251,11 +251,9 @@ def empirical_uncertainty_check(
     chunk = _chunk_size(n, samples)
     words = np.empty(samples)
     exact = np.empty(samples)
-    g = np.empty(samples)
     for lo in range(0, samples, chunk):
         hi = min(lo + chunk, samples)
         X0 = _draw_inputs(seed, lo, hi, sigma, n)
-        g[lo:hi] = z @ X0
         Xq = quantize(X0, epsilon)
         for gate in algorithm.gates[:step]:
             _quantized_step(Xq, gate, epsilon)

@@ -5,8 +5,10 @@ forms for the reference transforms, dense gate matrices composed with @, and
 brute-force potential evaluation.  Nothing reuses the package's incremental
 replay paths, so an agreement between the two is a genuine dual-route check.
 ``spawned_normal_draws`` is the per-sample seeding that ``quantized`` derives
-in bulk.  ``assert_lemma_contract`` checks a ``lemma`` report against the
-exit-code contract the README documents.
+in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
+``simulate`` CSV that the CLI streams from the cells that changed.
+``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
+contract the README documents.
 """
 
 import math
@@ -87,6 +89,18 @@ def spawned_normal_draws(seed: int, lo: int, hi: int, sigma: float, n: int) -> n
     for col, child in enumerate(children):
         X[:, col] = np.random.default_rng(child).normal(0.0, sigma, n)
     return X
+
+
+def simulate_csv_reference(stats) -> str:
+    """The ``simulate`` CSV as one string, every cell formatted at every step."""
+    lines = ["# schema_version=1", "t,i,mean_bits,max_abs,overflow_flag"]
+    for t, (bits_row, max_row, flag_row) in enumerate(
+        zip(stats.mean_bits, stats.max_abs, stats.overflow_flags)
+    ):
+        cells = zip(bits_row.tolist(), max_row.tolist(), flag_row.tolist())
+        for i, (bits, max_abs, flag) in enumerate(cells):
+            lines.append(f"{t},{i},{bits!r},{max_abs!r},{int(flag)}")
+    return "\n".join(lines) + "\n"
 
 
 def assert_lemma_contract(code: int, payload: dict) -> None:

@@ -1,11 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatelab.cli import main, parse_number, parse_operator
+from gatelab import quantized
+from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
+from gatelab.gates import read_algorithm
 
-from oracles import assert_lemma_contract
+from oracles import assert_lemma_contract, simulate_csv_reference
 
 
 def run(args):
@@ -81,6 +86,88 @@ def test_simulate_cli_no_overflow(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+# Repeats are common in a small pool; the signed zeros, NaNs of either sign,
+# infinities, subnormals and 1e308 each print in their own way.
+_CELL_VALUES = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.5e-310,
+     1e308, 1.0, 0.1, 32.0, 32.000000000000004]
+)
+
+
+@st.composite
+def _run_stats(draw):
+    """Statistics whose rows repeat the previous row apart from a few edits.
+
+    An edit sets any of a cell's value, maximum and flag, so a flag can flip
+    while both values stay the same.
+    """
+    n = draw(st.integers(1, 16))
+    m = draw(st.integers(0, 40))
+    mean_bits, max_abs = np.empty((m + 1, n)), np.empty((m + 1, n))
+    flags = np.empty((m + 1, n), dtype=bool)
+    mean_bits[0] = draw(st.lists(_CELL_VALUES, min_size=n, max_size=n))
+    max_abs[0] = draw(st.lists(_CELL_VALUES, min_size=n, max_size=n))
+    flags[0] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edit = st.tuples(st.integers(0, n - 1), st.none() | _CELL_VALUES,
+                     st.none() | _CELL_VALUES, st.none() | st.booleans())
+    for t in range(1, m + 1):
+        mean_bits[t], max_abs[t], flags[t] = mean_bits[t - 1], max_abs[t - 1], flags[t - 1]
+        for i, bits, top, flag in draw(st.lists(edit, max_size=4)):
+            for row, value in ((mean_bits[t], bits), (max_abs[t], top), (flags[t], flag)):
+                if value is not None:
+                    row[i] = value
+    return quantized.QuantizedRunStats(
+        epsilon=2.0**-10, sigma=1.0, samples=1, word_budget=32.0,
+        mean_bits=mean_bits, max_abs=max_abs, overflow_flags=flags,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(stats=_run_stats())
+def test_simulate_csv_matches_the_cell_by_cell_reference(stats):
+    assert "".join(_simulate_csv(stats)) == simulate_csv_reference(stats)
+
+
+def test_simulate_stdout_has_the_bytes_of_the_output_file(tmp_path, capsys):
+    alg = tmp_path / "dft8.alg"
+    run(["build", "--dft", 8, "-o", alg])
+    csv_path = tmp_path / "sim.csv"
+    args = ["simulate", alg, "--eps", "2^-10", "--samples", 300, "--seed", 4]
+    assert run(args + ["-o", csv_path]) == 0
+    capsys.readouterr()
+    assert run(args) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == csv_path.read_bytes() and err == ""
+
+
+def test_chunked_simulate_csv_matches_the_reference(tmp_path, monkeypatch):
+    alg = tmp_path / "scaled8.alg"
+    run(["build", "--scaled", "8,2^8,4", "-o", alg])
+    # chunks of 37 samples: several full chunks and an uneven last one
+    monkeypatch.setattr(quantized, "_CHUNK_BUDGET", 8 * 37)
+    csv_path = tmp_path / "sim.csv"
+    assert run(["simulate", alg, "--eps", "2^-10", "--samples", 200, "--seed", 6,
+                "--W", 16, "-o", csv_path]) == 0
+    stats = quantized.simulate(read_algorithm(str(alg)), epsilon=2.0**-10, samples=200,
+                               seed=6, word_budget=16.0)
+    assert csv_path.read_text() == simulate_csv_reference(stats)
+
+
+def test_simulate_csv_flags_exactly_the_planted_cells(tmp_path):
+    alg = tmp_path / "scaled8.alg"
+    run(["build", "--scaled", "8,2^8,4", "-o", alg])
+    csv_path = tmp_path / "sim.csv"
+    assert run(["simulate", alg, "--eps", "2^-10", "--samples", 10_000, "--seed", 3,
+                "--W", 16, "-o", csv_path]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
+    n, m = 8, read_algorithm(str(alg)).m
+    cells = [(int(r[0]), int(r[1])) for r in rows]
+    assert cells == [(t, i) for t in range(m + 1) for i in range(n)]
+    flagged = {(int(r[0]), int(r[1])) for r in rows if r[4] == "1"}
+    # row i is scaled up at step i+1 and back down at step i+5
+    assert flagged == {(t, i) for i in range(4) for t in range(i + 1, i + 5)}
+
+
 def test_chain_validate_extract_underflow_lemma(tmp_path):
     alg = tmp_path / "inv8.alg"
     run(["build", "--inverse-scaled", "8,4,4", "-o", alg])
@@ -118,6 +205,13 @@ def test_unparseable_file_exits_one(tmp_path, capsys):
     assert run(["trace", bad]) == 1
     assert "line 2" in capsys.readouterr().err
     assert run(["trace", tmp_path / "missing.alg"]) == 1
+
+
+def test_garbled_gate_file_exits_one_with_a_one_line_message(tmp_path, capsys):
+    bad = tmp_path / "garbled.alg"
+    bad.write_text("n 4 m 1\r\nR 0 1 1e999\x0c\n\t-.e nan\n")
+    assert run(["trace", bad]) == 1
+    assert capsys.readouterr() == ("", "error: line 2: non-finite rotation angle inf\n")
 
 
 def test_build_requires_exactly_one_source(tmp_path):

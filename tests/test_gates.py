@@ -257,3 +257,34 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_algorithm("n 4 m 1\nX 0 1\n")
     assert err.value.line == 2
+
+
+# Gate-file-like text: header and gate letters, numbers, non-finite words and
+# every separator ``str.splitlines`` or ``str.split`` treats specially.
+_GATE_ALPHABET = "nmRC0123456789+-.e \t\r\n\x0b\x0c"
+_WORDS = st.sampled_from(
+    ["n", "m", "R", "C", "0", "1", "2", "3", "4", "-1", "+2", "0.5", ".", "e",
+     "1e999", "-1e-999", "nan", "inf", "-inf", "9" * 5000]
+)
+_SEPARATORS = st.sampled_from([" ", "  ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c"])
+_GATE_LIKE_TEXT = st.tuples(
+    st.sampled_from(["", "n 4 m 1\n", "n 4 m 2\nR 0 1 0.5\n", "n 2 m 0\n", "n 1 m 0\n"]),
+    st.one_of(
+        st.text(alphabet=_GATE_ALPHABET, max_size=60),
+        st.lists(st.tuples(_WORDS, _SEPARATORS), max_size=24).map(
+            lambda parts: "".join(word + sep for word, sep in parts)
+        ),
+    ),
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_GATE_LIKE_TEXT)
+def test_parser_returns_an_algorithm_or_a_line_numbered_error(text):
+    try:
+        algorithm = parse_algorithm(text)
+    except ParseError as exc:
+        assert 1 <= exc.line <= max(1, len(text.splitlines()))
+        assert str(exc).startswith(f"line {exc.line}: ")
+    else:
+        assert isinstance(algorithm, LinearAlgorithm)
