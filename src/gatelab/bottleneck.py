@@ -20,9 +20,12 @@ rotation steps by default, because a constant gate scales the paired rows by
 c and 1/c and provably cannot move the potential.
 
 ``verify_bottleneck_chain`` re-derives the averaged bound link by link
-(triangle inequality, per-window two-row change bound, max versus average)
-and reports the slack of each link, which is nonnegative up to float noise
-for every algorithm and every P, Q.  It reads its scan report from the same
+(triangle inequality, per-window change bound, max versus average) and
+reports the slack of each link, which is nonnegative up to float noise for
+every algorithm and every P, Q.  A window rewrites only the rows in I_t, so
+its move is the change in those rows' potential contribution across the
+window; the exact potential is evaluated only at the two ends, and the moves
+must add up to its change.  The chain reads its scan report from the same
 replay, so it equals ``scan_bottlenecks`` exactly.
 """
 
@@ -36,7 +39,7 @@ import numpy as np
 
 from .builders import wht_matrix
 from .gates import Constant, LinearAlgorithm, replay, touched
-from .potential import quasi_entropy
+from .potential import DRIFT_TOL, block_contrib, block_product, change_bound, quasi_entropy
 
 
 def _padded_length(m: int, R: int) -> int:
@@ -81,13 +84,6 @@ def _window_walk(
 def _scanned(algorithm: LinearAlgorithm, R: int, w: int, include_constants: bool) -> bool:
     """Whether a scan rates window w: the R = 1 scan skips constant-gate steps."""
     return R > 1 or include_constants or not isinstance(algorithm.gates[w], Constant)
-
-
-def _block_product(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
-    if not rows:
-        return 0.0
-    idx = list(rows)
-    return float(np.linalg.norm(A[idx]) * np.linalg.norm(B[idx]))
 
 
 @dataclass
@@ -160,7 +156,7 @@ def scan_bottlenecks(
         if w == 0:
             phi_identity = quasi_entropy(A, B)
         if w < len(window_sets) and _scanned(algorithm, R, w, include_constants):
-            products[w] = _block_product(A, B, window_sets[w])
+            products[w] = block_product(A, B, window_sets[w])
     return _scan_report(algorithm, R, window_sets, products, phi_identity, quasi_entropy(A, B))
 
 
@@ -200,30 +196,42 @@ def verify_bottleneck_chain(
     """Check every link of the averaged bottleneck bound numerically.
 
     Links: (a) the triangle inequality over window boundaries, (b) each
-    window's two-row change bound evaluated at both endpoints, (c) the final
+    window's change bound evaluated at both endpoints, (c) the final
     max-versus-average step.  All slacks are nonnegative up to float noise.
+
+    A window rewrites only the rows it touches, so its move is the change in
+    those rows' contribution from its start to its end; the exact potential is
+    computed only at the first and the last boundary.  The moves must add up
+    to the total change within ``DRIFT_TOL`` of the largest value or block
+    contribution seen, or ``ArithmeticError`` is raised.
     """
     window_sets, boundaries = _window_walk(algorithm, P, Q, R)
     n_windows = len(window_sets)
-    phis: list[float] = []
     start_products = [0.0] * n_windows
     end_products = [0.0] * n_windows
+    moves = [0.0] * n_windows
+    scale = 1.0
     for w, A, B in boundaries:
-        phis.append(quasi_entropy(A, B))
+        if w == 0:
+            phi_identity = quasi_entropy(A, B)
+        else:
+            end_products[w - 1] = block_product(A, B, window_sets[w - 1])
+            end_contrib = block_contrib(A, B, window_sets[w - 1])
+            moves[w - 1] = end_contrib - start_contrib
+            scale = max(scale, abs(start_contrib), abs(end_contrib))
         if w < n_windows:
-            start_products[w] = _block_product(A, B, window_sets[w])
-        if w > 0:
-            end_products[w - 1] = _block_product(A, B, window_sets[w - 1])
+            start_products[w] = block_product(A, B, window_sets[w])
+            start_contrib = block_contrib(A, B, window_sets[w])
+    phi_final = quasi_entropy(A, B)
+
+    residual = abs(sum(moves) - (phi_final - phi_identity))
+    if residual > DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
+        raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
 
     windows: list[WindowLink] = []
     for w, rows in enumerate(window_sets):
-        delta_abs = abs(phis[w + 1] - phis[w])
-        rows_count = len(rows)
-        bound = (
-            (start_products[w] + end_products[w]) * math.log2(rows_count)
-            if rows_count >= 2
-            else 0.0
-        )
+        delta_abs = abs(moves[w])
+        bound = change_bound(len(rows), start_products[w], end_products[w])
         windows.append(
             WindowLink(
                 start=w * R,
@@ -235,21 +243,21 @@ def verify_bottleneck_chain(
         )
 
     triangle_lhs = sum(link.delta_abs for link in windows)
-    triangle_rhs = abs(phis[-1] - phis[0])
+    triangle_rhs = abs(phi_final - phi_identity)
     max_endpoint = max(
         (max(start_products[w], end_products[w]) for w in range(n_windows)), default=0.0
     )
     average_requirement = (
-        (phis[-1] - phis[0]) / (2 * n_windows * math.log2(2 * R)) if n_windows else 0.0
+        (phi_final - phi_identity) / (2 * n_windows * math.log2(2 * R)) if n_windows else 0.0
     )
     scanned = {w: p for w, p in enumerate(start_products) if _scanned(algorithm, R, w, False)}
-    scan = _scan_report(algorithm, R, window_sets, scanned, phis[0], phis[-1])
+    scan = _scan_report(algorithm, R, window_sets, scanned, phi_identity, phi_final)
     return ChainReport(
         R=R,
         m=algorithm.m,
         m_padded=_padded_length(algorithm.m, R),
-        phi_identity=phis[0],
-        phi_final=phis[-1],
+        phi_identity=phi_identity,
+        phi_final=phi_final,
         triangle_lhs=triangle_lhs,
         triangle_rhs=triangle_rhs,
         triangle_slack=triangle_lhs - triangle_rhs,

@@ -66,7 +66,27 @@ def _option(convert):
     return parse
 
 
+def _ranged(convert, ok, rule: str):
+    """An argparse type that converts, then rejects a value outside its range."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"{text!r} is not {rule}")
+        return value
+
+    return _option(parse)
+
+
 _number = _option(parse_number)
+_positive = _ranged(parse_number, lambda v: v > 0, "positive")
+_nonnegative = _ranged(parse_number, lambda v: v >= 0, "non-negative")
+_count = _ranged(int, lambda v: v >= 1, "at least 1")
+_dims = _ranged(
+    parse_int_list,
+    lambda vs: all(v >= 2 and v & (v - 1) == 0 for v in vs),
+    "a list of powers of two >= 2",
+)
 
 
 def parse_operator(spec: str, n: int) -> np.ndarray | None:
@@ -457,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("lemma", help="randomized sweep of the potential inequalities")
-    p.add_argument("--pair-trials", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--proj-trials", type=int, default=100)
-    p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_option(parse_int_list))
+    p.add_argument("--pair-trials", type=_count, default=10_000)
+    p.add_argument("--trials", type=_count, default=1000)
+    p.add_argument("--proj-trials", type=_count, default=100)
+    p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_dims)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lemma)
@@ -476,17 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="uncertainty-volume lower bounds from the underflow basis")
     p.add_argument("algorithm")
     p.add_argument("--tau", type=_number, default=None)
-    p.add_argument("--b", type=_number, default=None)
+    p.add_argument("--b", type=_positive, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("simulate", help="quantized replay with bit-usage statistics")
     p.add_argument("algorithm")
     p.add_argument("--eps", type=_number, required=True)
-    p.add_argument("--sigma", type=_number, default=1.0)
+    p.add_argument("--sigma", type=_nonnegative, default=1.0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--W", type=_number, default=32.0)
+    p.add_argument("--W", type=_positive, default=32.0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary", default=None)
     p.set_defaults(func=cmd_simulate)

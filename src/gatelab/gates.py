@@ -175,14 +175,13 @@ def matrices_at(algorithm: LinearAlgorithm, t: int) -> tuple[np.ndarray, np.ndar
 
 @dataclass
 class TrajectoryDiagnostics:
-    """Replay report: inverse consistency, per-step condition numbers, touched rows."""
+    """Replay report: inverse consistency and per-step condition numbers."""
 
     n: int
     m: int
     max_residual: float
     kappas: list[float]
     max_kappa: float
-    touched_sets: list[tuple[int, ...]]
     stable: bool
 
 
@@ -198,10 +197,7 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
     eye = np.eye(n)
     max_residual = 0.0
     kappas: list[float] = []
-    touched_sets: list[tuple[int, ...]] = []
-    for t, rows, M, Minv_T in replay(algorithm):
-        if t:
-            touched_sets.append(rows)
+    for _, _, M, Minv_T in replay(algorithm):
         residual = float(np.abs(M @ Minv_T.T - eye).max())
         max_residual = max(max_residual, residual)
         svals = np.linalg.svd(M, compute_uv=False)
@@ -212,7 +208,6 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
         max_residual=max_residual,
         kappas=kappas,
         max_kappa=float(max(kappas)),
-        touched_sets=touched_sets,
         stable=max_residual <= residual_tol,
     )
 

@@ -14,15 +14,16 @@ real embedding of complex matrices: the pair sum A(i,2j)B(i,2j) +
 A(i,2j+1)B(i,2j+1) plays the role of a single entry product, and the value on
 the real-embedded normalized DFT is n*log2(n/2).
 
-A gate touches at most two rows of M and M^{-T}, so the potential moves by at
-most the two-row change bound
+The potential is a sum over rows.  A gate, or a window of gates, rewrites
+only the rows I it touches, so the potential moves by exactly the change in
+those rows' contribution (``block_contrib``), and by at most the change bound
 
-    (|A_before|_F |B_before|_F + |A_after|_F |B_after|_F) * log2(a)
+    (|A_I before|_F |B_I before|_F + |A_I after|_F |B_I after|_F) * log2|I|
 
-over the a touched rows.  ``trace_potential`` records both the per-step move
-and this bound; single-row (constant gate) steps have a = 1, bound 0, and
-indeed leave the potential unchanged because the scalings c and 1/c cancel in
-every entry product.
+(``change_bound`` of the two ``block_product`` values).  ``trace_potential``
+records both the per-step move and this bound; single-row (constant gate)
+steps have |I| = 1, bound 0, and indeed leave the potential unchanged because
+the scalings c and 1/c cancel in every entry product.
 """
 
 from __future__ import annotations
@@ -67,35 +68,34 @@ def complex_quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
     return _neg_p_log_p((p[:, 0::2] + p[:, 1::2]).ravel())
 
 
-def projected_quasi_entropy(
-    M: np.ndarray,
-    Minv_T: np.ndarray,
-    P: np.ndarray | None = None,
-    Q: np.ndarray | None = None,
-) -> float:
-    """Potential of (M P, M^{-T} Q); P or Q of None means identity."""
-    M = np.asarray(M, dtype=float)
-    Minv_T = np.asarray(Minv_T, dtype=float)
-    A = M if P is None else M @ np.asarray(P, dtype=float)
-    B = Minv_T if Q is None else Minv_T @ np.asarray(Q, dtype=float)
-    return quasi_entropy(A, B)
-
-
-def _row_block_contrib(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
-    return _neg_p_log_p((A[list(rows)] * B[list(rows)]).ravel())
-
-
-def two_row_change_bound(
-    a_before: np.ndarray, b_before: np.ndarray, a_after: np.ndarray, b_after: np.ndarray
-) -> float:
-    """Bound on the potential move of a block of rows rewritten by one nonsingular map."""
-    rows = a_before.shape[0]
-    if rows <= 1:
+def block_product(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
+    """|A[rows]|_F * |B[rows]|_F; zero for no rows."""
+    if not rows:
         return 0.0
-    return (
-        np.linalg.norm(a_before) * np.linalg.norm(b_before)
-        + np.linalg.norm(a_after) * np.linalg.norm(b_after)
-    ) * math.log2(rows)
+    idx = list(rows)
+    return float(np.linalg.norm(A[idx]) * np.linalg.norm(B[idx]))
+
+
+def block_contrib(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
+    """The share of the potential of (A, B) carried by the given rows."""
+    idx = list(rows)
+    return _neg_p_log_p((A[idx] * B[idx]).ravel())
+
+
+def change_bound(rows: int, before: float, after: float) -> float:
+    """Bound on the potential move of a block of rows rewritten by one nonsingular map.
+
+    ``before`` and ``after`` are the block products at the two endpoints; a
+    single row cannot move the potential, so its bound is 0.
+    """
+    return (before + after) * math.log2(rows) if rows > 1 else 0.0
+
+
+# Incremental potentials snap to an exact recomputation every RECOMPUTE_EVERY
+# gates; a disagreement beyond DRIFT_TOL relative to the largest value or
+# row-block contribution seen (the scale healthy float drift tracks) is an error.
+RECOMPUTE_EVERY = 1000
+DRIFT_TOL = 1e-7
 
 
 @dataclass
@@ -112,16 +112,13 @@ def trace_potential(
     algorithm: LinearAlgorithm,
     P: np.ndarray | None = None,
     Q: np.ndarray | None = None,
-    recompute_every: int = 1000,
-    drift_tol: float = 1e-7,
 ) -> PotentialTrace:
     """Trace the projected potential along the trajectory.
 
     The update is incremental: only the touched rows' contributions are
-    recomputed per gate, O(n) each.  Every ``recompute_every`` gates the full
-    value is recomputed and the incremental total is snapped to it; a
-    disagreement beyond ``drift_tol`` relative to the largest row-block
-    contribution seen (the scale healthy float drift tracks) is an error.
+    recomputed per gate, O(n) each.  Every ``RECOMPUTE_EVERY`` gates the full
+    value is recomputed, checked against ``DRIFT_TOL``, and the incremental
+    total is snapped to it.
     """
     steps = replay(algorithm, P, Q)
     _, _, A, B = next(steps)
@@ -134,23 +131,22 @@ def trace_potential(
 
     for step, gate in enumerate(algorithm.gates, start=1):
         rows = touched(gate)
-        idx = list(rows)
-        a_before, b_before = A[idx].copy(), B[idx].copy()
-        old_contrib = _row_block_contrib(A, B, rows)
+        old_product = block_product(A, B, rows)
+        old_contrib = block_contrib(A, B, rows)
         next(steps)
-        new_contrib = _row_block_contrib(A, B, rows)
+        new_contrib = block_contrib(A, B, rows)
         total += new_contrib - old_contrib
         contrib_scale = max(contrib_scale, abs(old_contrib), abs(new_contrib))
-        if step % recompute_every == 0:
+        if step % RECOMPUTE_EVERY == 0:
             exact = quasi_entropy(A, B)
-            if abs(exact - total) > drift_tol * max(contrib_scale, abs(exact)):
+            if abs(exact - total) > DRIFT_TOL * max(contrib_scale, abs(exact)):
                 raise ArithmeticError(
                     f"incremental potential drifted by {abs(exact - total):.3e} at step {step}"
                 )
             total = exact
         values.append(total)
         deltas.append(abs(values[-1] - values[-2]))
-        bounds.append(two_row_change_bound(a_before, b_before, A[idx], B[idx]))
+        bounds.append(change_bound(len(rows), old_product, block_product(A, B, rows)))
         touched_sets.append(rows)
 
     return PotentialTrace(
@@ -192,6 +188,22 @@ class BoundSweepReport:
     corrected_violations: int | None = None
 
 
+def _tally(
+    dims: list[int], slacks: list[float], tol: float, corrected: list[float] | None = None
+) -> BoundSweepReport:
+    """Report over per-trial slacks: the first minimum, its dimension, and the
+    slacks below -tol; ``corrected`` slacks, if given, are rated the same way."""
+    worst = min(slacks, default=math.inf)
+    return BoundSweepReport(
+        trials=len(slacks),
+        worst_slack=worst,
+        violations=sum(1 for s in slacks if s < -tol),
+        worst_dim=dims[slacks.index(worst)] if slacks else None,
+        corrected_worst_slack=None if corrected is None else min(corrected, default=math.inf),
+        corrected_violations=None if corrected is None else sum(1 for s in corrected if s < -tol),
+    )
+
+
 def sweep_unit_pair_bound(trials: int = 10_000, max_dim: int = 64, seed: int = 0) -> BoundSweepReport:
     """|potential of two unit vectors in R^a| against the nominal log2(a).
 
@@ -200,35 +212,20 @@ def sweep_unit_pair_bound(trials: int = 10_000, max_dim: int = 64, seed: int = 0
     two-row value and stay clean.
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    worst_corrected = math.inf
-    worst_dim = None
-    violations = 0
-    corrected_violations = 0
+    dims: list[int] = []
+    slacks: list[float] = []
+    corrected: list[float] = []
     for _ in range(trials):
         a = int(rng.integers(2, max_dim + 1))
         x = rng.standard_normal(a)
         y = rng.standard_normal(a)
         x /= np.linalg.norm(x)
         y /= np.linalg.norm(y)
-        value = quasi_entropy(x[:, None], y[:, None])
-        slack = math.log2(a) - abs(value)
-        if slack < worst:
-            worst, worst_dim = slack, a
-        if slack < -1e-9:
-            violations += 1
-        corrected = unit_pair_sharp_bound(a) - abs(value)
-        worst_corrected = min(worst_corrected, corrected)
-        if corrected < -1e-9:
-            corrected_violations += 1
-    return BoundSweepReport(
-        trials=trials,
-        worst_slack=worst,
-        violations=violations,
-        worst_dim=worst_dim,
-        corrected_worst_slack=worst_corrected,
-        corrected_violations=corrected_violations,
-    )
+        value = abs(quasi_entropy(x[:, None], y[:, None]))
+        dims.append(a)
+        slacks.append(math.log2(a) - value)
+        corrected.append(unit_pair_sharp_bound(a) - value)
+    return _tally(dims, slacks, 1e-9, corrected)
 
 
 def sweep_orthogonal_change_bound(
@@ -242,11 +239,9 @@ def sweep_orthogonal_change_bound(
     corrected fields rate instances against that provable constant.
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    worst_corrected = math.inf
-    worst_dim = None
-    violations = 0
-    corrected_violations = 0
+    dims: list[int] = []
+    slacks: list[float] = []
+    corrected: list[float] = []
     for _ in range(trials):
         a = int(rng.integers(2, max_rows + 1))
         n = int(rng.integers(1, max_cols + 1))
@@ -255,23 +250,10 @@ def sweep_orthogonal_change_bound(
         U = random_orthogonal(rng, a)
         move = abs(quasi_entropy(A, B) - quasi_entropy(U @ A, U @ B))
         norms = np.linalg.norm(A) * np.linalg.norm(B)
-        slack = norms * math.log2(a) - move
-        if slack < worst:
-            worst, worst_dim = slack, a
-        if slack < -1e-7:
-            violations += 1
-        corrected = norms * 2.0 * unit_pair_sharp_bound(a) - move
-        worst_corrected = min(worst_corrected, corrected)
-        if corrected < -1e-7:
-            corrected_violations += 1
-    return BoundSweepReport(
-        trials=trials,
-        worst_slack=worst,
-        violations=violations,
-        worst_dim=worst_dim,
-        corrected_worst_slack=worst_corrected,
-        corrected_violations=corrected_violations,
-    )
+        dims.append(a)
+        slacks.append(norms * math.log2(a) - move)
+        corrected.append(norms * 2.0 * unit_pair_sharp_bound(a) - move)
+    return _tally(dims, slacks, 1e-7, corrected)
 
 
 def sweep_nonsingular_change_bound(
@@ -283,11 +265,9 @@ def sweep_nonsingular_change_bound(
     under both randomized and adversarial search (it is tight but clean).
     """
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    worst_dim = None
-    violations = 0
-    done = 0
-    while done < trials:
+    dims: list[int] = []
+    slacks: list[float] = []
+    while len(slacks) < trials:
         a = int(rng.integers(2, max_rows + 1))
         n = int(rng.integers(1, max_cols + 1))
         D = rng.standard_normal((a, a))
@@ -299,16 +279,11 @@ def sweep_nonsingular_change_bound(
         DA = D @ A
         DinvTB = np.linalg.inv(D).T @ B
         move = abs(quasi_entropy(A, B) - quasi_entropy(DA, DinvTB))
-        bound = (
-            np.linalg.norm(A) * np.linalg.norm(B)
-            + np.linalg.norm(DA) * np.linalg.norm(DinvTB)
-        ) * math.log2(a)
-        slack = bound - move
-        if slack < worst:
-            worst, worst_dim = slack, a
-        if slack < -1e-7:
-            violations += 1
-        done += 1
-    return BoundSweepReport(
-        trials=trials, worst_slack=worst, violations=violations, worst_dim=worst_dim
-    )
+        bound = change_bound(
+            a,
+            np.linalg.norm(A) * np.linalg.norm(B),
+            np.linalg.norm(DA) * np.linalg.norm(DinvTB),
+        )
+        dims.append(a)
+        slacks.append(bound - move)
+    return _tally(dims, slacks, 1e-7)

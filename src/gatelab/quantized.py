@@ -134,20 +134,16 @@ def simulate(
         X = quantize(_draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n), epsilon)
         cur_bits = _bits(X, epsilon).sum(axis=1)
         cur_max = np.abs(X).max(axis=1)
-        chunk_bits = np.empty((m + 1, n))
-        chunk_max = np.empty((m + 1, n))
-        chunk_bits[0] = cur_bits
-        chunk_max[0] = cur_max
-        for t, gate in enumerate(algorithm.gates, start=1):
-            for r in _quantized_step(X, gate, epsilon):
-                cur_bits[r] = _bits(X[r], epsilon).sum()
-                cur_max[r] = np.abs(X[r]).max()
-            chunk_bits[t] = cur_bits
-            chunk_max[t] = cur_max
-        bits_sum += chunk_bits
-        np.maximum(max_abs, chunk_max, out=max_abs)
+        for t in range(m + 1):
+            if t:
+                for r in _quantized_step(X, algorithm.gates[t - 1], epsilon):
+                    cur_bits[r] = _bits(X[r], epsilon).sum()
+                    cur_max[r] = np.abs(X[r]).max()
+            bits_sum[t] += cur_bits
+            np.maximum(max_abs[t], cur_max, out=max_abs[t])
 
-    mean_bits = bits_sum / samples
+    mean_bits = bits_sum
+    mean_bits /= samples
     return QuantizedRunStats(
         epsilon=epsilon,
         sigma=sigma,
@@ -179,6 +175,8 @@ def underflow_widths(
     Extracted directions carry width epsilon * magnitude; the standard basis
     completions carry the plain stored-word width epsilon.
     """
+    if epsilon <= 0:
+        raise ValueError(f"quantization step must be positive, got {epsilon}")
     _, under = extract_directions(algorithm, tau=tau)
     basis = extend_basis(under, algorithm.n)
     widths = [epsilon * g for g in under.magnitudes]

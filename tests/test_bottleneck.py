@@ -3,8 +3,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatelab import (
+    Constant,
+    LinearAlgorithm,
+    Rotation,
+    bottleneck,
     build_dft_real,
     build_inverse_scaled_fixture,
     build_random,
@@ -15,11 +21,13 @@ from gatelab import (
     scan_bottlenecks,
     verify_bottleneck_chain,
     verify_fourier_projection_bound,
+    write_algorithm,
 )
 from gatelab.bottleneck import random_projection, sweep_fourier_projection_bound
+from gatelab.cli import main
 from gatelab.gates import touched
 
-from oracles import wht_sign_matrix
+from oracles import compose_dense, compose_dense_inverse_transpose, wht_sign_matrix
 
 
 def brute_window_products(algorithm, P, Q, R, include_constants):
@@ -256,3 +264,72 @@ def test_chain_scan_equals_standalone_scan_exactly(R):
         for field in fields(scan):
             name = field.name
             assert getattr(chain_scan, name) == getattr(scan, name), (algorithm.label, R, name)
+
+
+@st.composite
+def chain_instances(draw):
+    """Random algorithms on n = 4..8 rows, about half constants, with random P, Q."""
+    n = draw(st.integers(4, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            gates.append(Constant(i, sign * draw(st.floats(0.5, 2.0))))
+        else:
+            j = draw(st.integers(0, n - 2))
+            gates.append(Rotation(i, j + (j >= i), draw(st.floats(-7, 7))))
+    R = draw(st.integers(1, n // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.standard_normal((n, n))
+    Q = rng.standard_normal((n, n))
+    return LinearAlgorithm(n, tuple(gates)), R, P, Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(chain_instances())
+def test_chain_window_moves_match_dense_potentials(instance):
+    # a window's move, read from its own rows, is the dense potential change
+    algorithm, R, P, Q = instance
+    report = verify_bottleneck_chain(algorithm, P, Q, R=R)
+
+    def dense(t):
+        t = min(t, algorithm.m)
+        A = compose_dense(algorithm, t) @ P
+        B = compose_dense_inverse_transpose(algorithm, t) @ Q
+        p = (A * B).ravel()
+        p = p[p != 0.0]
+        return quasi_entropy(A, B), float(np.abs(p * np.log2(np.abs(p))).sum())
+
+    for link in report.windows:
+        phi_start, size_start = dense(link.start)
+        phi_end, size_end = dense(link.start + R)
+        scale = max(1.0, size_start, size_end)
+        assert abs(link.delta_abs - abs(phi_end - phi_start)) <= 1e-9 * scale
+
+
+def test_chain_closure_check_catches_a_window_missing_a_row(tmp_path, monkeypatch, capsys):
+    real_window_sets = bottleneck._window_sets
+
+    def drop_a_row(algorithm, R):
+        sets = real_window_sets(algorithm, R)
+        sets[0] = sets[0][1:]
+        return sets
+
+    monkeypatch.setattr(bottleneck, "_window_sets", drop_a_row)
+    with pytest.raises(ArithmeticError, match="window moves miss the potential change"):
+        verify_bottleneck_chain(build_wht(8), R=2)
+    alg = tmp_path / "wht8.alg"
+    write_algorithm(build_wht(8), str(alg))
+    assert main(["chain", str(alg), "--R", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: window moves miss") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_chain_closure_holds_at_extreme_scales(R):
+    # repeated scalings push row contributions to astronomic magnitudes; the
+    # closure check rates the moves' sum against that scale and passes
+    report = verify_bottleneck_chain(build_random(8, 2500, seed=12), R=R)
+    assert report.triangle_slack >= -1e-7 * max(1.0, report.triangle_lhs)

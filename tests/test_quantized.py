@@ -163,6 +163,13 @@ def test_underflow_widths_on_inverse_fixture():
     assert len(report.directions) == 8
 
 
+def test_underflow_widths_reject_a_non_positive_epsilon():
+    a = build_inverse_scaled_fixture(8, 4.0, 4)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError, match="quantization step must be positive"):
+            underflow_widths(a, epsilon=eps)
+
+
 def test_width_formula_at_machine_epsilon():
     # a single direction of magnitude sqrt(log2(n)/2) at word accuracy 2^-31
     eps = 2.0**-31
