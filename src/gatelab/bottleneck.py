@@ -26,64 +26,60 @@ every algorithm and every P, Q.  A window rewrites only the rows in I_t, so
 its move is the change in those rows' potential contribution across the
 window; the exact potential is evaluated only at the two ends, and the moves
 must add up to its change.  The chain reads its scan report from the same
-replay, so it equals ``scan_bottlenecks`` exactly.
+walk, so it equals ``scan_bottlenecks`` exactly.
+
+Both walk the trajectory layer by layer with windows as units
+(``gates.layer(algorithm, R)``; R = 1 is the gate case): windows in one
+block touch disjoint rows, so the block holds each window's rows at its start
+and at its end, and the products of a whole block take a few numpy calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import Constant, LinearAlgorithm, replay, touched
-from .potential import DRIFT_TOL, block_contrib, block_product, change_bound, quasi_entropy
+from .gates import Block, LinearAlgorithm, Layering, layer, replay_layers, start_pair
+from .potential import (
+    DRIFT_TOL,
+    block_products,
+    change_bound,
+    quasi_entropy,
+    row_contribs,
+    swap_contribs,
+)
 
 
 def _padded_length(m: int, R: int) -> int:
     return ((m + R - 1) // R) * R
 
 
-def _window_sets(algorithm: LinearAlgorithm, R: int) -> list[tuple[int, ...]]:
-    m_padded = _padded_length(algorithm.m, R)
-    sets = []
-    for start in range(0, m_padded, R):
-        idx: set[int] = set()
-        for gate in algorithm.gates[start : min(start + R, algorithm.m)]:
-            idx.update(touched(gate))
-        sets.append(tuple(sorted(idx)))
-    return sets
-
-
-def _window_walk(
-    algorithm: LinearAlgorithm, P: np.ndarray | None, Q: np.ndarray | None, R: int
-) -> tuple[list[tuple[int, ...]], Iterator[tuple[int, np.ndarray, np.ndarray]]]:
-    """The windows' row sets, and one replay that stops at each window boundary.
-
-    The replay yields ``(w, A, B)`` for boundaries w = 0..len(window sets),
-    with A, B the live arrays after w*R gates.  Padding repeats the final
-    state, so a boundary past step m sees the state at step m.
-    """
+def _windows(algorithm: LinearAlgorithm, R: int) -> Layering:
     if not 1 <= R <= algorithm.n // 2:
         raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
-    window_sets = _window_sets(algorithm, R)
-    steps = replay(algorithm, P, Q)
-
-    def boundaries():
-        for t, _, A, B in steps:
-            if t % R == 0:
-                yield t // R, A, B
-        if algorithm.m % R:
-            yield len(window_sets), A, B
-
-    return window_sets, boundaries()
+    return layer(algorithm, R)
 
 
-def _scanned(algorithm: LinearAlgorithm, R: int, w: int, include_constants: bool) -> bool:
-    """Whether a scan rates window w: the R = 1 scan skips constant-gate steps."""
-    return R > 1 or include_constants or not isinstance(algorithm.gates[w], Constant)
+def _window_products(block: Block, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|A_I|_F |B_I|_F of each window of a block, in ``block.units`` order,
+    from the block's rows ``a`` and ``b``; I is the window's sorted rows."""
+    n = a.shape[1]
+    products = np.empty(block.units.size)
+    for size, first, end in block.groups:
+        rows = slice(block.unit_starts[first], block.unit_starts[first] + (end - first) * size)
+        products[first:end] = block_products(
+            a[rows].reshape(end - first, size * n), b[rows].reshape(end - first, size * n)
+        )
+    return products
+
+
+def _scanned(algorithm: LinearAlgorithm, R: int, include_constants: bool) -> np.ndarray:
+    """The windows a scan rates: the R = 1 scan skips constant-gate steps."""
+    if R > 1 or include_constants:
+        return np.arange(_padded_length(algorithm.m, R) // R)
+    return np.flatnonzero(algorithm.arrays.rotation)
 
 
 @dataclass
@@ -106,19 +102,19 @@ def _scan_report(
     algorithm: LinearAlgorithm,
     R: int,
     window_sets: list[tuple[int, ...]],
-    products: dict[int, float],
+    scanned: np.ndarray,
+    products: np.ndarray,
     phi_identity: float,
     phi_final: float,
 ) -> BottleneckReport:
-    """Scan report from the start products of the scanned windows, in window order."""
+    """Scan report from the start products of all windows and the scanned ones' indices."""
     m = algorithm.m
     rhs = R * (phi_final - phi_identity) / (m * math.log2(2 * R)) if m else 0.0
-    scanned = list(products)
-    per_step = list(products.values())
+    per_step = products[scanned].tolist()
     if per_step:
         best = int(np.argmax(per_step))
         lhs = per_step[best]
-        t_star: int | None = scanned[best] * R
+        t_star: int | None = int(scanned[best]) * R
         best_affected = window_sets[scanned[best]]
     else:
         lhs, t_star, best_affected = 0.0, None, ()
@@ -129,7 +125,7 @@ def _scan_report(
         lhs=lhs,
         rhs=rhs,
         slack=lhs - rhs,
-        window_starts=[w * R for w in scanned],
+        window_starts=(scanned * R).tolist(),
         per_step_lhs=per_step,
         phi_final=phi_final,
         phi_identity=phi_identity,
@@ -150,14 +146,16 @@ def scan_bottlenecks(
     ``include_constants`` widens the R = 1 scan to constant-gate steps, whose
     single touched row plays the role of both indices.
     """
-    window_sets, boundaries = _window_walk(algorithm, P, Q, R)
-    products: dict[int, float] = {}
-    for w, A, B in boundaries:
-        if w == 0:
-            phi_identity = quasi_entropy(A, B)
-        if w < len(window_sets) and _scanned(algorithm, R, w, include_constants):
-            products[w] = block_product(A, B, window_sets[w])
-    return _scan_report(algorithm, R, window_sets, products, phi_identity, quasi_entropy(A, B))
+    windows = _windows(algorithm, R)
+    A, B = start_pair(algorithm.n, P, Q)
+    phi_identity = quasi_entropy(A, B)
+    products = np.zeros(len(windows.unit_rows))
+    for block, a0, b0, _, _ in replay_layers(windows.blocks, A, B):
+        products[block.units] = _window_products(block, a0, b0)
+    scanned = _scanned(algorithm, R, include_constants)
+    return _scan_report(
+        algorithm, R, windows.unit_rows, scanned, products, phi_identity, quasi_entropy(A, B)
+    )
 
 
 @dataclass
@@ -205,34 +203,33 @@ def verify_bottleneck_chain(
     to the total change within ``DRIFT_TOL`` of the largest value or block
     contribution seen, or ``ArithmeticError`` is raised.
     """
-    window_sets, boundaries = _window_walk(algorithm, P, Q, R)
+    windows = _windows(algorithm, R)
+    window_sets = windows.unit_rows
     n_windows = len(window_sets)
-    start_products = [0.0] * n_windows
-    end_products = [0.0] * n_windows
-    moves = [0.0] * n_windows
+    A, B = start_pair(algorithm.n, P, Q)
+    phi_identity = quasi_entropy(A, B)
+    ledger = row_contribs(A, B)
+    start_products = np.zeros(n_windows)
+    end_products = np.zeros(n_windows)
+    moves = np.zeros(n_windows)
     scale = 1.0
-    for w, A, B in boundaries:
-        if w == 0:
-            phi_identity = quasi_entropy(A, B)
-        else:
-            end_products[w - 1] = block_product(A, B, window_sets[w - 1])
-            end_contrib = block_contrib(A, B, window_sets[w - 1])
-            moves[w - 1] = end_contrib - start_contrib
-            scale = max(scale, abs(start_contrib), abs(end_contrib))
-        if w < n_windows:
-            start_products[w] = block_product(A, B, window_sets[w])
-            start_contrib = block_contrib(A, B, window_sets[w])
+    for block, a0, b0, a1, b1 in replay_layers(windows.blocks, A, B):
+        start_products[block.units] = _window_products(block, a0, b0)
+        end_products[block.units] = _window_products(block, a1, b1)
+        before, after = swap_contribs(ledger, block, row_contribs(a1, b1))
+        moves[block.units] = after - before
+        scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
     phi_final = quasi_entropy(A, B)
 
-    residual = abs(sum(moves) - (phi_final - phi_identity))
+    residual = abs(float(moves.sum()) - (phi_final - phi_identity))
     if residual > DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
         raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
 
-    windows: list[WindowLink] = []
+    links: list[WindowLink] = []
     for w, rows in enumerate(window_sets):
-        delta_abs = abs(moves[w])
-        bound = change_bound(len(rows), start_products[w], end_products[w])
-        windows.append(
+        delta_abs = abs(float(moves[w]))
+        bound = change_bound(len(rows), float(start_products[w]), float(end_products[w]))
+        links.append(
             WindowLink(
                 start=w * R,
                 affected=rows,
@@ -242,16 +239,16 @@ def verify_bottleneck_chain(
             )
         )
 
-    triangle_lhs = sum(link.delta_abs for link in windows)
+    triangle_lhs = sum(link.delta_abs for link in links)
     triangle_rhs = abs(phi_final - phi_identity)
-    max_endpoint = max(
-        (max(start_products[w], end_products[w]) for w in range(n_windows)), default=0.0
-    )
+    max_endpoint = float(np.maximum(start_products, end_products).max(initial=0.0))
     average_requirement = (
         (phi_final - phi_identity) / (2 * n_windows * math.log2(2 * R)) if n_windows else 0.0
     )
-    scanned = {w: p for w, p in enumerate(start_products) if _scanned(algorithm, R, w, False)}
-    scan = _scan_report(algorithm, R, window_sets, scanned, phi_identity, phi_final)
+    scanned = _scanned(algorithm, R, False)
+    scan = _scan_report(
+        algorithm, R, window_sets, scanned, start_products, phi_identity, phi_final
+    )
     return ChainReport(
         R=R,
         m=algorithm.m,
@@ -261,8 +258,8 @@ def verify_bottleneck_chain(
         triangle_lhs=triangle_lhs,
         triangle_rhs=triangle_rhs,
         triangle_slack=triangle_lhs - triangle_rhs,
-        windows=windows,
-        min_window_slack=min((link.slack for link in windows), default=0.0),
+        windows=links,
+        min_window_slack=min((link.slack for link in links), default=0.0),
         max_endpoint_product=max_endpoint,
         average_requirement=average_requirement,
         max_vs_average_slack=max_endpoint - average_requirement,

@@ -82,6 +82,7 @@ _number = _option(parse_number)
 _positive = _ranged(parse_number, lambda v: v > 0, "positive")
 _nonnegative = _ranged(parse_number, lambda v: v >= 0, "non-negative")
 _count = _ranged(int, lambda v: v >= 1, "at least 1")
+_seed = _ranged(int, lambda v: v >= 0, "a non-negative integer")
 _dims = _ranged(
     parse_int_list,
     lambda vs: all(v >= 2 and v & (v - 1) == 0 for v in vs),
@@ -481,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_count, default=1000)
     p.add_argument("--proj-trials", type=_count, default=100)
     p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_dims)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lemma)
 
@@ -505,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_number, required=True)
     p.add_argument("--sigma", type=_nonnegative, default=1.0)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--W", type=_positive, default=32.0)
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--summary", default=None)

@@ -22,6 +22,13 @@ unrestricted scan offers all n coordinates at every step, so there it spans
 at least k/n.
 
 The default threshold is sqrt(b/2) for speedup factor b = n*log2(n)/m.
+
+Each round walks the trajectory layer by layer (``gates.replay_layers``).
+Right after a block is applied, its rows are exactly the candidates (t, i)
+of the block's gates, so one batch of row norms rates them all.  Blocks come
+in layer order, not step order, so the winner is kept by the rule the
+sequential scan's strict ``>`` implements: the largest score wins, and among
+exactly equal scores the smallest (t, i).
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import LinearAlgorithm, matrices_at, replay
+from .gates import Block, LinearAlgorithm, layer, matrices_at, replay_layers, start_pair
+from .potential import row_norms
 
 
 def speedup_factor(algorithm: LinearAlgorithm) -> float:
@@ -106,6 +114,13 @@ def extract_directions(
     it to every coordinate at every step (including step 0).  Ties are broken
     toward the smallest step, then the smallest coordinate, and toward the
     overflow side when both factors are equal.
+
+    The unrestricted scan needs only the rows at step 0 and the touched rows.
+    A row that gate t does not touch is, at step t, bit for bit the row it
+    was at step t - 1, so the candidate (t, i) has exactly the factors of
+    (t - 1, i); by induction, those of (s, i) for the last step s <= t that
+    touched row i, or s = 0.  (s, i) comes first in scan order, so under the
+    strict first maximum (t, i) never wins, and dropping it changes nothing.
     """
     n = algorithm.n
     if require_wht_target:
@@ -120,13 +135,14 @@ def extract_directions(
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")
 
+    blocks = layer(algorithm).blocks
     P = np.eye(n)
     Q = np.eye(n)
     over = DirectionSystem("overflow", [], [], [], [], tau)
     under = DirectionSystem("underflow", [], [], [], [], tau)
 
     for _ in range(2 * n):
-        best = _best_candidate(algorithm, P, Q, tau, unrestricted)
+        best = _best_candidate(algorithm, blocks, P, Q, tau, unrestricted)
         if best is None:
             break
         _, t, i, norm_m, norm_q, row_m, row_q = best
@@ -151,22 +167,40 @@ def extract_directions(
 
 def _best_candidate(
     algorithm: LinearAlgorithm,
+    blocks: list[Block],
     P: np.ndarray,
     Q: np.ndarray,
     tau: float,
     unrestricted: bool,
 ):
-    """Scan one pass for the qualifying pair with the largest factor product."""
+    """Scan one pass for the qualifying pair with the largest factor product.
+
+    Returns ``(score, t, i, |row_i(M(t)) P|, |row_i(M(t)^{-T}) Q|, row, row)``
+    of the winner, or None when no candidate qualifies.
+    """
     best = None
-    for t, rows, A, B in replay(algorithm, P, Q):
-        for i in range(algorithm.n) if unrestricted else sorted(rows):
-            norm_m = float(np.linalg.norm(A[i]))
-            norm_q = float(np.linalg.norm(B[i]))
-            if max(norm_m, norm_q) < tau:
-                continue
-            score = norm_m * norm_q
-            if best is None or score > best[0]:
-                best = (score, t, i, norm_m, norm_q, A[i].copy(), B[i].copy())
+
+    def rate(steps: np.ndarray, coords: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+        nonlocal best
+        norm_m, norm_q = row_norms(a), row_norms(b)
+        score = norm_m * norm_q
+        qualifies = np.maximum(norm_m, norm_q) >= tau
+        if not qualifies.any():
+            return
+        top = score[qualifies].max()
+        if best is not None and top < best[0]:
+            return
+        (tied,) = np.nonzero(qualifies & (score == top))
+        k = tied[np.lexsort((coords[tied], steps[tied]))[0]]
+        t, i = int(steps[k]), int(coords[k])
+        if best is None or top > best[0] or (t, i) < best[1:3]:
+            best = (float(top), t, i, float(norm_m[k]), float(norm_q[k]), a[k].copy(), b[k].copy())
+
+    A, B = start_pair(algorithm.n, P, Q)
+    if unrestricted:
+        rate(np.zeros(algorithm.n, dtype=np.int64), np.arange(algorithm.n), A, B)
+    for block, _, _, a1, b1 in replay_layers(blocks, A, B):
+        rate(block.row_units + 1, block.rows, a1, b1)  # gate g is step g + 1
     return best
 
 

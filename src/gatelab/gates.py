@@ -7,8 +7,32 @@ the trajectory M(0)=Id, M(1), ..., M(m).  Alongside M we maintain the inverse
 transpose, which evolves under equally cheap row operations: a rotation
 applies to its rows unchanged (rotations are orthogonal), a scaling by c
 scales the matching row by 1/c.  Every gate therefore touches at most two
-rows of both matrices, which the analysis modules exploit for O(n) per-gate
-updates; ``replay`` is the one walk over the trajectory that they all use.
+rows of both matrices.
+
+A ``LinearAlgorithm`` is compiled once into arrays (``GateArrays``: kind, i,
+j, cos, sin, c and 1/c), and the trajectory of (M(t) P, M(t)^{-T} Q) is
+walked in one of two ways:
+
+- ``replay`` applies one gate per step and yields every intermediate state.
+  ``matrices_at``, ``validate`` (which needs every step's SVD) and the
+  quantized cell search use it.
+- ``replay_layers`` applies the gates in as-soon-as-possible layers
+  (``layer``): the gates of one layer touch disjoint rows, gates that share
+  a row keep their order, and each layer is split into blocks of at most
+  ``BLOCK_ELEMENTS`` matrix elements per side.  A block is applied with
+  fancy indexing to a gathered copy of its rows.  ``trace_potential``,
+  ``scan_bottlenecks``, ``verify_bottleneck_chain`` and
+  ``extract_directions`` use it: each reads only the rows a gate, or a
+  window of R gates, rewrites, so it can rate a whole block in a few numpy
+  calls.  Windows of R > 1 gates are layered as units, so a block holds
+  every row of its windows from the window's start to its end.
+
+Both walks give bit-identical matrices: every element sees the same
+elementwise multiplications and additions in the same order (numpy's
+elementwise ufuncs never fuse or reassociate), so only the order in which
+disjoint rows are visited differs.  ``simulate`` and ``apply_to_vector``
+apply gate objects one by one; they are bound by the sample columns or by a
+single vector, not by Python-level steps.
 
 Coordinates are 0-based everywhere, including the text file format.
 """
@@ -17,7 +41,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -95,6 +120,46 @@ class LinearAlgorithm:
     def m(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def arrays(self) -> GateArrays:
+        """The gate list compiled into arrays; computed once per algorithm."""
+        return GateArrays.compile(self.gates)
+
+
+class GateArrays(NamedTuple):
+    """Gate g, applied at step g + 1, as entry g of read-only arrays.
+
+    Rotations have c = 1/c = 1; constants have j = -1, cos = 1 and sin = 0.
+    ``cos``/``sin`` are ``math.cos``/``math.sin`` of the angle and ``inv_c``
+    is ``1.0 / c``: the numbers ``apply_gate_rows`` applies.
+    """
+
+    rotation: np.ndarray  # bool: the gate's kind
+    i: np.ndarray
+    j: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    c: np.ndarray
+    inv_c: np.ndarray
+
+    @classmethod
+    def compile(cls, gates: tuple[Gate, ...]) -> GateArrays:
+        rotation = [isinstance(g, Rotation) for g in gates]
+        angles = [g.theta if rot else 0.0 for rot, g in zip(rotation, gates)]
+        c = [1.0 if rot else g.c for rot, g in zip(rotation, gates)]
+        columns = dict(
+            rotation=np.array(rotation, dtype=bool),
+            i=np.array([g.i for g in gates], dtype=np.int64),
+            j=np.array([g.j if rot else -1 for rot, g in zip(rotation, gates)], dtype=np.int64),
+            cos=np.array([math.cos(a) for a in angles], dtype=float),
+            sin=np.array([math.sin(a) for a in angles], dtype=float),
+            c=np.array(c, dtype=float),
+            inv_c=np.array([1.0 / x for x in c], dtype=float),
+        )
+        for array in columns.values():
+            array.setflags(write=False)
+        return cls(**columns)
+
 
 def rotate_rows(A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float) -> None:
     """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place."""
@@ -133,6 +198,15 @@ def apply_to_vector(
     return y
 
 
+def start_pair(n: int, P: np.ndarray | None = None, Q: np.ndarray | None = None):
+    """Fresh float copies of (P, Q), identity for None: where both walks start."""
+    A = np.eye(n) if P is None else np.array(P, dtype=float)
+    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
+    if A.shape != (n, n) or B.shape != (n, n):
+        raise ValueError(f"P and Q must be {n}x{n}")
+    return A, B
+
+
 def replay(
     algorithm: LinearAlgorithm,
     P: np.ndarray | None = None,
@@ -146,24 +220,213 @@ def replay(
     place (O(n) per gate): copy them to keep a snapshot.  P or Q of None
     means identity.  The arguments are checked when ``replay`` is called.
     """
-    n = algorithm.n
     if stop is None:
         stop = algorithm.m
     if not 0 <= stop <= algorithm.m:
         raise ValueError(f"step index {stop} out of range [0, {algorithm.m}]")
-    A = np.eye(n) if P is None else np.array(P, dtype=float)
-    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError(f"P and Q must be {n}x{n}")
+    A, B = start_pair(algorithm.n, P, Q)
+    arrays = algorithm.arrays
+    columns = zip(
+        *(
+            getattr(arrays, name)[:stop].tolist()
+            for name in ("rotation", "i", "j", "cos", "sin", "c", "inv_c")
+        )
+    )
 
     def steps():
         yield 0, (), A, B
-        for t, gate in enumerate(algorithm.gates[:stop], start=1):
-            apply_gate_rows(A, gate)
-            apply_gate_rows(B, gate, inverse_transpose=True)
-            yield t, touched(gate), A, B
+        for t, (rotation, i, j, cos, sin, c, inv_c) in enumerate(columns, start=1):
+            if rotation:
+                rotate_rows(A, i, j, cos, sin)
+                rotate_rows(B, i, j, cos, sin)
+                yield t, (i, j), A, B
+            else:
+                A[i] *= c
+                B[i] *= inv_c
+                yield t, (i,), A, B
 
     return steps()
+
+
+# The most matrix elements (rows times n) a layered block gathers per side.
+# Wide layers are cut into blocks so that the gathered rows and their
+# temporaries stay cache-sized: in a prototype on a 2-core Xeon VM, tracing
+# WHT n=1024 with uncut layers was no faster than gate by gate and took 27%
+# more memory; budgets from 2^14 to 2^17 elements ran about equally fast.
+BLOCK_ELEMENTS = 1 << 15
+
+
+class LayerStep(NamedTuple):
+    """Gates on disjoint rows, applied together to a block's gathered rows.
+
+    ``rot_i``/``rot_j`` and ``const_i`` are positions in the block's rows;
+    the scalars are (k, 1) columns that broadcast along the rows.
+    """
+
+    rot_gates: np.ndarray
+    rot_i: np.ndarray
+    rot_j: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+    neg_sin: np.ndarray
+    const_gates: np.ndarray
+    const_i: np.ndarray
+    c: np.ndarray
+    inv_c: np.ndarray
+
+    def apply(self, a: np.ndarray, b: np.ndarray) -> None:
+        """``rotate_rows`` and the row scalings of ``apply_gate_rows``, all gates at once."""
+        if self.rot_gates.size:
+            for x in (a, b):
+                xi, xj = x[self.rot_i], x[self.rot_j]
+                x[self.rot_i] = self.cos * xi + self.sin * xj
+                x[self.rot_j] = self.neg_sin * xi + self.cos * xj
+        if self.const_gates.size:
+            a[self.const_i] *= self.c
+            b[self.const_i] *= self.inv_c
+
+
+class Block(NamedTuple):
+    """Units of one layer (gates, or windows of R gates) on disjoint rows.
+
+    ``rows`` holds the units' rows, unit after unit and each unit's in
+    ascending order; unit ``units[u]`` starts at ``unit_starts[u]`` and
+    ``row_units`` names the unit of every row.  Units are sorted by row
+    count, then by index, and ``groups`` lists each run of equal-sized units
+    as (rows per unit, first position, end position) in ``units``.
+    ``steps[k]`` applies the k-th gate of every unit that has one.
+    """
+
+    units: np.ndarray
+    rows: np.ndarray
+    unit_starts: np.ndarray
+    row_units: np.ndarray
+    groups: tuple[tuple[int, int, int], ...]
+    steps: tuple[LayerStep, ...]
+    gates: int
+
+
+class Layering(NamedTuple):
+    """The algorithm's units of R consecutive gates, layered and cut into blocks.
+
+    Unit w holds gates w*R .. min((w+1)*R, m) - 1 and rewrites the rows
+    ``unit_rows[w]`` (ascending).  ``layers`` counts the layers.
+    """
+
+    R: int
+    unit_rows: list[tuple[int, ...]]
+    blocks: list[Block]
+    layers: int
+
+
+def layer(algorithm: LinearAlgorithm, R: int = 1) -> Layering:
+    """As-soon-as-possible layering of the algorithm's units of R gates.
+
+    A unit joins the layer after the last one that touched any of its rows,
+    so units in one layer touch disjoint rows and units that share a row
+    keep their order.  Each layer is cut into blocks of at most
+    ``BLOCK_ELEMENTS`` elements per side (a unit is never split).
+    """
+    if R < 1:
+        raise ValueError(f"unit size must be at least 1, got {R}")
+    n, m, arrays = algorithm.n, algorithm.m, algorithm.arrays
+    gate_i, gate_j = arrays.i.tolist(), arrays.j.tolist()
+    unit_rows: list[tuple[int, ...]] = []
+    levels: list[list[int]] = []
+    free = [0] * n  # the first layer in which each row is free
+    for w, start in enumerate(range(0, m, R)):
+        rows = {*gate_i[start : start + R], *gate_j[start : start + R]}
+        rows.discard(-1)  # the j of a constant
+        unit = tuple(sorted(rows))
+        level = max([free[r] for r in unit])
+        for r in unit:
+            free[r] = level + 1
+        if level == len(levels):
+            levels.append([])
+        levels[level].append(w)
+        unit_rows.append(unit)
+
+    cap = max(1, BLOCK_ELEMENTS // n)
+    kinds = arrays.rotation.tolist()
+    blocks = []
+    for units in levels:
+        units.sort(key=lambda w: len(unit_rows[w]))  # stable: by index within a size
+        chunk: list[int] = []
+        size = 0
+        for w in units:
+            if chunk and size + len(unit_rows[w]) > cap:
+                blocks.append(_block(chunk, unit_rows, arrays, kinds, R))
+                chunk, size = [], 0
+            chunk.append(w)
+            size += len(unit_rows[w])
+        blocks.append(_block(chunk, unit_rows, arrays, kinds, R))
+    return Layering(R=R, unit_rows=unit_rows, blocks=blocks, layers=len(levels))
+
+
+def _block(units: list[int], unit_rows, arrays: GateArrays, kinds: list[bool], R: int) -> Block:
+    sizes = [len(unit_rows[w]) for w in units]
+    rows = [r for w in units for r in unit_rows[w]]
+    position = {r: p for p, r in enumerate(rows)}
+    groups = []
+    for u, size in enumerate(sizes):
+        if groups and groups[-1][0] == size:
+            groups[-1][2] = u + 1
+        else:
+            groups.append([size, u, u + 1])
+
+    steps = []
+    for k in range(R):
+        gates = [w * R + k for w in units if w * R + k < len(kinds)]
+        rot = np.array([g for g in gates if kinds[g]], dtype=np.int64)
+        const = np.array([g for g in gates if not kinds[g]], dtype=np.int64)
+        sin = arrays.sin[rot][:, None]
+        steps.append(
+            LayerStep(
+                rot_gates=rot,
+                rot_i=np.array([position[r] for r in arrays.i[rot].tolist()], dtype=np.int64),
+                rot_j=np.array([position[r] for r in arrays.j[rot].tolist()], dtype=np.int64),
+                cos=arrays.cos[rot][:, None],
+                sin=sin,
+                neg_sin=-sin,
+                const_gates=const,
+                const_i=np.array([position[r] for r in arrays.i[const].tolist()], dtype=np.int64),
+                c=arrays.c[const][:, None],
+                inv_c=arrays.inv_c[const][:, None],
+            )
+        )
+    starts = [0]
+    for size in sizes[:-1]:
+        starts.append(starts[-1] + size)
+    return Block(
+        units=np.array(units, dtype=np.int64),
+        rows=np.array(rows, dtype=np.int64),
+        unit_starts=np.array(starts, dtype=np.int64),
+        row_units=np.repeat(np.array(units, dtype=np.int64), sizes),
+        groups=tuple(tuple(g) for g in groups),
+        steps=tuple(steps),
+        gates=sum(int(s.rot_gates.size + s.const_gates.size) for s in steps),
+    )
+
+
+def replay_layers(
+    blocks: list[Block], A: np.ndarray, B: np.ndarray
+) -> Iterator[tuple[Block, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Apply the blocks of a ``Layering`` to A and B in place, in order.
+
+    Yields ``(block, a0, b0, a1, b1)`` after each block: the block's rows of
+    A and B, in ``block.rows`` order, before and after it.  They are fresh
+    arrays the caller may keep.  Every element of A and B ends bit-identical
+    to ``replay``'s, and right after a block the rows of each of its units
+    are those ``replay`` shows right after the unit's last gate.
+    """
+    for block in blocks:
+        a0, b0 = A[block.rows], B[block.rows]
+        a1, b1 = a0.copy(), b0.copy()
+        for step in block.steps:
+            step.apply(a1, b1)
+        A[block.rows] = a1
+        B[block.rows] = b1
+        yield block, a0, b0, a1, b1
 
 
 def matrices_at(algorithm: LinearAlgorithm, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,14 +16,20 @@ the real-embedded normalized DFT is n*log2(n/2).
 
 The potential is a sum over rows.  A gate, or a window of gates, rewrites
 only the rows I it touches, so the potential moves by exactly the change in
-those rows' contribution (``block_contrib``), and by at most the change bound
+those rows' contribution (``row_contribs``), and by at most the change bound
 
     (|A_I before|_F |B_I before|_F + |A_I after|_F |B_I after|_F) * log2|I|
 
-(``change_bound`` of the two ``block_product`` values).  ``trace_potential``
+(``change_bound`` of two ``block_products`` values).  ``trace_potential``
 records both the per-step move and this bound; single-row (constant gate)
 steps have |I| = 1, bound 0, and indeed leave the potential unchanged because
 the scalings c and 1/c cancel in every entry product.
+
+``block_products`` takes each norm as the square root of the dot product
+that ``np.matmul`` reaches through BLAS ``ddot``, the same one
+``np.linalg.norm`` calls on a raveled block, so a batch of blocks gives the
+products of one ``np.linalg.norm`` call per block bit for bit.  (``einsum``
+sums in another order and does not.)
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import LinearAlgorithm, replay, touched
+from .gates import Block, LayerStep, LinearAlgorithm, layer, replay_layers, start_pair
 
 # Entry products below this threshold are treated as exact zeros; keeps log2
 # clear of subnormal underflow.
@@ -68,18 +74,40 @@ def complex_quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
     return _neg_p_log_p((p[:, 0::2] + p[:, 1::2]).ravel())
 
 
-def block_product(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
-    """|A[rows]|_F * |B[rows]|_F; zero for no rows."""
-    if not rows:
-        return 0.0
-    idx = list(rows)
-    return float(np.linalg.norm(A[idx]) * np.linalg.norm(B[idx]))
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """The 2-norm of every row of a 2-D array, each equal to ``np.linalg.norm(row)``."""
+    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
 
 
-def block_contrib(A: np.ndarray, B: np.ndarray, rows: tuple[int, ...]) -> float:
-    """The share of the potential of (A, B) carried by the given rows."""
-    idx = list(rows)
-    return _neg_p_log_p((A[idx] * B[idx]).ravel())
+def block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """|X_r| * |Y_r| for every row r; a row holding the raveled rows of a block
+    gives that block's |A_I|_F * |B_I|_F."""
+    return row_norms(X) * row_norms(Y)
+
+
+def row_contribs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each row's share of the potential of (A, B)."""
+    # in place, so that the full matrices at the start need two temporaries
+    p = A * B
+    log = np.abs(p)
+    keep = log >= ZERO_PRODUCT
+    np.log2(log, out=log, where=keep)
+    np.copyto(p, 0.0, where=~keep)
+    p *= log
+    return -p.sum(axis=1)
+
+
+def swap_contribs(
+    ledger: np.ndarray, block: Block, new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Store a block's new row contributions in the per-row ledger.
+
+    Returns each unit's contribution before and after the block, in
+    ``block.units`` order.
+    """
+    before = np.add.reduceat(ledger[block.rows], block.unit_starts)
+    ledger[block.rows] = new
+    return before, np.add.reduceat(new, block.unit_starts)
 
 
 def change_bound(rows: int, before: float, after: float) -> float:
@@ -91,9 +119,10 @@ def change_bound(rows: int, before: float, after: float) -> float:
     return (before + after) * math.log2(rows) if rows > 1 else 0.0
 
 
-# Incremental potentials snap to an exact recomputation every RECOMPUTE_EVERY
-# gates; a disagreement beyond DRIFT_TOL relative to the largest value or
-# row-block contribution seen (the scale healthy float drift tracks) is an error.
+# The incremental potential is checked against an exact recomputation at
+# least every RECOMPUTE_EVERY gates; a disagreement beyond DRIFT_TOL relative
+# to the largest value or row-block contribution seen (the scale healthy
+# float drift tracks) is an error.
 RECOMPUTE_EVERY = 1000
 DRIFT_TOL = 1e-7
 
@@ -108,6 +137,11 @@ class PotentialTrace:
     touched_sets: list[tuple[int, ...]]
 
 
+def _pairs(step: LayerStep, x: np.ndarray) -> np.ndarray:
+    """Each rotation's rows i and j of a block's rows x, raveled in that order."""
+    return np.concatenate((x[step.rot_i], x[step.rot_j]), axis=1)
+
+
 def trace_potential(
     algorithm: LinearAlgorithm,
     P: np.ndarray | None = None,
@@ -115,42 +149,67 @@ def trace_potential(
 ) -> PotentialTrace:
     """Trace the projected potential along the trajectory.
 
-    The update is incremental: only the touched rows' contributions are
-    recomputed per gate, O(n) each.  Every ``RECOMPUTE_EVERY`` gates the full
-    value is recomputed, checked against ``DRIFT_TOL``, and the incremental
-    total is snapped to it.
+    The walk is layered (``gates.replay_layers``) and keeps a ledger of every
+    row's contribution.  A gate's move is the change in its own rows'
+    contribution, computed for a whole block at once; a block of reflections
+    (c = -1) carries its rows' entries, since negating both factors leaves
+    every entry product bitwise unchanged.  Values are the initial potential
+    plus a running sum of the moves in step order.  Bounds come from the
+    touched rows' block products, in the gate's (i, j) row order, before and
+    after the gate.
+
+    The drift guard recomputes the potential of the current matrices in
+    full at a block boundary whenever the next block would take the gates
+    applied since the last recheck past ``RECOMPUTE_EVERY``.  An incremental
+    total that misses it by more than ``DRIFT_TOL`` raises
+    ``ArithmeticError``.  Values are not snapped to the recomputation: a
+    block boundary is not a step.
     """
-    steps = replay(algorithm, P, Q)
-    _, _, A, B = next(steps)
-    total = quasi_entropy(A, B)
-    values = [total]
-    deltas = [0.0]
-    bounds = [0.0]
-    touched_sets: list[tuple[int, ...]] = [()]
-    contrib_scale = max(1.0, abs(total))
+    m, arrays = algorithm.m, algorithm.arrays
+    blocks = layer(algorithm).blocks
+    A, B = start_pair(algorithm.n, P, Q)
+    phi = quasi_entropy(A, B)
+    ledger = row_contribs(A, B)
+    moves = np.zeros(m)
+    bounds = np.zeros(m)
+    total = phi  # incremental potential of the current matrices, summed in layer order
+    scale = max(1.0, abs(phi))
+    unchecked = done = 0
+    for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B)):
+        (step,) = block.steps
+        if not step.rot_gates.size and (arrays.c[step.const_gates] == -1.0).all():
+            new = ledger[block.rows]
+        else:
+            new = row_contribs(a1, b1)
+        before, after = swap_contribs(ledger, block, new)
+        moves[block.units] = after - before
+        total += float((after - before).sum())
+        scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
+        if step.rot_gates.size:
+            bounds[step.rot_gates] = change_bound(
+                2,
+                block_products(_pairs(step, a0), _pairs(step, b0)),
+                block_products(_pairs(step, a1), _pairs(step, b1)),
+            )
 
-    for step, gate in enumerate(algorithm.gates, start=1):
-        rows = touched(gate)
-        old_product = block_product(A, B, rows)
-        old_contrib = block_contrib(A, B, rows)
-        next(steps)
-        new_contrib = block_contrib(A, B, rows)
-        total += new_contrib - old_contrib
-        contrib_scale = max(contrib_scale, abs(old_contrib), abs(new_contrib))
-        if step % RECOMPUTE_EVERY == 0:
+        unchecked += block.gates
+        done += block.gates
+        if k + 1 < len(blocks) and unchecked + blocks[k + 1].gates > RECOMPUTE_EVERY:
             exact = quasi_entropy(A, B)
-            if abs(exact - total) > DRIFT_TOL * max(contrib_scale, abs(exact)):
+            if abs(exact - total) > DRIFT_TOL * max(scale, abs(exact)):
                 raise ArithmeticError(
-                    f"incremental potential drifted by {abs(exact - total):.3e} at step {step}"
+                    f"incremental potential drifted by {abs(exact - total):.3e} "
+                    f"after {done} of {m} gates"
                 )
-            total = exact
-        values.append(total)
-        deltas.append(abs(values[-1] - values[-2]))
-        bounds.append(change_bound(len(rows), old_product, block_product(A, B, rows)))
-        touched_sets.append(rows)
+            unchecked = 0
 
+    values = np.cumsum(np.concatenate([[phi], moves]))
+    gate_i, gate_j = arrays.i.tolist(), arrays.j.tolist()
     return PotentialTrace(
-        values=values, per_step_delta=deltas, per_step_bound=bounds, touched_sets=touched_sets
+        values=values.tolist(),
+        per_step_delta=[0.0] + np.abs(np.diff(values)).tolist(),
+        per_step_bound=[0.0] + bounds.tolist(),
+        touched_sets=[()] + [(i,) if j < 0 else (i, j) for i, j in zip(gate_i, gate_j)],
     )
 
 

@@ -1,21 +1,30 @@
-"""Independent dense oracles used by the tests.
+"""Independent dense oracles and per-step references used by the tests.
 
-Everything here is computed from first principles with plain numpy: closed
-forms for the reference transforms, dense gate matrices composed with @, and
-brute-force potential evaluation.  Nothing reuses the package's incremental
+The dense oracles are computed from first principles with plain numpy:
+closed forms for the reference transforms, dense gate matrices composed with
+@, and brute-force potential evaluation.  They reuse none of the package's
 replay paths, so an agreement between the two is a genuine dual-route check.
 ``spawned_normal_draws`` is the per-sample seeding that ``quantized`` derives
 in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
 ``simulate`` CSV that the CLI streams from the cells that changed.
 ``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
 contract the README documents.
+
+The per-step references at the end walk the trajectory one gate at a time
+through ``gatelab.replay`` (itself checked against ``compose_dense``) and
+measure each row block with its own ``np.linalg.norm`` call, as the analyses
+did before they walked in layers: ``best_candidate_reference`` is the
+sequential extraction scan, ``window_products_reference`` the window products
+of the scan and the chain, and ``trace_bounds_reference`` the per-gate change
+bounds of the trace.  The layered analyses must match them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from gatelab.gates import Constant, Rotation
+from gatelab.gates import Constant, Rotation, replay, touched
+from gatelab.potential import change_bound
 
 
 def wht_sign_matrix(n: int) -> np.ndarray:
@@ -119,3 +128,53 @@ def assert_lemma_contract(code: int, payload: dict) -> None:
     assert all(r["violations"] == 0 for r in payload["fourier_projection_bound"])
     nominal = unit["violations"] + orth["violations"]
     assert code == (2 if nominal else 0), f"exit {code} with {nominal} nominal violations"
+
+
+def best_candidate_reference(algorithm, P, Q, tau, unrestricted):
+    """The sequential extraction scan: the first qualifying pair with the largest score."""
+    best = None
+    for t, rows, A, B in replay(algorithm, P, Q):
+        for i in range(algorithm.n) if unrestricted else sorted(rows):
+            norm_m = float(np.linalg.norm(A[i]))
+            norm_q = float(np.linalg.norm(B[i]))
+            if max(norm_m, norm_q) < tau:
+                continue
+            score = norm_m * norm_q
+            if best is None or score > best[0]:
+                best = (score, t, i, norm_m, norm_q, A[i].copy(), B[i].copy())
+    return best
+
+
+def _block_product(A, B, rows):
+    idx = list(rows)
+    return float(np.linalg.norm(A[idx]) * np.linalg.norm(B[idx]))
+
+
+def window_products_reference(algorithm, P, Q, R):
+    """Each window's sorted rows and |A_I|_F |B_I|_F at its start and its end."""
+    m = algorithm.m
+    starts = range(0, m, R)
+    sets = [
+        tuple(sorted({i for g in algorithm.gates[s : s + R] for i in touched(g)}))
+        for s in starts
+    ]
+    start_products, end_products = [], []
+    for t, _, A, B in replay(algorithm, P, Q):
+        if t % R == 0 and t < m:
+            start_products.append(_block_product(A, B, sets[t // R]))
+        if t and (t % R == 0 or t == m):
+            end_products.append(_block_product(A, B, sets[(t - 1) // R]))
+    return sets, start_products, end_products
+
+
+def trace_bounds_reference(algorithm, P=None, Q=None):
+    """Per-step change bounds, each gate's rows measured in its (i, j) order."""
+    bounds = [0.0]
+    steps = replay(algorithm, P, Q)
+    _, _, A, B = next(steps)
+    for gate in algorithm.gates:
+        rows = touched(gate)
+        before = _block_product(A, B, rows)
+        next(steps)
+        bounds.append(change_bound(len(rows), before, _block_product(A, B, rows)))
+    return bounds

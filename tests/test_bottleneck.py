@@ -27,7 +27,14 @@ from gatelab.bottleneck import random_projection, sweep_fourier_projection_bound
 from gatelab.cli import main
 from gatelab.gates import touched
 
-from oracles import compose_dense, compose_dense_inverse_transpose, wht_sign_matrix
+from gatelab.potential import change_bound
+
+from oracles import (
+    compose_dense,
+    compose_dense_inverse_transpose,
+    window_products_reference,
+    wht_sign_matrix,
+)
 
 
 def brute_window_products(algorithm, P, Q, R, include_constants):
@@ -266,6 +273,37 @@ def test_chain_scan_equals_standalone_scan_exactly(R):
             assert getattr(chain_scan, name) == getattr(scan, name), (algorithm.label, R, name)
 
 
+@pytest.mark.parametrize("R", [1, 2, 3])
+@pytest.mark.parametrize(
+    "build, projected",
+    [
+        (lambda: build_random(12, 300, seed=3), False),
+        (lambda: build_random(12, 300, seed=3), True),
+        (lambda: build_wht(32), False),
+        (lambda: build_dft_real(32), False),
+        (lambda: build_dft_real(16), True),
+    ],
+    ids=["random", "random-PQ", "wht", "dft", "dft-PQ"],
+)
+def test_scan_and_chain_are_bit_identical_to_the_per_step_reference(build, projected, R):
+    algorithm = build()
+    rng = np.random.default_rng(5)
+    n = algorithm.n
+    P, Q = (rng.standard_normal((n, n)), rng.standard_normal((n, n))) if projected else (None, None)
+    sets, starts, ends = window_products_reference(algorithm, P, Q, R)
+    scanned = [w for w in range(len(sets)) if R > 1 or isinstance(algorithm.gates[w], Rotation)]
+    want = [starts[w] for w in scanned]
+    best = want.index(max(want))
+    chain = verify_bottleneck_chain(algorithm, P, Q, R=R)
+    for scan in (scan_bottlenecks(algorithm, P, Q, R=R), chain.scan):
+        assert scan.per_step_lhs == want
+        assert (scan.t_star, scan.affected) == (scanned[best] * R, sets[scanned[best]])
+    assert [link.affected for link in chain.windows] == sets
+    assert [link.bound for link in chain.windows] == [
+        change_bound(len(rows), start, end) for rows, start, end in zip(sets, starts, ends)
+    ]
+
+
 @st.composite
 def chain_instances(draw):
     """Random algorithms on n = 4..8 rows, about half constants, with random P, Q."""
@@ -309,14 +347,15 @@ def test_chain_window_moves_match_dense_potentials(instance):
 
 
 def test_chain_closure_check_catches_a_window_missing_a_row(tmp_path, monkeypatch, capsys):
-    real_window_sets = bottleneck._window_sets
+    real_row_contribs = bottleneck.row_contribs
 
-    def drop_a_row(algorithm, R):
-        sets = real_window_sets(algorithm, R)
-        sets[0] = sets[0][1:]
-        return sets
+    def drop_a_row(A, B):
+        # the first row of every block goes missing from its window's move
+        contribs = real_row_contribs(A, B)
+        contribs[0] = 0.0
+        return contribs
 
-    monkeypatch.setattr(bottleneck, "_window_sets", drop_a_row)
+    monkeypatch.setattr(bottleneck, "row_contribs", drop_a_row)
     with pytest.raises(ArithmeticError, match="window moves miss the potential change"):
         verify_bottleneck_chain(build_wht(8), R=2)
     alg = tmp_path / "wht8.alg"

@@ -281,7 +281,7 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["lemma", "--n-list", "abc"],
          "argument --n-list: 'abc' is not a comma-separated list of integers"),
         (["simulate", "ALG", "--eps", "2^-10", "--seed", "-1"],
-         "seed must be a non-negative integer, got -1"),
+         "argument --seed: '-1' is not a non-negative integer"),
         (["simulate", "ALG", "--eps", "2^-10", "--W", "-5"], "argument --W: '-5' is not positive"),
         (["simulate", "ALG", "--eps", "2^-10", "--sigma", "-1"],
          "argument --sigma: '-1' is not non-negative"),
@@ -293,6 +293,7 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["lemma", "--n-list", "1"], "argument --n-list: '1' is not a list of powers of two"),
         (["lemma", "--n-list", "8,12"], "argument --n-list: '8,12' is not a list of powers of two"),
         (["underflow", "ALG", "--eps", "-1"], "quantization step must be positive, got -1.0"),
+        (["lemma", "--seed", "-1"], "argument --seed: '-1' is not a non-negative integer"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from gatelab import (
     DirectionSystem,
+    directions,
     build_inverse_scaled_fixture,
     build_random,
     build_scaled_bottleneck_fixture,
@@ -17,7 +18,7 @@ from gatelab import (
 )
 from gatelab.gates import apply_gate_rows, touched
 
-from oracles import compose_dense, gate_matrix
+from oracles import best_candidate_reference, compose_dense, gate_matrix
 
 
 def greedy_extraction_oracle(algorithm, tau):
@@ -99,6 +100,38 @@ def test_extraction_matches_dense_greedy_oracle():
             assert abs(got - want) < 1e-10
         for got, (_, _, want) in zip(under.magnitudes, oracle_under):
             assert abs(got - want) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build, kwargs",
+    [
+        (lambda: build_inverse_scaled_fixture(32, 2.0**8, 4), {}),
+        (lambda: build_inverse_scaled_fixture(64, 2.0**8, 4), {}),
+        (lambda: build_wht(8), {}),
+        (lambda: build_wht(16), {}),
+        (lambda: build_scaled_bottleneck_fixture(8, 4.0, 4), {"tau": 2.0}),
+        (lambda: build_inverse_scaled_fixture(8, 4.0, 4), {"tau": 2.0}),
+        (lambda: build_wht(16), {"unrestricted": True}),
+        (lambda: build_scaled_bottleneck_fixture(8, 4.0, 4), {"tau": 2.0, "unrestricted": True}),
+    ],
+    ids=["inv32", "inv64", "wht8", "wht16", "scaled8-tau2", "inv8-tau2", "wht16-unrestricted",
+         "scaled8-tau2-unrestricted"],
+)
+def test_extraction_is_bit_identical_to_the_sequential_scan(build, kwargs, monkeypatch):
+    algorithm = build()
+    layered = extract_directions(algorithm, **kwargs)
+    monkeypatch.setattr(
+        directions,
+        "_best_candidate",
+        lambda algorithm, _blocks, P, Q, tau, unrestricted: best_candidate_reference(
+            algorithm, P, Q, tau, unrestricted
+        ),
+    )
+    sequential = extract_directions(algorithm, **kwargs)
+    assert layered[0].size + layered[1].size > 0
+    for got, want in zip(layered, sequential):
+        assert (got.steps, got.coords, got.magnitudes) == (want.steps, want.coords, want.magnitudes)
+        assert [v.tobytes() for v in got.vectors] == [v.tobytes() for v in want.vectors]
 
 
 def test_extraction_growth_across_sizes():

@@ -22,6 +22,8 @@ from gatelab import (
     validate,
 )
 
+from gatelab.gates import BLOCK_ELEMENTS, layer, replay_layers, start_pair
+
 from oracles import compose_dense, compose_dense_inverse_transpose, wht_sign_matrix
 
 
@@ -108,6 +110,79 @@ def test_replay_matches_dense_composition_at_every_step(raw_gates):
         # 1e-10 relative to the trajectory scale, which constants move
         assert np.abs(M - want_M).max() <= 1e-10 * max(1.0, np.abs(want_M).max())
         assert np.abs(Minv_T - want_N).max() <= 1e-10 * max(1.0, np.abs(want_N).max())
+
+
+# Constants of every kind: reflections, plain scalings, and values whose
+# inverse sits near the ends of the float range.
+_KERNEL_CONSTANTS = [-1.0, 1.0, 0.5, -3.0, 1.0 / 3.0, 1e-300, -1e300, 2.0**-1000, -(2.0**1000)]
+
+
+@st.composite
+def kernel_instances(draw):
+    """Random gate lists with non-identity P, Q.  Few rows make pairs repeat
+    and gates follow each other on one row; at n = 300 one layer spans
+    several blocks."""
+    n = draw(st.sampled_from([2, 3, 4, 8, 300]))
+    count = draw(st.integers(0, 400 if n == 300 else 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for _ in range(count):
+        if gates and rng.random() < 0.2:
+            i = touched(gates[-1])[0]  # back to back on one row
+        else:
+            i = int(rng.integers(n))
+        if rng.random() < 0.4:
+            gates.append(Constant(i, _KERNEL_CONSTANTS[rng.integers(len(_KERNEL_CONSTANTS))]))
+        else:
+            j = int(rng.integers(n - 1))
+            gates.append(Rotation(i, j + (j >= i), float(rng.uniform(-7, 7))))
+    R = draw(st.integers(1, 3))
+    P = rng.standard_normal((n, n))
+    Q = rng.standard_normal((n, n))
+    return LinearAlgorithm(n, tuple(gates)), R, P, Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_instances())
+def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance):
+    # right after each unit (a gate, or a window of R gates) its rows of
+    # M(t) P and M(t)^{-T} Q hold exactly the bytes the per-step replay shows
+    # (the extreme constants overflow to inf and nan, in both walks alike)
+    algorithm, R, P, Q = instance
+    windows = layer(algorithm, R)
+    after = {}
+    with np.errstate(all="ignore"):
+        for t, _, M, Minv_T in replay(algorithm, P, Q):
+            if t and (t % R == 0 or t == algorithm.m):
+                rows = list(windows.unit_rows[(t - 1) // R])
+                after[(t - 1) // R] = (M[rows].tobytes(), Minv_T[rows].tobytes())
+        A, B = start_pair(algorithm.n, P, Q)
+        for block, _, _, a1, b1 in replay_layers(windows.blocks, A, B):
+            for u, w in enumerate(block.units.tolist()):
+                start = block.unit_starts[u]
+                rows = slice(start, start + len(windows.unit_rows[w]))
+                assert (a1[rows].tobytes(), b1[rows].tobytes()) == after[w]
+    assert (A.tobytes(), B.tobytes()) == (M.tobytes(), Minv_T.tobytes())
+
+
+def test_layering_keeps_row_order_and_cuts_wide_layers_into_blocks():
+    a = build_wht(256)
+    windows = layer(a)
+    assert windows.layers == 16  # log2(256) butterfly stages, rotations then reflections
+    assert len(windows.blocks) > windows.layers
+    for block in windows.blocks:
+        assert block.rows.size * a.n <= BLOCK_ELEMENTS
+        assert len(set(block.rows.tolist())) == block.rows.size
+    position = {}
+    for k, block in enumerate(windows.blocks):
+        for w in block.units.tolist():
+            position[w] = k
+    last = {}
+    for g, gate in enumerate(a.gates):
+        for r in touched(gate):
+            if r in last:
+                assert position[last[r]] < position[g]
+            last[r] = g
 
 
 def test_full_wht4_matches_dense_gate_product():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gatelab import (
+    build_dft_real,
     build_random,
     build_scaled_bottleneck_fixture,
     build_wht,
@@ -12,6 +13,7 @@ from gatelab import (
     quasi_entropy,
     trace_potential,
 )
+from gatelab import potential
 from gatelab.potential import (
     UNIT_PAIR_SHARP_DIM2,
     change_bound,
@@ -20,7 +22,12 @@ from gatelab.potential import (
     sweep_unit_pair_bound,
 )
 
-from oracles import dft_embedding_matrix, potential_brute, wht_sign_matrix
+from oracles import (
+    dft_embedding_matrix,
+    potential_brute,
+    trace_bounds_reference,
+    wht_sign_matrix,
+)
 
 
 def test_value_on_walsh_hadamard_pair():
@@ -140,6 +147,31 @@ def test_trace_with_projections():
     assert abs(trace.values[-1] - quasi_entropy(M @ P, Minv_T @ Q)) < 1e-7
     for delta, bound in zip(trace.per_step_delta, trace.per_step_bound):
         assert delta <= bound + 1e-7
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_wht(64), lambda: build_dft_real(64), lambda: build_random(12, 400, seed=8)],
+    ids=["wht", "dft", "random"],
+)
+def test_trace_bounds_are_bit_identical_to_the_per_step_reference(build):
+    algorithm = build()
+    rng = np.random.default_rng(4)
+    P = rng.standard_normal((algorithm.n, algorithm.n))
+    Q = rng.standard_normal((algorithm.n, algorithm.n))
+    assert trace_potential(algorithm).per_step_bound == trace_bounds_reference(algorithm)
+    projected = trace_potential(algorithm, P, Q).per_step_bound
+    assert projected == trace_bounds_reference(algorithm, P, Q)
+
+
+def test_trace_drift_guard_fires_on_a_drifting_ledger(monkeypatch):
+    # every row contribution 1% too large: the moves overshoot the potential
+    # change, which the recheck after the first batch of gates catches
+    real = potential.row_contribs
+    monkeypatch.setattr(potential, "row_contribs", lambda A, B: 1.01 * real(A, B))
+    monkeypatch.setattr(potential, "RECOMPUTE_EVERY", 16)
+    with pytest.raises(ArithmeticError, match="incremental potential drifted by"):
+        trace_potential(build_wht(32))
 
 
 def test_two_row_change_bound_single_row_is_zero():
