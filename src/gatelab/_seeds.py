@@ -75,7 +75,13 @@ class _ChildWords(ISeedSequence):
         return self.words
 
 
+# Children whose words are derived together: each costs about 100 bytes of
+# temporaries, so a slice of this many stays far below the sample arrays.
+_WORDS_SLICE = 1024
+
+
 def spawned_generators(seed: int, lo: int, hi: int) -> Iterator[Generator]:
     """The generators of children lo..hi-1 of ``SeedSequence(seed)``."""
-    for words in child_state_words(seed, lo, hi):
-        yield Generator(PCG64(_ChildWords(words)))
+    for start in range(lo, hi, _WORDS_SLICE):
+        for words in child_state_words(seed, start, min(start + _WORDS_SLICE, hi)):
+            yield Generator(PCG64(_ChildWords(words)))

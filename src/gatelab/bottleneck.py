@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import Block, LinearAlgorithm, Layering, layer, replay_layers, start_pair
+from .gates import Block, LinearAlgorithm, Layering, Workspace, layer, replay_layers, start_pair
 from .potential import (
     DRIFT_TOL,
     block_products,
@@ -207,19 +207,20 @@ def verify_bottleneck_chain(
     window_sets = windows.unit_rows
     n_windows = len(window_sets)
     A, B = start_pair(algorithm.n, P, Q)
-    phi_identity = quasi_entropy(A, B)
+    workspace = Workspace()
+    phi_identity = quasi_entropy(A, B, workspace)
     ledger = row_contribs(A, B)
     start_products = np.zeros(n_windows)
     end_products = np.zeros(n_windows)
     moves = np.zeros(n_windows)
     scale = 1.0
-    for block, a0, b0, a1, b1 in replay_layers(windows.blocks, A, B):
+    for block, a0, b0, a1, b1 in replay_layers(windows.blocks, A, B, workspace):
         start_products[block.units] = _window_products(block, a0, b0)
         end_products[block.units] = _window_products(block, a1, b1)
-        before, after = swap_contribs(ledger, block, row_contribs(a1, b1))
+        before, after = swap_contribs(ledger, block, row_contribs(a1, b1, workspace))
         moves[block.units] = after - before
         scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
-    phi_final = quasi_entropy(A, B)
+    phi_final = quasi_entropy(A, B, workspace)
 
     residual = abs(float(moves.sum()) - (phi_final - phi_identity))
     if residual > DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):

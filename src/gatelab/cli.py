@@ -180,18 +180,23 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if diag.stable else 2
 
 
+def _trace_csv(trace: potential.PotentialTrace) -> Iterator[str]:
+    """The ``trace`` CSV, one line per piece: the two header lines, then one row per step."""
+    yield f"# schema_version={SCHEMA_VERSION}\n"
+    yield "t,phi,delta,bound,touched_i,touched_j\n"
+    columns = zip(trace.values, trace.per_step_delta, trace.per_step_bound, trace.touched_sets)
+    for t, (phi, delta, bound, rows) in enumerate(columns):
+        ti = str(rows[0]) if rows else ""
+        tj = str(rows[1]) if len(rows) > 1 else ""
+        yield f"{t},{float(phi)!r},{float(delta)!r},{float(bound)!r},{ti},{tj}\n"
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     algorithm = _load(args.algorithm)
     P = parse_operator(args.P, algorithm.n)
     Q = parse_operator(args.Q, algorithm.n)
     trace = potential.trace_potential(algorithm, P, Q)
-    lines = [f"# schema_version={SCHEMA_VERSION}", "t,phi,delta,bound,touched_i,touched_j"]
-    columns = zip(trace.values, trace.per_step_delta, trace.per_step_bound, trace.touched_sets)
-    for t, (phi, delta, bound, rows) in enumerate(columns):
-        ti = str(rows[0]) if rows else ""
-        tj = str(rows[1]) if len(rows) > 1 else ""
-        lines.append(f"{t},{float(phi)!r},{float(delta)!r},{float(bound)!r},{ti},{tj}")
-    _emit(["\n".join(lines) + "\n"], args.output)
+    _emit(_trace_csv(trace), args.output)
     worst = max(
         (d - b for d, b in zip(trace.per_step_delta, trace.per_step_bound)), default=0.0
     )

@@ -135,7 +135,7 @@ def extract_directions(
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")
 
-    blocks = layer(algorithm).blocks
+    blocks = list(layer(algorithm).blocks)  # made once, walked in every round
     P = np.eye(n)
     Q = np.eye(n)
     over = DirectionSystem("overflow", [], [], [], [], tau)

@@ -19,8 +19,9 @@ walked in one of two ways:
 - ``replay_layers`` applies the gates in as-soon-as-possible layers
   (``layer``): the gates of one layer touch disjoint rows, gates that share
   a row keep their order, and each layer is split into blocks of at most
-  ``BLOCK_ELEMENTS`` matrix elements per side.  A block is applied with
-  fancy indexing to a gathered copy of its rows.  ``trace_potential``,
+  ``BLOCK_ELEMENTS`` matrix elements per side.  A block's rows are gathered
+  into a ``Workspace`` that the walk reuses, and the block is applied there
+  with fancy indexing, so the walk allocates nothing per block.  ``trace_potential``,
   ``scan_bottlenecks``, ``verify_bottleneck_chain`` and
   ``extract_directions`` use it: each reads only the rows a gate, or a
   window of R gates, rewrites, so it can rate a whole block in a few numpy
@@ -40,6 +41,7 @@ Coordinates are 0-based everywhere, including the text file format.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -161,22 +163,37 @@ class GateArrays(NamedTuple):
         return cls(**columns)
 
 
-def rotate_rows(A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float) -> None:
-    """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place."""
-    ri = cos_t * A[i] + sin_t * A[j]
-    rj = -sin_t * A[i] + cos_t * A[j]
-    A[i] = ri
-    A[j] = rj
+def rotate_rows(
+    A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float, scratch: np.ndarray | None = None
+) -> None:
+    """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place.
+
+    Row i becomes cos*A[i] + sin*A[j] and row j (-sin)*A[i] + cos*A[j].  The
+    two temporaries go to ``scratch``, two rows' worth of space (fresh if
+    None), so rotating long sample rows allocates nothing.
+    """
+    xi, xj = A[i, ...], A[j, ...]  # views, also of a vector's entries
+    if scratch is None:
+        scratch = np.empty((2, *xi.shape))
+    ri, tmp = scratch[0, ...], scratch[1, ...]
+    np.multiply(cos_t, xi, out=ri)
+    np.add(ri, np.multiply(sin_t, xj, out=tmp), out=ri)
+    np.multiply(-sin_t, xi, out=tmp)
+    np.add(tmp, np.multiply(cos_t, xj, out=xj), out=xj)
+    xi[...] = ri
 
 
-def apply_gate_rows(A: np.ndarray, gate: Gate, inverse_transpose: bool = False) -> None:
+def apply_gate_rows(
+    A: np.ndarray, gate: Gate, inverse_transpose: bool = False, scratch: np.ndarray | None = None
+) -> None:
     """Apply a gate as a left row-operation to A in place.
 
     With ``inverse_transpose`` the induced operation on M^{-T} is applied
     instead: identical for rotations, row scaling by 1/c for constants.
+    ``scratch`` is handed to ``rotate_rows``.
     """
     if isinstance(gate, Rotation):
-        rotate_rows(A, gate.i, gate.j, math.cos(gate.theta), math.sin(gate.theta))
+        rotate_rows(A, gate.i, gate.j, math.cos(gate.theta), math.sin(gate.theta), scratch)
     else:
         A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
 
@@ -225,6 +242,7 @@ def replay(
     if not 0 <= stop <= algorithm.m:
         raise ValueError(f"step index {stop} out of range [0, {algorithm.m}]")
     A, B = start_pair(algorithm.n, P, Q)
+    scratch = np.empty((2, algorithm.n))
     arrays = algorithm.arrays
     columns = zip(
         *(
@@ -237,8 +255,8 @@ def replay(
         yield 0, (), A, B
         for t, (rotation, i, j, cos, sin, c, inv_c) in enumerate(columns, start=1):
             if rotation:
-                rotate_rows(A, i, j, cos, sin)
-                rotate_rows(B, i, j, cos, sin)
+                rotate_rows(A, i, j, cos, sin, scratch)
+                rotate_rows(B, i, j, cos, sin, scratch)
                 yield t, (i, j), A, B
             else:
                 A[i] *= c
@@ -248,12 +266,47 @@ def replay(
     return steps()
 
 
-# The most matrix elements (rows times n) a layered block gathers per side.
-# Wide layers are cut into blocks so that the gathered rows and their
-# temporaries stay cache-sized: in a prototype on a 2-core Xeon VM, tracing
-# WHT n=1024 with uncut layers was no faster than gate by gate and took 27%
-# more memory; budgets from 2^14 to 2^17 elements ran about equally fast.
+# The most matrix elements (rows times n) a layered block gathers per side,
+# and the most a potential evaluates at once.  Wide layers are cut into
+# blocks so that the gathered rows and their temporaries stay cache-sized:
+# in a prototype on a 2-core Xeon VM, tracing WHT n=1024 with uncut layers
+# was no faster than gate by gate and took 27% more memory; budgets from
+# 2^14 to 2^17 elements ran about equally fast.
 BLOCK_ELEMENTS = 1 << 15
+
+
+class Workspace:
+    """Named scratch arrays that a walk reuses from block to block.
+
+    ``take(name, shape, dtype)`` returns a C-contiguous view of the buffer
+    called ``name``, allocated on first use and again only when a larger
+    shape comes.  Every per-block array of a walk lives in one, so the walk
+    allocates nothing per block: fresh block-sized temporaries would each be
+    mapped and unmapped by the C allocator, which costs more page faults
+    than the arithmetic.  A view is valid until the next ``take`` of its
+    name; ``"scratch"`` holds temporaries that never outlive one call.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[str, np.ndarray] = {}  # the last view of each buffer
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        view = self._views.get(name)
+        if view is not None and view.shape == shape:
+            return view
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        view = self._views[name] = buffer[:size].reshape(shape)
+        return view
+
+
+def gather_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x[rows]`` written into ``out``.  The rows are in range; ``mode="clip"``
+    skips the bounds check, for which ``np.take`` would buffer ``out``."""
+    return x.take(rows, 0, out, "clip")
 
 
 class LayerStep(NamedTuple):
@@ -274,16 +327,26 @@ class LayerStep(NamedTuple):
     c: np.ndarray
     inv_c: np.ndarray
 
-    def apply(self, a: np.ndarray, b: np.ndarray) -> None:
-        """``rotate_rows`` and the row scalings of ``apply_gate_rows``, all gates at once."""
-        if self.rot_gates.size:
+    def apply(self, a: np.ndarray, b: np.ndarray, workspace: Workspace) -> None:
+        """``rotate_rows`` and the row scalings of ``apply_gate_rows``, all gates
+        at once: the same multiplications and additions, into the workspace."""
+        k, n = self.rot_gates.size, a.shape[1]
+        if k:
+            rot_i, rot_j = self.rot_i, self.rot_j
+            xi, xj, ri, tmp = workspace.take("scratch", (4, k, n))
             for x in (a, b):
-                xi, xj = x[self.rot_i], x[self.rot_j]
-                x[self.rot_i] = self.cos * xi + self.sin * xj
-                x[self.rot_j] = self.neg_sin * xi + self.cos * xj
+                gather_rows(x, rot_i, xi)
+                gather_rows(x, rot_j, xj)
+                np.multiply(self.cos, xi, out=ri)
+                np.add(ri, np.multiply(self.sin, xj, out=tmp), out=ri)
+                x[rot_i] = ri
+                np.multiply(self.neg_sin, xi, out=xi)
+                np.add(xi, np.multiply(self.cos, xj, out=tmp), out=xi)
+                x[rot_j] = xi
         if self.const_gates.size:
-            a[self.const_i] *= self.c
-            b[self.const_i] *= self.inv_c
+            (rows,) = workspace.take("scratch", (1, self.const_gates.size, n))
+            for x, scale in ((a, self.c), (b, self.inv_c)):
+                x[self.const_i] = np.multiply(gather_rows(x, self.const_i, rows), scale, out=rows)
 
 
 class Block(NamedTuple):
@@ -306,6 +369,83 @@ class Block(NamedTuple):
     gates: int
 
 
+class UnitRows(Sequence):
+    """Each unit's rows as an ascending tuple; unit w's are ``rows[starts[w]:starts[w + 1]]``."""
+
+    def __init__(self, rows: np.ndarray, starts: np.ndarray):
+        self.rows, self.starts = rows, starts
+
+    def __len__(self) -> int:
+        return self.starts.size - 1
+
+    def __getitem__(self, w: int) -> tuple[int, ...]:
+        if not 0 <= w < len(self):
+            raise IndexError(w)
+        return tuple(self.rows[self.starts[w] : self.starts[w + 1]].tolist())
+
+
+class Blocks(Sequence):
+    """A layering's blocks, packed into arrays in block order.
+
+    Block b holds the units ``units[cuts[b]:cuts[b + 1]]`` and the rows
+    ``rows[row_cuts[b]:row_cuts[b + 1]]``; its gates are sorted by step, then
+    rotations before constants, then by unit, and ``gate_cuts`` bounds each
+    (block, step, kind) run.  ``gate_rows`` holds each gate's rows i and j
+    as positions in its block, ``first`` its cos (or c) and ``second`` its
+    sin (or 1/c).  Indexing makes a ``Block`` of views, so the layering
+    keeps a dozen arrays in all rather than a dozen per block.
+    """
+
+    def __init__(self, R, units, rows, unit_starts, row_units, cuts, row_cuts, groups,
+                 gates, gate_cuts, gate_rows, first, second, neg_sin):
+        self.R, self.units, self.rows = R, units, rows
+        self.unit_starts, self.row_units = unit_starts, row_units
+        self.cuts, self.row_cuts, self.groups = cuts, row_cuts, groups
+        self.gates, self.gate_cuts, self.gate_rows = gates, gate_cuts, gate_rows
+        self.first, self.second, self.neg_sin = first, second, neg_sin
+        self.gate_counts = [
+            gate_cuts[2 * R * (b + 1)] - gate_cuts[2 * R * b] for b in range(len(groups))
+        ]
+
+    def __len__(self) -> int:
+        return len(self.groups)
+
+    def __iter__(self) -> Iterator[Block]:
+        return (self[b] for b in range(len(self)))
+
+    def __getitem__(self, b: int) -> Block:
+        if not 0 <= b < len(self):
+            raise IndexError(b)
+        us, ue = self.cuts[b], self.cuts[b + 1]
+        rs, re = self.row_cuts[b], self.row_cuts[b + 1]
+        steps = []
+        for s in range(2 * self.R * b, 2 * self.R * (b + 1), 2):
+            r0, r1, r2 = self.gate_cuts[s : s + 3]
+            steps.append(
+                LayerStep(
+                    rot_gates=self.gates[r0:r1],
+                    rot_i=self.gate_rows[0, r0:r1],
+                    rot_j=self.gate_rows[1, r0:r1],
+                    cos=self.first[r0:r1, None],
+                    sin=self.second[r0:r1, None],
+                    neg_sin=self.neg_sin[r0:r1, None],
+                    const_gates=self.gates[r1:r2],
+                    const_i=self.gate_rows[0, r1:r2],
+                    c=self.first[r1:r2, None],
+                    inv_c=self.second[r1:r2, None],
+                )
+            )
+        return Block(
+            units=self.units[us:ue],
+            rows=self.rows[rs:re],
+            unit_starts=self.unit_starts[us:ue],
+            row_units=self.row_units[rs:re],
+            groups=self.groups[b],
+            steps=tuple(steps),
+            gates=self.gate_counts[b],
+        )
+
+
 class Layering(NamedTuple):
     """The algorithm's units of R consecutive gates, layered and cut into blocks.
 
@@ -314,8 +454,8 @@ class Layering(NamedTuple):
     """
 
     R: int
-    unit_rows: list[tuple[int, ...]]
-    blocks: list[Block]
+    unit_rows: UnitRows
+    blocks: Blocks
     layers: int
 
 
@@ -330,100 +470,124 @@ def layer(algorithm: LinearAlgorithm, R: int = 1) -> Layering:
     if R < 1:
         raise ValueError(f"unit size must be at least 1, got {R}")
     n, m, arrays = algorithm.n, algorithm.m, algorithm.arrays
-    gate_i, gate_j = arrays.i.tolist(), arrays.j.tolist()
-    unit_rows: list[tuple[int, ...]] = []
-    levels: list[list[int]] = []
+    W = -(-m // R)
+    # each unit's distinct rows, ascending, packed unit after unit (-1 pads)
+    ij = np.full((2, W * R), -1, dtype=np.int64)
+    ij[0, :m], ij[1, :m] = arrays.i, arrays.j
+    touched_rows = ij.reshape(2, W, R).transpose(1, 0, 2).reshape(W, 2 * R)
+    touched_rows.sort(axis=1)
+    keep = touched_rows >= 0
+    keep[:, 1:] &= touched_rows[:, 1:] != touched_rows[:, :-1]
+    sizes = keep.sum(axis=1)
+    flat = touched_rows[keep]
+    starts = np.zeros(W + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+
+    levels = []
     free = [0] * n  # the first layer in which each row is free
-    for w, start in enumerate(range(0, m, R)):
-        rows = {*gate_i[start : start + R], *gate_j[start : start + R]}
-        rows.discard(-1)  # the j of a constant
-        unit = tuple(sorted(rows))
-        level = max([free[r] for r in unit])
-        for r in unit:
+    flat_list, bounds = flat.tolist(), starts.tolist()
+    for w in range(W):
+        rows = flat_list[bounds[w] : bounds[w + 1]]
+        level = max([free[r] for r in rows])
+        for r in rows:
             free[r] = level + 1
-        if level == len(levels):
-            levels.append([])
-        levels[level].append(w)
-        unit_rows.append(unit)
+        levels.append(level)
+    level = np.array(levels, dtype=np.int64)
 
+    # units by layer, then by row count, then by index; each layer is cut
+    # into blocks of at most ``cap`` rows
+    order = np.lexsort((sizes, level))
+    sizes_o = sizes[order]
     cap = max(1, BLOCK_ELEMENTS // n)
-    kinds = arrays.rotation.tolist()
-    blocks = []
-    for units in levels:
-        units.sort(key=lambda w: len(unit_rows[w]))  # stable: by index within a size
-        chunk: list[int] = []
-        size = 0
-        for w in units:
-            if chunk and size + len(unit_rows[w]) > cap:
-                blocks.append(_block(chunk, unit_rows, arrays, kinds, R))
-                chunk, size = [], 0
-            chunk.append(w)
-            size += len(unit_rows[w])
-        blocks.append(_block(chunk, unit_rows, arrays, kinds, R))
-    return Layering(R=R, unit_rows=unit_rows, blocks=blocks, layers=len(levels))
+    cuts = []
+    used, current = 0, -1
+    for p, (lv, size) in enumerate(zip(level[order].tolist(), sizes_o.tolist())):
+        if lv != current or used + size > cap:
+            cuts.append(p)
+            used, current = 0, lv
+        used += size
+    cuts.append(W)
+    block_of = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    offsets = np.zeros(W + 1, dtype=np.int64)  # where each unit's rows start, in block order
+    np.cumsum(sizes_o, out=offsets[1:])
+    row_cuts = offsets[cuts]
+    rows_o = flat[np.repeat(starts[order] - offsets[:-1], sizes_o) + np.arange(offsets[-1])]
+    unit_starts = offsets[:-1] - row_cuts[block_of]
 
+    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(len(cuts) - 1)]
+    run_starts = np.zeros(W, dtype=bool)  # a new block, or a new unit size
+    run_starts[cuts[:-1]] = True
+    run_starts[1:] |= sizes_o[1:] != sizes_o[:-1]
+    runs = np.flatnonzero(run_starts).tolist()
+    for first, end in zip(runs, runs[1:] + [W]):
+        b = int(block_of[first])
+        groups[b].append((int(sizes_o[first]), first - cuts[b], end - cuts[b]))
 
-def _block(units: list[int], unit_rows, arrays: GateArrays, kinds: list[bool], R: int) -> Block:
-    sizes = [len(unit_rows[w]) for w in units]
-    rows = [r for w in units for r in unit_rows[w]]
-    position = {r: p for p, r in enumerate(rows)}
-    groups = []
-    for u, size in enumerate(sizes):
-        if groups and groups[-1][0] == size:
-            groups[-1][2] = u + 1
-        else:
-            groups.append([size, u, u + 1])
-
-    steps = []
-    for k in range(R):
-        gates = [w * R + k for w in units if w * R + k < len(kinds)]
-        rot = np.array([g for g in gates if kinds[g]], dtype=np.int64)
-        const = np.array([g for g in gates if not kinds[g]], dtype=np.int64)
-        sin = arrays.sin[rot][:, None]
-        steps.append(
-            LayerStep(
-                rot_gates=rot,
-                rot_i=np.array([position[r] for r in arrays.i[rot].tolist()], dtype=np.int64),
-                rot_j=np.array([position[r] for r in arrays.j[rot].tolist()], dtype=np.int64),
-                cos=arrays.cos[rot][:, None],
-                sin=sin,
-                neg_sin=-sin,
-                const_gates=const,
-                const_i=np.array([position[r] for r in arrays.i[const].tolist()], dtype=np.int64),
-                c=arrays.c[const][:, None],
-                inv_c=arrays.inv_c[const][:, None],
-            )
+    # gates by block, step, kind (rotations first) and unit position; each
+    # gate's rows as positions in its block's rows
+    w = np.arange(m) // R
+    position = np.empty(W, dtype=np.int64)
+    position[order] = np.arange(W)
+    position = position[w]
+    block = block_of[position]
+    constant = ~arrays.rotation
+    segment = (block * R + np.arange(m) % R) * 2 + constant
+    gates = np.lexsort((position, segment))
+    keys = np.repeat(np.arange(W), sizes) * n + flat
+    base = offsets[position] - row_cuts[block] - starts[w]
+    gate_rows = np.stack(
+        (
+            np.searchsorted(keys, w * n + arrays.i),
+            np.searchsorted(keys, w * n + np.where(constant, arrays.i, arrays.j)),
         )
-    starts = [0]
-    for size in sizes[:-1]:
-        starts.append(starts[-1] + size)
-    return Block(
-        units=np.array(units, dtype=np.int64),
-        rows=np.array(rows, dtype=np.int64),
-        unit_starts=np.array(starts, dtype=np.int64),
-        row_units=np.repeat(np.array(units, dtype=np.int64), sizes),
-        groups=tuple(tuple(g) for g in groups),
-        steps=tuple(steps),
-        gates=sum(int(s.rot_gates.size + s.const_gates.size) for s in steps),
     )
+    gate_rows += base
+    rotation = arrays.rotation[gates]
+    blocks = Blocks(
+        R,
+        units=order,
+        rows=rows_o,
+        unit_starts=unit_starts,
+        row_units=np.repeat(order, sizes_o),
+        cuts=cuts,
+        row_cuts=row_cuts.tolist(),
+        groups=[tuple(g) for g in groups],
+        gates=gates,
+        gate_cuts=np.searchsorted(segment[gates], np.arange(2 * R * len(groups) + 1)).tolist(),
+        gate_rows=gate_rows[:, gates],
+        first=np.where(rotation, arrays.cos[gates], arrays.c[gates]),
+        second=np.where(rotation, arrays.sin[gates], arrays.inv_c[gates]),
+        neg_sin=-arrays.sin[gates],
+    )
+    layers = max(levels, default=-1) + 1
+    return Layering(R=R, unit_rows=UnitRows(flat, starts), blocks=blocks, layers=layers)
 
 
 def replay_layers(
-    blocks: list[Block], A: np.ndarray, B: np.ndarray
+    blocks: Iterable[Block], A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None
 ) -> Iterator[tuple[Block, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Apply the blocks of a ``Layering`` to A and B in place, in order.
 
     Yields ``(block, a0, b0, a1, b1)`` after each block: the block's rows of
-    A and B, in ``block.rows`` order, before and after it.  They are fresh
-    arrays the caller may keep.  Every element of A and B ends bit-identical
-    to ``replay``'s, and right after a block the rows of each of its units
-    are those ``replay`` shows right after the unit's last gate.
+    A and B, in ``block.rows`` order, before and after it.  They, and every
+    temporary of the walk, live in ``workspace`` (a fresh one if None),
+    which grows to the largest block and is then reused: they are
+    overwritten by the next block, so copy what must outlive it.  Every
+    element of A and B ends bit-identical to ``replay``'s, and right after a
+    block the rows of each of its units are those ``replay`` shows right
+    after the unit's last gate.
     """
+    if workspace is None:
+        workspace = Workspace()
+    n = A.shape[1]
     for block in blocks:
-        a0, b0 = A[block.rows], B[block.rows]
-        a1, b1 = a0.copy(), b0.copy()
+        shape = (2, block.rows.size, n)
+        before, after = workspace.take("before", shape), workspace.take("after", shape)
+        a0, b0 = gather_rows(A, block.rows, before[0]), gather_rows(B, block.rows, before[1])
+        np.copyto(after, before)
+        a1, b1 = after
         for step in block.steps:
-            step.apply(a1, b1)
+            step.apply(a1, b1, workspace)
         A[block.rows] = a1
         B[block.rows] = b1
         yield block, a0, b0, a1, b1

@@ -39,7 +39,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import Block, LayerStep, LinearAlgorithm, layer, replay_layers, start_pair
+from .gates import (
+    BLOCK_ELEMENTS,
+    Block,
+    LayerStep,
+    LinearAlgorithm,
+    Workspace,
+    gather_rows,
+    layer,
+    replay_layers,
+    start_pair,
+)
 
 # Entry products below this threshold are treated as exact zeros; keeps log2
 # clear of subnormal underflow.
@@ -53,13 +63,56 @@ def _neg_p_log_p(p: np.ndarray) -> float:
     return float(-(p * np.log2(np.abs(p))).sum())
 
 
-def quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
-    """Potential of the pair (A, B); zero entry products contribute zero."""
+def _entry_terms(
+    a: np.ndarray, b: np.ndarray, workspace: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """p * log2|p| for every entry product p of (a, b), 0.0 where |p| <
+    ZERO_PRODUCT (or p is NaN), and the mask of the entries kept; both are
+    views into the workspace."""
+    p, log = workspace.take("scratch", (2, *a.shape))
+    keep, drop = workspace.take("masks", (2, *a.shape), bool)
+    np.multiply(a, b, out=p)
+    np.abs(p, out=log)
+    np.greater_equal(log, ZERO_PRODUCT, out=keep)
+    np.log2(log, out=log, where=keep)
+    np.multiply(p, log, out=p, where=keep)
+    np.copyto(p, 0.0, where=np.logical_not(keep, out=drop))
+    return p, keep
+
+
+def _row_blocks(A: np.ndarray) -> range:
+    """Starts of the row blocks of at most ``BLOCK_ELEMENTS`` elements (one
+    row when a row alone is wider); ``A[lo:lo + range.step]`` is a block."""
+    return range(0, len(A), max(1, BLOCK_ELEMENTS // max(1, A.shape[1])))
+
+
+def quasi_entropy(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None) -> float:
+    """Potential of the pair (A, B); zero entry products contribute zero.
+
+    A pair of more than ``BLOCK_ELEMENTS`` entries is summed in row blocks,
+    through ``workspace`` (a fresh one if None), so it needs no full-size
+    temporaries; its value can differ from the one-pass sum in the last bits.
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    return _neg_p_log_p((A * B).ravel())
+    if A.size <= BLOCK_ELEMENTS:
+        return _neg_p_log_p((A * B).ravel())
+    if workspace is None:
+        workspace = Workspace()
+    A, B = A.reshape(len(A), -1), B.reshape(len(B), -1)
+    blocks = _row_blocks(A)
+    # Blocks without a kept entry add nothing, and the sum starts at -0.0,
+    # the additive identity, so zero totals keep the one-pass sign: the
+    # identity pair gives -0.0 and a pair with no kept entry 0.0.
+    total = -0.0
+    for lo in blocks:
+        rows = slice(lo, lo + blocks.step)
+        terms, keep = _entry_terms(A[rows], B[rows], workspace)
+        if keep.any():
+            total += float(terms.sum())
+    return -total
 
 
 def complex_quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
@@ -85,16 +138,20 @@ def block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return row_norms(X) * row_norms(Y)
 
 
-def row_contribs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Each row's share of the potential of (A, B)."""
-    # in place, so that the full matrices at the start need two temporaries
-    p = A * B
-    log = np.abs(p)
-    keep = log >= ZERO_PRODUCT
-    np.log2(log, out=log, where=keep)
-    np.copyto(p, 0.0, where=~keep)
-    p *= log
-    return -p.sum(axis=1)
+def row_contribs(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+    """Each row's share of the potential of (A, B), evaluated in row blocks.
+
+    With a workspace the result is a view into it, valid until its next
+    use; without one it is a fresh array.
+    """
+    out = np.empty(len(A)) if workspace is None else workspace.take("contribs", (len(A),))
+    if workspace is None:
+        workspace = Workspace()
+    blocks = _row_blocks(A)
+    for lo in blocks:
+        rows = slice(lo, lo + blocks.step)
+        np.sum(_entry_terms(A[rows], B[rows], workspace)[0], axis=1, out=out[rows])
+    return np.negative(out, out=out)
 
 
 def swap_contribs(
@@ -137,9 +194,17 @@ class PotentialTrace:
     touched_sets: list[tuple[int, ...]]
 
 
-def _pairs(step: LayerStep, x: np.ndarray) -> np.ndarray:
-    """Each rotation's rows i and j of a block's rows x, raveled in that order."""
-    return np.concatenate((x[step.rot_i], x[step.rot_j]), axis=1)
+def _pair_products(
+    step: LayerStep, x: np.ndarray, y: np.ndarray, workspace: Workspace
+) -> np.ndarray:
+    """``block_products`` of each rotation's rows i and j of a block's rows x
+    and y, raveled in that order (gathered into the workspace)."""
+    k, n = step.rot_gates.size, x.shape[1]
+    rows = np.stack((step.rot_i, step.rot_j), axis=1).ravel()
+    xs, ys = workspace.take("scratch", (2, 2 * k, n))
+    gather_rows(x, rows, xs)
+    gather_rows(y, rows, ys)
+    return block_products(xs.reshape(k, 2 * n), ys.reshape(k, 2 * n))
 
 
 def trace_potential(
@@ -165,22 +230,38 @@ def trace_potential(
     ``ArithmeticError``.  Values are not snapped to the recomputation: a
     block boundary is not a step.
     """
-    m, arrays = algorithm.m, algorithm.arrays
+    phi, moves, bounds = _ledger_walk(algorithm, P, Q)
+    values = np.cumsum(np.concatenate([[phi], moves]))
+    gate_i, gate_j = algorithm.arrays.i.tolist(), algorithm.arrays.j.tolist()
+    return PotentialTrace(
+        values=values.tolist(),
+        per_step_delta=[0.0] + np.abs(np.diff(values)).tolist(),
+        per_step_bound=[0.0] + bounds.tolist(),
+        touched_sets=[()] + [(i,) if j < 0 else (i, j) for i, j in zip(gate_i, gate_j)],
+    )
+
+
+def _ledger_walk(algorithm: LinearAlgorithm, P, Q) -> tuple[float, np.ndarray, np.ndarray]:
+    """``trace_potential``'s walk: the initial potential, each gate's move and
+    bound.  The matrices, the layering and the workspace die with it, before
+    the trace's lists are built."""
+    m = algorithm.m
     blocks = layer(algorithm).blocks
     A, B = start_pair(algorithm.n, P, Q)
-    phi = quasi_entropy(A, B)
+    workspace = Workspace()
+    phi = quasi_entropy(A, B, workspace)
     ledger = row_contribs(A, B)
     moves = np.zeros(m)
     bounds = np.zeros(m)
     total = phi  # incremental potential of the current matrices, summed in layer order
     scale = max(1.0, abs(phi))
     unchecked = done = 0
-    for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B)):
+    for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
         (step,) = block.steps
-        if not step.rot_gates.size and (arrays.c[step.const_gates] == -1.0).all():
+        if not step.rot_gates.size and (step.c == -1.0).all():
             new = ledger[block.rows]
         else:
-            new = row_contribs(a1, b1)
+            new = row_contribs(a1, b1, workspace)
         before, after = swap_contribs(ledger, block, new)
         moves[block.units] = after - before
         total += float((after - before).sum())
@@ -188,29 +269,21 @@ def trace_potential(
         if step.rot_gates.size:
             bounds[step.rot_gates] = change_bound(
                 2,
-                block_products(_pairs(step, a0), _pairs(step, b0)),
-                block_products(_pairs(step, a1), _pairs(step, b1)),
+                _pair_products(step, a0, b0, workspace),
+                _pair_products(step, a1, b1, workspace),
             )
 
         unchecked += block.gates
         done += block.gates
-        if k + 1 < len(blocks) and unchecked + blocks[k + 1].gates > RECOMPUTE_EVERY:
-            exact = quasi_entropy(A, B)
+        if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
+            exact = quasi_entropy(A, B, workspace)
             if abs(exact - total) > DRIFT_TOL * max(scale, abs(exact)):
                 raise ArithmeticError(
                     f"incremental potential drifted by {abs(exact - total):.3e} "
                     f"after {done} of {m} gates"
                 )
             unchecked = 0
-
-    values = np.cumsum(np.concatenate([[phi], moves]))
-    gate_i, gate_j = arrays.i.tolist(), arrays.j.tolist()
-    return PotentialTrace(
-        values=values.tolist(),
-        per_step_delta=[0.0] + np.abs(np.diff(values)).tolist(),
-        per_step_bound=[0.0] + bounds.tolist(),
-        touched_sets=[()] + [(i,) if j < 0 else (i, j) for i, j in zip(gate_i, gate_j)],
-    )
+    return phi, moves, bounds
 
 
 def random_orthogonal(rng: np.random.Generator, a: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -77,18 +78,42 @@ def quantize(values: np.ndarray, epsilon: float) -> np.ndarray:
     return np.rint(values / epsilon) * epsilon
 
 
-def _bits(values: np.ndarray, epsilon: float) -> np.ndarray:
-    return np.log2(1.0 + np.abs(values) / epsilon) + 1.0
-
-
-def _quantized_step(X: np.ndarray, gate: Gate, epsilon: float) -> tuple[int, ...]:
-    """Apply one gate to the rows of X, round the rows it wrote; returns them."""
-    apply_gate_rows(X, gate)
-    rows = touched(gate)
+def _quantize_rows(X: np.ndarray, rows: Iterable[int], epsilon: float) -> None:
+    """``quantize``'s operations on each of the rows of X, in place."""
     for r in rows:
-        row = X[r]  # a view: ``quantize``'s operations in place, without temporaries
+        row = X[r]  # a view, so the row needs no temporaries
         np.multiply(np.rint(np.divide(row, epsilon, out=row), out=row), epsilon, out=row)
+
+
+def _quantized_step(
+    X: np.ndarray, gate: Gate, epsilon: float, scratch: np.ndarray
+) -> tuple[int, ...]:
+    """Apply one gate to the rows of X, round the rows it wrote; returns them.
+
+    ``scratch`` holds two rows of X's width for the rotation's temporaries.
+    """
+    apply_gate_rows(X, gate, scratch=scratch)
+    rows = touched(gate)
+    _quantize_rows(X, rows, epsilon)
     return rows
+
+
+def _score_rows(
+    X: np.ndarray,
+    rows: Iterable[int],
+    epsilon: float,
+    bits: np.ndarray,
+    max_abs: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Each row's largest magnitude and its summed bits(v) = log2(1 + |v| /
+    epsilon) + 1, one row at a time through a row-sized scratch array."""
+    for r in rows:
+        np.abs(X[r], out=scratch)
+        max_abs[r] = scratch.max()
+        np.divide(scratch, epsilon, out=scratch)
+        np.log2(np.add(scratch, 1.0, out=scratch), out=scratch)
+        bits[r] = np.add(scratch, 1.0, out=scratch).sum()
 
 
 @dataclass
@@ -130,15 +155,19 @@ def simulate(
     bits_sum = np.zeros((m + 1, n))
     max_abs = np.zeros((m + 1, n))
 
+    cur_bits = np.empty(n)
+    cur_max = np.empty(n)
     for lo in range(0, samples, chunk):
-        X = quantize(_draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n), epsilon)
-        cur_bits = _bits(X, epsilon).sum(axis=1)
-        cur_max = np.abs(X).max(axis=1)
+        # the drawn chunk is the only n x chunk array: rounded and scored in
+        # place, row by row, as each step rounds and scores its rows
+        X = _draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n)
+        scratch = np.empty((2, X.shape[1]))
+        _quantize_rows(X, range(n), epsilon)
+        _score_rows(X, range(n), epsilon, cur_bits, cur_max, scratch[0])
         for t in range(m + 1):
             if t:
-                for r in _quantized_step(X, algorithm.gates[t - 1], epsilon):
-                    cur_bits[r] = _bits(X[r], epsilon).sum()
-                    cur_max[r] = np.abs(X[r]).max()
+                rows = _quantized_step(X, algorithm.gates[t - 1], epsilon, scratch)
+                _score_rows(X, rows, epsilon, cur_bits, cur_max, scratch[0])
             bits_sum[t] += cur_bits
             np.maximum(max_abs[t], cur_max, out=max_abs[t])
 
@@ -253,8 +282,9 @@ def empirical_uncertainty_check(
         hi = min(lo + chunk, samples)
         X0 = _draw_inputs(seed, lo, hi, sigma, n)
         Xq = quantize(X0, epsilon)
+        scratch = np.empty((2, hi - lo))
         for gate in algorithm.gates[:step]:
-            _quantized_step(Xq, gate, epsilon)
+            _quantized_step(Xq, gate, epsilon, scratch)
         words[lo:hi] = Xq[coord]
         exact[lo:hi] = M[coord] @ X0
 

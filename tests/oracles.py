@@ -6,7 +6,10 @@ closed forms for the reference transforms, dense gate matrices composed with
 replay paths, so an agreement between the two is a genuine dual-route check.
 ``spawned_normal_draws`` is the per-sample seeding that ``quantized`` derives
 in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
-``simulate`` CSV that the CLI streams from the cells that changed.
+``simulate`` CSV that the CLI streams from the cells that changed, and
+``trace_csv_reference`` the joined ``trace`` CSV that it streams line by line.
+``row_contribs_reference`` is the one-pass row contribution formula that the
+row-blocked ``row_contribs`` must reproduce bit for bit.
 ``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
 contract the README documents.
 
@@ -24,7 +27,7 @@ import math
 import numpy as np
 
 from gatelab.gates import Constant, Rotation, replay, touched
-from gatelab.potential import change_bound
+from gatelab.potential import ZERO_PRODUCT, change_bound
 
 
 def wht_sign_matrix(n: int) -> np.ndarray:
@@ -89,6 +92,29 @@ def potential_brute(A: np.ndarray, B: np.ndarray) -> float:
         if p != 0.0:
             total -= p * math.log2(abs(p))
     return total
+
+
+def row_contribs_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each row's share of the potential in one pass over the whole pair, with
+    full-size temporaries: ``row_contribs`` as it was before row blocks."""
+    p = A * B
+    log = np.abs(p)
+    keep = log >= ZERO_PRODUCT
+    np.log2(log, out=log, where=keep)
+    np.copyto(p, 0.0, where=~keep)
+    p *= log
+    return -p.sum(axis=1)
+
+
+def trace_csv_reference(trace) -> str:
+    """The ``trace`` CSV as one string joined from a list of its lines."""
+    lines = ["# schema_version=1", "t,phi,delta,bound,touched_i,touched_j"]
+    columns = zip(trace.values, trace.per_step_delta, trace.per_step_bound, trace.touched_sets)
+    for t, (phi, delta, bound, rows) in enumerate(columns):
+        ti = str(rows[0]) if rows else ""
+        tj = str(rows[1]) if len(rows) > 1 else ""
+        lines.append(f"{t},{float(phi)!r},{float(delta)!r},{float(bound)!r},{ti},{tj}")
+    return "\n".join(lines) + "\n"
 
 
 def spawned_normal_draws(seed: int, lo: int, hi: int, sigma: float, n: int) -> np.ndarray:

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatelab import quantized
+from gatelab.potential import trace_potential
 from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
 from gatelab.gates import read_algorithm
 
-from oracles import assert_lemma_contract, simulate_csv_reference
+from oracles import assert_lemma_contract, simulate_csv_reference, trace_csv_reference
 
 
 def run(args):
@@ -138,6 +139,20 @@ def test_simulate_stdout_has_the_bytes_of_the_output_file(tmp_path, capsys):
     assert run(args) == 0
     out, err = capsys.readouterr()
     assert out.encode() == csv_path.read_bytes() and err == ""
+
+
+def test_trace_csv_streams_the_bytes_of_the_joined_rendering(tmp_path, capsys):
+    alg = tmp_path / "scaled16.alg"
+    run(["build", "--scaled", "16,2^8,4", "-o", alg])
+    want = trace_csv_reference(trace_potential(read_algorithm(str(alg))))
+    csv_path = tmp_path / "trace.csv"
+    args = ["trace", alg]
+    assert run(args + ["-o", csv_path]) == 0
+    assert csv_path.read_text() == want
+    capsys.readouterr()
+    assert run(args) == 0
+    out, err = capsys.readouterr()
+    assert out == want and err == ""
 
 
 def test_chunked_simulate_csv_matches_the_reference(tmp_path, monkeypatch):

@@ -1,0 +1,50 @@
+"""Memory regression: what the potential kernel and ``simulate`` allocate.
+
+``tracemalloc`` counts numpy's array buffers, so the peak it reports over a
+call is the most the call held at once beyond what existed before it.  A
+walk holds A and B (2n^2 floats) plus one fixed workspace; ``simulate``
+holds one n x chunk sample array plus small accumulators.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gatelab import build_wht, quasi_entropy, scan_bottlenecks, trace_potential
+from gatelab.potential import row_contribs
+from gatelab.quantized import simulate
+
+MB = 1 << 20
+
+
+def _peak(call) -> int:
+    """Bytes ``call()`` held at its peak beyond what was live before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("function", [quasi_entropy, row_contribs])
+def test_dense_potentials_need_no_full_size_temporaries(function):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((1024, 1024))
+    B = rng.standard_normal((1024, 1024))
+    assert _peak(lambda: function(A, B)) <= 1 * MB
+
+
+@pytest.mark.parametrize("walk", [trace_potential, scan_bottlenecks])
+def test_walks_hold_the_two_matrices_and_a_fixed_workspace(walk):
+    algorithm = build_wht(1024)
+    two_matrices = 2 * algorithm.n**2 * 8
+    assert _peak(lambda: walk(algorithm)) <= two_matrices + 4 * MB
+
+
+def test_simulate_holds_one_sample_array():
+    algorithm = build_wht(32)
+    samples = 50_000
+    one_array = algorithm.n * samples * 8
+    assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + 1 * MB

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatelab import (
     build_dft_real,
@@ -14,6 +16,7 @@ from gatelab import (
     trace_potential,
 )
 from gatelab import potential
+from gatelab.gates import BLOCK_ELEMENTS
 from gatelab.potential import (
     UNIT_PAIR_SHARP_DIM2,
     change_bound,
@@ -25,6 +28,7 @@ from gatelab.potential import (
 from oracles import (
     dft_embedding_matrix,
     potential_brute,
+    row_contribs_reference,
     trace_bounds_reference,
     wht_sign_matrix,
 )
@@ -49,6 +53,94 @@ def test_agrees_with_brute_force():
     A = rng.standard_normal((5, 7))
     B = rng.standard_normal((5, 7))
     assert abs(quasi_entropy(A, B) - potential_brute(A, B)) < 1e-10
+
+
+def _pair(rng: np.random.Generator, rows: int, cols: int):
+    """A Gaussian pair with exact zeros, a row of them, and entry products
+    below ZERO_PRODUCT."""
+    A = rng.standard_normal((rows, cols))
+    B = rng.standard_normal((rows, cols))
+    A[rng.random((rows, cols)) < 0.2] = 0.0
+    A[rng.integers(rows)] = 0.0
+    tiny = rng.random((rows, cols)) < 0.2
+    A[tiny] *= 1e-160
+    B[tiny] *= 1e-150  # products near 1e-310, below ZERO_PRODUCT
+    return A, B
+
+
+@st.composite
+def blocked_pairs(draw):
+    """A row-block budget and a pair that spans several blocks: row counts
+    that are not a multiple of the rows per block, and rows wider than the
+    budget."""
+    budget = draw(st.integers(1, 64))
+    cols = draw(st.integers(1, 3 * budget))
+    rows = draw(st.integers(1 + budget // cols, 40 + budget // cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return budget, _pair(rng, rows, cols)
+
+
+def _brute_scale(A, B) -> float:
+    p = (A * B).ravel()
+    p = p[p != 0.0]
+    return max(1.0, float(np.abs(p * np.log2(np.abs(p))).sum()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(blocked_pairs())
+@example((BLOCK_ELEMENTS, _pair(np.random.default_rng(1), 1000, 37)))
+@example((BLOCK_ELEMENTS, _pair(np.random.default_rng(2), 3, BLOCK_ELEMENTS + 5)))
+def test_blocked_quasi_entropy_matches_brute_force(instance):
+    budget, (A, B) = instance
+    assert A.size > budget  # the pair is summed in row blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potential, "BLOCK_ELEMENTS", budget)
+        got = quasi_entropy(A, B)
+    assert abs(got - potential_brute(A, B)) <= 1e-10 * _brute_scale(A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocked_pairs())
+@example((BLOCK_ELEMENTS, _pair(np.random.default_rng(3), 1000, 37)))
+@example((BLOCK_ELEMENTS, _pair(np.random.default_rng(4), 3, BLOCK_ELEMENTS + 5)))
+def test_blocked_row_contribs_equal_the_one_pass_formula_bit_for_bit(instance):
+    budget, (A, B) = instance
+    want = row_contribs_reference(A, B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potential, "BLOCK_ELEMENTS", budget)
+        fresh = potential.row_contribs(A, B)
+        in_workspace = potential.row_contribs(A, B, potential.Workspace())
+    assert fresh.tobytes() == want.tobytes()
+    assert in_workspace.tobytes() == want.tobytes()
+
+
+def test_small_pairs_keep_the_one_pass_path(monkeypatch):
+    # at most BLOCK_ELEMENTS entries: no workspace, and the one-pass sum
+    # the lemma sweeps have always used
+    def no_workspace():
+        raise AssertionError("a small pair was summed in row blocks")
+
+    monkeypatch.setattr(potential, "Workspace", no_workspace)
+    A, B = _pair(np.random.default_rng(5), 181, 181)
+    assert A.size <= BLOCK_ELEMENTS
+    p = (A * B).ravel()
+    p = p[np.abs(p) >= potential.ZERO_PRODUCT]
+    assert quasi_entropy(A, B) == float(-(p * np.log2(np.abs(p))).sum())
+    sweep_orthogonal_change_bound(trials=20, seed=1)
+    sweep_unit_pair_bound(trials=20, seed=1)
+
+
+@pytest.mark.parametrize("n", [8, 256], ids=["one-pass", "row-blocks"])
+def test_zero_potentials_keep_their_sign(n):
+    # every entry term of the identity pair is 0.0, so the negated sum is
+    # -0.0 (trace row 0 and scan's phi_identity print it); a pair without a
+    # nonzero product has no terms at all and gives 0.0
+    assert (n * n > BLOCK_ELEMENTS) == (n == 256)
+    eye = np.eye(n)
+    assert math.copysign(1.0, quasi_entropy(eye, eye)) == -1.0
+    assert math.copysign(1.0, trace_potential(build_wht(n)).values[0]) == -1.0
+    zeros = np.zeros((n, n))
+    assert math.copysign(1.0, quasi_entropy(zeros, zeros)) == 1.0
 
 
 def test_shape_mismatch_rejected():
@@ -168,7 +260,9 @@ def test_trace_drift_guard_fires_on_a_drifting_ledger(monkeypatch):
     # every row contribution 1% too large: the moves overshoot the potential
     # change, which the recheck after the first batch of gates catches
     real = potential.row_contribs
-    monkeypatch.setattr(potential, "row_contribs", lambda A, B: 1.01 * real(A, B))
+    monkeypatch.setattr(
+        potential, "row_contribs", lambda A, B, *workspace: 1.01 * real(A, B, *workspace)
+    )
     monkeypatch.setattr(potential, "RECOMPUTE_EVERY", 16)
     with pytest.raises(ArithmeticError, match="incremental potential drifted by"):
         trace_potential(build_wht(32))
