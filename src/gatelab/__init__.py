@@ -1,115 +1,87 @@
-"""gatelab: analysis lab for in-place rotation/constant gate algorithms."""
+"""gatelab: analysis lab for in-place rotation/constant gate algorithms.
 
-from .gates import (
-    Constant,
-    Gate,
-    LinearAlgorithm,
-    ParseError,
-    Rotation,
-    apply_to_vector,
-    is_reflection,
-    matrices_at,
-    parse_algorithm,
-    read_algorithm,
-    render_algorithm,
-    replay,
-    touched,
-    validate,
-    write_algorithm,
-)
-from .builders import (
-    FixtureSpec,
-    build_dft_real,
-    build_fixture,
-    build_inverse_scaled_fixture,
-    build_random,
-    build_scaled_bottleneck_fixture,
-    build_wht,
-    dft_real_matrix,
-    wht_matrix,
-)
-from .potential import (
-    PotentialTrace,
-    complex_quasi_entropy,
-    quasi_entropy,
-    trace_potential,
-)
-from .bottleneck import (
-    BottleneckReport,
-    ChainReport,
-    FourierProjectionReport,
-    scan_bottlenecks,
-    verify_bottleneck_chain,
-    verify_fourier_projection_bound,
-)
-from .directions import (
-    DirectionSystem,
-    ExtendedBasis,
-    VolumeBound,
-    extend_basis,
-    extract_directions,
-    speedup_factor,
-    uncertainty_volume_log,
-)
-from .quantized import (
-    QuantizedRunStats,
-    UncertaintyCheck,
-    UnderflowReport,
-    empirical_uncertainty_check,
-    quantize,
-    simulate,
-    underflow_widths,
-)
+The names below load their home module on first access (PEP 562), so
+``import gatelab`` alone loads neither numpy nor the analysis modules.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Constant",
-    "Gate",
-    "LinearAlgorithm",
-    "ParseError",
-    "Rotation",
-    "apply_to_vector",
-    "is_reflection",
-    "matrices_at",
-    "parse_algorithm",
-    "read_algorithm",
-    "render_algorithm",
-    "replay",
-    "touched",
-    "validate",
-    "write_algorithm",
-    "FixtureSpec",
-    "build_dft_real",
-    "build_fixture",
-    "build_inverse_scaled_fixture",
-    "build_random",
-    "build_scaled_bottleneck_fixture",
-    "build_wht",
-    "dft_real_matrix",
-    "wht_matrix",
-    "PotentialTrace",
-    "complex_quasi_entropy",
-    "quasi_entropy",
-    "trace_potential",
-    "BottleneckReport",
-    "ChainReport",
-    "FourierProjectionReport",
-    "scan_bottlenecks",
-    "verify_bottleneck_chain",
-    "verify_fourier_projection_bound",
-    "DirectionSystem",
-    "ExtendedBasis",
-    "VolumeBound",
-    "extend_basis",
-    "extract_directions",
-    "speedup_factor",
-    "uncertainty_volume_log",
-    "QuantizedRunStats",
-    "UncertaintyCheck",
-    "UnderflowReport",
-    "empirical_uncertainty_check",
-    "quantize",
-    "simulate",
-    "underflow_widths",
-]
+# Each public name's home module.
+_EXPORTS = {
+    "model": (
+        "Constant",
+        "Gate",
+        "LinearAlgorithm",
+        "ParseError",
+        "Rotation",
+        "is_reflection",
+        "parse_algorithm",
+        "read_algorithm",
+        "render_algorithm",
+        "touched",
+        "write_algorithm",
+    ),
+    "gates": (
+        "apply_to_vector",
+        "matrices_at",
+        "replay",
+        "validate",
+    ),
+    "builders": (
+        "FixtureSpec",
+        "build_dft_real",
+        "build_fixture",
+        "build_inverse_scaled_fixture",
+        "build_random",
+        "build_scaled_bottleneck_fixture",
+        "build_wht",
+        "dft_real_matrix",
+        "wht_matrix",
+    ),
+    "potential": (
+        "PotentialTrace",
+        "complex_quasi_entropy",
+        "quasi_entropy",
+        "trace_potential",
+    ),
+    "bottleneck": (
+        "BottleneckReport",
+        "ChainReport",
+        "FourierProjectionReport",
+        "scan_bottlenecks",
+        "verify_bottleneck_chain",
+        "verify_fourier_projection_bound",
+    ),
+    "directions": (
+        "DirectionSystem",
+        "ExtendedBasis",
+        "VolumeBound",
+        "extend_basis",
+        "extract_directions",
+        "speedup_factor",
+        "uncertainty_volume_log",
+    ),
+    "quantized": (
+        "QuantizedRunStats",
+        "UncertaintyCheck",
+        "UnderflowReport",
+        "empirical_uncertainty_check",
+        "quantize",
+        "simulate",
+        "underflow_widths",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

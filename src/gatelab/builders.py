@@ -10,16 +10,23 @@ complex value z_k out as (Re z_k, Im z_k) at coordinates (2k, 2k+1).  A
 rotation by phi on such a pair multiplies z_k by exp(-i*phi), so twiddle
 factors are single rotation gates.  Bit-reversal is paid for explicitly: one
 swap is a half-turn rotation plus a reflection, two gates per real pair.
+
+The builders make gate objects of ``model`` in plain Python, so building and
+writing a gate file never loads numpy.  Only the dense closed forms
+(``wht_matrix``, ``dft_real_matrix``) and ``build_random``, which draws from
+numpy's generator, import it, when they are called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .model import Constant, Gate, LinearAlgorithm, Rotation
 
-from .gates import Constant, Gate, LinearAlgorithm, Rotation
+if TYPE_CHECKING:
+    import numpy as np
 
 QUARTER_TURN = math.pi / 4.0
 
@@ -31,6 +38,8 @@ def _require_power_of_two(n: int, minimum: int) -> None:
 
 def wht_matrix(n: int) -> np.ndarray:
     """Dense normalized Walsh-Hadamard matrix, sign (-1)^<bits(k), bits(l)>."""
+    import numpy as np
+
     _require_power_of_two(n, 2)
     idx = np.arange(n)
     parity = np.zeros((n, n), dtype=int)
@@ -47,6 +56,8 @@ def dft_real_matrix(n: int) -> np.ndarray:
     Complex entry N^{-1/2} exp(-2i*pi*k*l/N) becomes the 2x2 block
     [[a, -b], [b, a]] for a = Re, b = Im, under the interleaved layout.
     """
+    import numpy as np
+
     _require_power_of_two(n, 4)
     N = n // 2
     k = np.arange(N)
@@ -127,8 +138,14 @@ def build_random(n: int, m: int, seed: int, angle_only: bool = False) -> LinearA
     [-3, 3] and a random sign; the bounded magnitude keeps inverse-consistency
     residuals benign.
     """
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got n={n}")
     if m < 1:
         raise ValueError(f"need at least one gate, got m={m}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     gates: list[Gate] = []
     for _ in range(m):

@@ -18,11 +18,16 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import builders, bottleneck, directions, gates, potential, quantized
+    from . import directions, gates, potential, quantized
+
+# Each subcommand imports the modules it runs, and numpy only with them, so
+# that a process loads no more than its subcommand needs: ``build`` never
+# loads numpy.  Library functions are called through module attributes.
 
 SCHEMA_VERSION = 1
 SLACK_TOL = 1e-7
@@ -94,6 +99,8 @@ def parse_operator(spec: str, n: int) -> np.ndarray | None:
     """Operator spec: ``id``, ``proj:i,j,...`` (coordinate projection), or ``file:PATH``."""
     if spec == "id":
         return None
+    import numpy as np
+
     if spec.startswith("proj:"):
         coords = [int(tok) for tok in spec[5:].split(",") if tok]
         P = np.zeros((n, n))
@@ -125,6 +132,8 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 
 def _load(path: str) -> gates.LinearAlgorithm:
+    from . import gates
+
     return gates.read_algorithm(path)
 
 
@@ -133,6 +142,8 @@ def _vectors_payload(vecs) -> list[list[float]]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from . import builders, model
+
     sources = [
         ("wht", args.wht),
         ("dft_real", args.dft),
@@ -158,12 +169,14 @@ def cmd_build(args: argparse.Namespace) -> int:
             raise ValueError(f"--{kind.replace('_', '-')} expects n,c,k")
         params = {"c": parse_number(parts[1]), "k": int(parts[2])}
         algorithm = builders.build_fixture(builders.FixtureSpec(kind, int(parts[0]), params))
-    gates.write_algorithm(algorithm, args.output)
+    model.write_algorithm(algorithm, args.output)
     sys.stdout.write(f"wrote {args.output} (n={algorithm.n}, m={algorithm.m})\n")
     return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from . import gates
+
     algorithm = _load(args.algorithm)
     diag = gates.validate(algorithm)
     _emit_json(
@@ -192,6 +205,8 @@ def _trace_csv(trace: potential.PotentialTrace) -> Iterator[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import potential
+
     algorithm = _load(args.algorithm)
     P = parse_operator(args.P, algorithm.n)
     Q = parse_operator(args.Q, algorithm.n)
@@ -204,6 +219,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from . import bottleneck
+
     algorithm = _load(args.algorithm)
     P = parse_operator(args.P, algorithm.n)
     Q = parse_operator(args.Q, algorithm.n)
@@ -233,6 +250,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
+    from . import bottleneck
+
     algorithm = _load(args.algorithm)
     P = parse_operator(args.P, algorithm.n)
     Q = parse_operator(args.Q, algorithm.n)
@@ -273,6 +292,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
+    from . import bottleneck, potential
+
     unit = potential.sweep_unit_pair_bound(trials=args.pair_trials, seed=args.seed)
     orth = potential.sweep_orthogonal_change_bound(trials=args.trials, seed=args.seed)
     nonsing = potential.sweep_nonsingular_change_bound(trials=args.trials, seed=args.seed)
@@ -297,6 +318,8 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from . import directions
+
     algorithm = _load(args.algorithm)
     over, under = directions.extract_directions(
         algorithm,
@@ -327,6 +350,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
+    from . import directions
+
     algorithm = _load(args.algorithm)
     _, under = directions.extract_directions(algorithm, tau=args.tau)
     basis = directions.extend_basis(under, algorithm.n)
@@ -354,6 +379,8 @@ def _simulate_csv(stats: quantized.QuantizedRunStats) -> Iterator[str]:
     formatted again only where its value bits (so ``-0.0`` against ``0.0``
     counts as a change and NaN against NaN does not) or its flag changed.
     """
+    import numpy as np
+
     yield f"# schema_version={SCHEMA_VERSION}\n"
     yield "t,i,mean_bits,max_abs,overflow_flag\n"
     bits, max_abs, flags = stats.mean_bits, stats.max_abs, stats.overflow_flags
@@ -377,6 +404,8 @@ def _simulate_csv(stats: quantized.QuantizedRunStats) -> Iterator[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import quantized
+
     algorithm = _load(args.algorithm)
     stats = quantized.simulate(
         algorithm,
@@ -409,6 +438,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_underflow(args: argparse.Namespace) -> int:
+    from . import quantized
+
     algorithm = _load(args.algorithm)
     report = quantized.underflow_widths(algorithm, epsilon=args.eps, tau=args.tau)
     _emit_json(

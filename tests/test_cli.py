@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +313,9 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["lemma", "--n-list", "8,12"], "argument --n-list: '8,12' is not a list of powers of two"),
         (["underflow", "ALG", "--eps", "-1"], "quantization step must be positive, got -1.0"),
         (["lemma", "--seed", "-1"], "argument --seed: '-1' is not a non-negative integer"),
+        (["build", "--random", "1,5,1", "-o", "ALG"], "dimension must be at least 2, got n=1"),
+        (["build", "--random", "8,5,-1", "-o", "ALG"],
+         "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):
@@ -353,3 +360,48 @@ def test_help_exits_zero(capsys):
         run(["--help"])
     assert exc.value.code == 0
     assert "usage: gatelab" in capsys.readouterr().out
+
+
+_ANALYSES = {"gatelab.potential", "gatelab.bottleneck", "gatelab.directions", "gatelab.quantized"}
+
+# Calls ``cli.main`` with the given arguments, then prints the loaded modules
+# as the last line of stdout.
+_FOOTPRINT_SCRIPT = """
+import json, sys
+from gatelab import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["build", "--wht", "8", "-o", "OUT"], {"numpy", *_ANALYSES}),
+        (["build", "--dft", "8", "-o", "OUT"], {"numpy", *_ANALYSES}),
+        (["build", "--scaled", "8,4,2", "-o", "OUT"], {"numpy", *_ANALYSES}),
+        (["build", "--inverse-scaled", "8,4,2", "-o", "OUT"], {"numpy", *_ANALYSES}),
+        (["--help"], {"numpy", *_ANALYSES}),
+        (["validate", "ALG"], _ANALYSES),
+        (["simulate", "ALG", "--eps", "2^-10", "--samples", "10"], {"gatelab.bottleneck"}),
+    ],
+    ids=["build-wht", "build-dft", "build-scaled", "build-inverse-scaled", "help", "validate",
+         "simulate"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(args, absent, tmp_path):
+    alg = tmp_path / "wht4.alg"
+    run(["build", "--wht", 4, "-o", alg])
+    argv = [str(alg) if a == "ALG" else str(tmp_path / "out") if a == "OUT" else a for a in args]
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0, proc.stderr
+    loaded = set(report["modules"])
+    assert "gatelab.cli" in loaded
+    assert not loaded & absent
