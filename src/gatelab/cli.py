@@ -141,6 +141,14 @@ def _vectors_payload(vecs) -> list[list[float]]:
     return [[float(x) for x in v] for v in vecs]
 
 
+def _int_field(option: str, field: str, text: str) -> int:
+    """One integer field of a comma-separated ``build`` option, e.g. m of ``--random``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{option}: {field} must be an integer, got {text!r}") from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     from . import builders, model
 
@@ -161,14 +169,19 @@ def cmd_build(args: argparse.Namespace) -> int:
         parts = value.split(",")
         if len(parts) not in (3, 4):
             raise ValueError("--random expects n,m,seed[,angle_only]")
-        params = {"m": int(parts[1]), "seed": int(parts[2]), "angle_only": len(parts) == 4}
-        algorithm = builders.build_fixture(builders.FixtureSpec(kind, int(parts[0]), params))
+        if len(parts) == 4 and parts[3] != "angle_only":
+            raise ValueError(f"--random: the fourth field must be angle_only, got {parts[3]!r}")
+        n, m, seed = (_int_field("--random", f, p) for f, p in zip(("n", "m", "seed"), parts))
+        params = {"m": m, "seed": seed, "angle_only": len(parts) == 4}
+        algorithm = builders.build_fixture(builders.FixtureSpec(kind, n, params))
     else:
+        option = f"--{kind.replace('_', '-')}"
         parts = value.split(",")
         if len(parts) != 3:
-            raise ValueError(f"--{kind.replace('_', '-')} expects n,c,k")
-        params = {"c": parse_number(parts[1]), "k": int(parts[2])}
-        algorithm = builders.build_fixture(builders.FixtureSpec(kind, int(parts[0]), params))
+            raise ValueError(f"{option} expects n,c,k")
+        n = _int_field(option, "n", parts[0])
+        params = {"c": parse_number(parts[1]), "k": _int_field(option, "k", parts[2])}
+        algorithm = builders.build_fixture(builders.FixtureSpec(kind, n, params))
     model.write_algorithm(algorithm, args.output)
     sys.stdout.write(f"wrote {args.output} (n={algorithm.n}, m={algorithm.m})\n")
     return 0

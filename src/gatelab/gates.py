@@ -14,8 +14,10 @@ j, cos, sin, c and 1/c), and the trajectory of (M(t) P, M(t)^{-T} Q) is
 walked in one of two ways:
 
 - ``replay`` applies one gate per step and yields every intermediate state.
-  ``matrices_at``, ``validate`` (which needs every step's SVD) and the
-  quantized cell search use it.
+  ``matrices_at``, ``validate`` and the quantized cell search use it.
+  ``validate`` reads only the rows and columns of M(t) M(t)^{-T}.T that
+  gate t rewrites, and runs an SVD only at t = 0 and after a constant with
+  |c| != 1, the only gates that change singular values.
 - ``replay_layers`` applies the gates in as-soon-as-possible layers
   (``layer``): the gates of one layer touch disjoint rows, gates that share
   a row keep their order, and each layer is split into blocks of at most
@@ -548,24 +550,37 @@ class TrajectoryDiagnostics:
 
 
 def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> TrajectoryDiagnostics:
-    """Replay the trajectory and report consistency diagnostics.
+    """Replay the trajectory and report consistency diagnostics, O(n^2) per gate.
 
     Residual is the max entrywise deviation of M(t) * M(t)^{-T}.T from the
-    identity over all t; condition numbers come from a full SVD at each step.
-    A residual above ``residual_tol`` flags the algorithm as numerically
-    unstable (only pathological constants can cause this).
+    identity over all t.  It is exactly 0 at t = 0, and gate t rewrites only
+    rows i, j of both matrices, so only rows i, j and columns i, j of the
+    product can change: the running maximum reads those alone.  Rotations
+    and reflections (|c| = 1) leave singular values unchanged, so the
+    condition number comes from an SVD at t = 0 and after each constant
+    with |c| != 1, and is repeated at every other step.  A residual above
+    ``residual_tol`` flags the algorithm as numerically unstable (only
+    pathological constants can cause this).
     """
-    n = algorithm.n
-    eye = np.eye(n)
+    rescales = (np.abs(algorithm.arrays.c) != 1.0).tolist()
     max_residual = 0.0
     kappas: list[float] = []
-    for _, _, M, Minv_T in replay(algorithm):
-        residual = float(np.abs(M @ Minv_T.T - eye).max())
-        max_residual = max(max_residual, residual)
-        svals = np.linalg.svd(M, compute_uv=False)
-        kappas.append(float(svals[0] / svals[-1]))
+    changed = np.empty((4, algorithm.n))  # the rewritten rows, then the rewritten columns
+    for t, rows, M, Minv_T in replay(algorithm):
+        if rows:
+            k = len(rows)
+            rows = list(rows)
+            lines = changed[: 2 * k]
+            np.matmul(M[rows], Minv_T.T, out=lines[:k])
+            np.matmul(Minv_T[rows], M.T, out=lines[k:])  # columns, as rows k..2k-1
+            lines[range(2 * k), rows + rows] -= 1.0
+            max_residual = max(max_residual, float(np.abs(lines, out=lines).max()))
+        if t == 0 or rescales[t - 1]:
+            svals = np.linalg.svd(M, compute_uv=False)
+            kappa = float(svals[0] / svals[-1])
+        kappas.append(kappa)
     return TrajectoryDiagnostics(
-        n=n,
+        n=algorithm.n,
         m=algorithm.m,
         max_residual=max_residual,
         kappas=kappas,

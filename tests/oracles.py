@@ -20,13 +20,15 @@ did before they walked in layers: ``best_candidate_reference`` is the
 sequential extraction scan, ``window_products_reference`` the window products
 of the scan and the chain, and ``trace_bounds_reference`` the per-gate change
 bounds of the trace.  The layered analyses must match them bit for bit.
+``validate_reference`` is ``validate`` as a dense check at every step: the
+full residual product and an SVD after each gate.
 """
 
 import math
 
 import numpy as np
 
-from gatelab.gates import Constant, Rotation, replay, touched
+from gatelab.gates import Constant, Rotation, TrajectoryDiagnostics, replay, touched
 from gatelab.potential import ZERO_PRODUCT, change_bound
 
 
@@ -204,3 +206,24 @@ def trace_bounds_reference(algorithm, P=None, Q=None):
         next(steps)
         bounds.append(change_bound(len(rows), before, _block_product(A, B, rows)))
     return bounds
+
+
+def validate_reference(algorithm, residual_tol=1e-6):
+    """``validate`` with the n^3 residual product and a full SVD at every step."""
+    n = algorithm.n
+    eye = np.eye(n)
+    max_residual = 0.0
+    kappas: list[float] = []
+    for _, _, M, Minv_T in replay(algorithm):
+        residual = float(np.abs(M @ Minv_T.T - eye).max())
+        max_residual = max(max_residual, residual)
+        svals = np.linalg.svd(M, compute_uv=False)
+        kappas.append(float(svals[0] / svals[-1]))
+    return TrajectoryDiagnostics(
+        n=n,
+        m=algorithm.m,
+        max_residual=max_residual,
+        kappas=kappas,
+        max_kappa=float(max(kappas)),
+        stable=max_residual <= residual_tol,
+    )

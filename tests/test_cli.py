@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gatelab import quantized
 from gatelab.potential import trace_potential
 from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
-from gatelab.gates import read_algorithm
+from gatelab.gates import read_algorithm, touched
 
 from oracles import assert_lemma_contract, simulate_csv_reference, trace_csv_reference
 
@@ -238,6 +238,14 @@ def test_build_requires_exactly_one_source(tmp_path):
     assert run(["build", "--wht", 4, "--dft", 8, "-o", tmp_path / "x.alg"]) == 1
 
 
+def test_build_random_angle_only_writes_rotations_alone(tmp_path):
+    mixed, rotations = tmp_path / "mixed.alg", tmp_path / "rotations.alg"
+    assert run(["build", "--random", "8,40,1", "-o", mixed]) == 0
+    assert run(["build", "--random", "8,40,1,angle_only", "-o", rotations]) == 0
+    assert any(len(touched(g)) == 1 for g in read_algorithm(mixed).gates)
+    assert all(len(touched(g)) == 2 for g in read_algorithm(rotations).gates)
+
+
 def test_round_trip_through_every_reader(tmp_path):
     alg = tmp_path / "mix.alg"
     run(["build", "--random", "6,30,5", "-o", alg])
@@ -316,6 +324,14 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["build", "--random", "1,5,1", "-o", "ALG"], "dimension must be at least 2, got n=1"),
         (["build", "--random", "8,5,-1", "-o", "ALG"],
          "seed must be a non-negative integer, got -1"),
+        (["build", "--random", "8,5,1,0", "-o", "ALG"],
+         "--random: the fourth field must be angle_only, got '0'"),
+        (["build", "--random", "a,5,1", "-o", "ALG"], "--random: n must be an integer, got 'a'"),
+        (["build", "--random", "8,5,1.5", "-o", "ALG"],
+         "--random: seed must be an integer, got '1.5'"),
+        (["build", "--scaled", "8,2,x", "-o", "ALG"], "--scaled: k must be an integer, got 'x'"),
+        (["build", "--inverse-scaled", "8.0,2,1", "-o", "ALG"],
+         "--inverse-scaled: n must be an integer, got '8.0'"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):

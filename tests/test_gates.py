@@ -24,7 +24,12 @@ from gatelab import (
 
 from gatelab.gates import BLOCK_ELEMENTS, layer, replay_layers, start_pair
 
-from oracles import compose_dense, compose_dense_inverse_transpose, wht_sign_matrix
+from oracles import (
+    compose_dense,
+    compose_dense_inverse_transpose,
+    validate_reference,
+    wht_sign_matrix,
+)
 
 
 def test_apply_to_vector_wht2():
@@ -231,6 +236,67 @@ def test_validate_empty_gate_list():
     diag = validate(LinearAlgorithm(3, ()))
     assert diag.max_residual == 0.0
     assert diag.kappas == [1.0]
+
+
+# A scaling by |c| in [1/2, 2] multiplies the condition number by at most 2,
+# so 19 of them keep every kappa below 2^19 < 1e6.
+_MAX_SCALINGS = 19
+
+
+@st.composite
+def validate_programs(draw):
+    """Rotations, reflections (c = -1) and scalings with |c| != 1 on few rows,
+    so that rows repeat from gate to gate."""
+    n = draw(st.integers(2, 6))
+    gates, scalings = [], 0
+    for kind in draw(st.lists(st.sampled_from("RFC"), max_size=40)):
+        i = draw(st.integers(0, n - 1))
+        if kind == "R":
+            j = draw(st.integers(0, n - 2))
+            gates.append(Rotation(i, j + (j >= i), draw(st.floats(-7, 7))))
+        elif kind == "F" or scalings == _MAX_SCALINGS:
+            gates.append(Constant(i, -1.0))
+        else:
+            scalings += 1
+            c = draw(st.floats(0.5, 2.0).filter(lambda x: x != 1.0))
+            gates.append(Constant(i, draw(st.sampled_from([-1.0, 1.0])) * c))
+    return LinearAlgorithm(n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(validate_programs())
+def test_validate_matches_the_dense_check_at_every_step(algorithm):
+    # the touched-row residual and the repeated kappas agree with the full
+    # residual product and an SVD after every gate
+    got, want = validate(algorithm), validate_reference(algorithm)
+    assert got.stable == want.stable
+    assert len(got.kappas) == len(want.kappas) == algorithm.m + 1
+    for kappa, expected in zip(got.kappas, want.kappas):
+        assert abs(kappa - expected) <= 1e-9 * expected
+    assert abs(got.max_residual - want.max_residual) <= 1e-9
+
+
+def test_validate_runs_an_svd_only_after_a_rescaling_constant(monkeypatch):
+    gates = (
+        Rotation(0, 1, 0.3), Constant(2, -1.0), Constant(1, 3.0), Rotation(1, 2, 1.1),
+        Constant(0, -1.0), Rotation(0, 2, -0.4), Constant(2, 0.25), Rotation(2, 3, 2.0),
+        Constant(3, 1.0), Rotation(3, 0, 0.7),
+    )
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    diag = validate(LinearAlgorithm(4, gates))
+    assert len(calls) == 1 + 2  # t = 0, then after c = 3 and c = 0.25
+    kappas = diag.kappas
+    # steps 1-2 follow t = 0, steps 4-6 the scaling by 3, steps 8-10 the one by 1/4
+    assert kappas[0] == kappas[1] == kappas[2] == 1.0
+    assert kappas[3] == kappas[4] == kappas[5] == kappas[6] != 1.0
+    assert kappas[7] == kappas[8] == kappas[9] == kappas[10] != kappas[3]
 
 
 def test_inverse_consistency_and_vector_agreement_random():

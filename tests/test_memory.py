@@ -2,8 +2,9 @@
 
 ``tracemalloc`` counts numpy's array buffers, so the peak it reports over a
 call is the most the call held at once beyond what existed before it.  A
-walk holds A and B (2n^2 floats) plus one fixed workspace; ``simulate``
-holds one n x chunk sample array plus small accumulators.
+walk holds A and B (2n^2 floats) plus one fixed workspace; ``validate``
+holds M and M^{-T} plus a few rows; ``simulate`` holds one n x chunk sample
+array plus small accumulators.
 """
 
 import tracemalloc
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gatelab import build_wht, quasi_entropy, scan_bottlenecks, trace_potential
+from gatelab import build_wht, quasi_entropy, scan_bottlenecks, trace_potential, validate
 from gatelab.potential import row_contribs
 from gatelab.quantized import simulate
 
@@ -41,6 +42,12 @@ def test_walks_hold_the_two_matrices_and_a_fixed_workspace(walk):
     algorithm = build_wht(1024)
     two_matrices = 2 * algorithm.n**2 * 8
     assert _peak(lambda: walk(algorithm)) <= two_matrices + 4 * MB
+
+
+def test_validate_holds_the_two_matrices_and_no_full_size_product():
+    # the compiled gate arrays and the replay's gate columns take the rest
+    algorithm = build_wht(256)
+    assert _peak(lambda: validate(algorithm)) <= 3 * algorithm.n**2 * 8
 
 
 def test_simulate_holds_one_sample_array():
