@@ -149,6 +149,14 @@ def _int_field(option: str, field: str, text: str) -> int:
         raise ValueError(f"{option}: {field} must be an integer, got {text!r}") from None
 
 
+def _number_field(option: str, field: str, text: str) -> float:
+    """One number field (``parse_number``) of a comma-separated ``build`` option, e.g. c of ``--scaled``."""
+    try:
+        return parse_number(text)
+    except ValueError:
+        raise ValueError(f"{option}: {field} must be a number, got {text!r}") from None
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     from . import builders, model
 
@@ -180,7 +188,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         if len(parts) != 3:
             raise ValueError(f"{option} expects n,c,k")
         n = _int_field(option, "n", parts[0])
-        params = {"c": parse_number(parts[1]), "k": _int_field(option, "k", parts[2])}
+        params = {"c": _number_field(option, "c", parts[1]), "k": _int_field(option, "k", parts[2])}
         algorithm = builders.build_fixture(builders.FixtureSpec(kind, n, params))
     model.write_algorithm(algorithm, args.output)
     sys.stdout.write(f"wrote {args.output} (n={algorithm.n}, m={algorithm.m})\n")
@@ -334,12 +342,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     from . import directions
 
     algorithm = _load(args.algorithm)
-    over, under = directions.extract_directions(
-        algorithm,
-        tau=args.tau,
-        unrestricted=args.unrestricted,
-        require_wht_target=not args.no_target_check,
-    )
+    try:
+        over, under = directions.extract_directions(
+            algorithm,
+            tau=args.tau,
+            unrestricted=args.unrestricted,
+            require_wht_target=not args.no_target_check,
+        )
+    except directions.TargetMismatch as exc:
+        raise ValueError(f"{exc}; pass --no-target-check to extract anyway") from None
 
     def system_payload(system: directions.DirectionSystem) -> dict:
         return {

@@ -1,10 +1,10 @@
 """Greedy extraction of orthonormal overflow/underflow direction systems.
 
 The extraction walks the trajectory looking for touched rows that stay large
-after projecting away everything already extracted.  Maintaining projections
-P (orthogonal complement of the overflow directions) and Q (of the underflow
-directions), each round scans candidate pairs (step t, coordinate i) and
-rates them by the product
+after projecting away everything already extracted.  Writing P for the
+projection onto the orthogonal complement of the overflow directions and Q
+for that of the underflow directions, each round rates every candidate pair
+(step t, coordinate i) by the product
 
     |row_i(M(t)) P| * |row_i(M(t)^{-T}) Q|.
 
@@ -16,19 +16,71 @@ are below tau, so in particular every product is below tau squared.
 
 Because an extracted direction is the projected row itself (normalized), the
 same (t, i) pair can never re-qualify on the same side: its projected row is
-annihilated by the update P <- P - v v^T.  Each step contributes at most two
-coordinates, so a system of size k spans at least k/2 distinct steps; the
-unrestricted scan offers all n coordinates at every step, so there it spans
-at least k/n.
+annihilated by the update.  Each step contributes at most two coordinates,
+so a system of size k spans at least k/2 distinct steps; the unrestricted
+scan offers all n coordinates at every step, so there it spans at least k/n.
 
 The default threshold is sqrt(b/2) for speedup factor b = n*log2(n)/m.
 
-Each round walks the trajectory layer by layer (``gates.replay_layers``).
-Right after a block is applied, its rows are exactly the candidates (t, i)
-of the block's gates, so one batch of row norms rates them all.  Blocks come
-in layer order, not step order, so the winner is kept by the rule the
-sequential scan's strict ``>`` implements: the largest score wins, and among
-exactly equal scores the smallest (t, i).
+The ledger.  P and Q are never formed.  For a candidate row r and an
+orthonormal system v_1..v_k, |r P|^2 = |r|^2 - sum_j (r . v_j)^2, and
+r . v = (M(t) v)_i.  So one layered walk of (I, I) (``gates.replay_layers``)
+gives every candidate's |r|^2 and |s|^2 (s its row of M(t)^{-T}) and the
+final M(m) for the target check.  After that a round
+
+- rates every candidate from its two squared residuals;
+- materialises only the winner's row, by a transposed walk of e_i
+  (``gates.VectorWalk.row``), and orthogonalises it against its own system
+  (Gram-Schmidt, twice), so the recorded magnitude is the norm |w| of that
+  row, not the ledger's value;
+- pushes the new unit vector once through M (overflow) or M^{-T}
+  (underflow) (``gates.VectorWalk.push``), which gives r . v for every
+  candidate and updates the ledger in O(m).
+
+One round costs O(m + kn), not the O(mn) of replaying both matrices.
+
+Rounding.  Let u = 2^-53.  A rotation writes two entries (a, b) as
+fl(c a + s b) and fl(-s a + c b); with float c and s, c^2 + s^2 is within 2u
+of 1, so the pair is off by at most 5u |(a, b)|.  Rotations and reflections
+preserve the 2-norm of what follows, so after t of them a pushed unit vector
+is off by at most 5tu, and a walked row of M(t) by at most 7tu |r|.  The
+ledger's squared residual over k directions is therefore within
+
+    zeta |r|^2,   zeta = u (n + k + 14t + 10 t sqrt(k))  <=  u (2n + m (14 + 10 sqrt(n)))
+
+of the exact one: the n squares of |r|^2 add n u, the k subtractions k u,
+and sum_j 2 |r . v_j| 5tu |r| <= 10 t sqrt(k) u |r|^2 by Cauchy-Schwarz, as
+sum_j (r . v_j)^2 <= |r|^2.  The right-hand side, with k = n and t = m, is
+the ``rounding_bound`` used.  A constant with |c| != 1 scales a row and its
+error alike, at one more rounding, so the bound holds relative to the row
+while rows of different norms are not mixed, as in the planted fixtures; a
+program that mixes them loses relative accuracy in proportion to its norm
+growth, and then only the exact winner check below stands guard.
+
+The selection rule, which rounding noise cannot flip:
+
+- A factor whose squared residual is at most zeta |r|^2 counts as exactly 0.
+  Once one system spans R^n, every factor on that side is 0 in exact
+  arithmetic; without this rule the ledger's noise (about 1e-16 |r|^2)
+  would rank the other side's candidates.
+- Scores within the relative tolerance rho = 2 sqrt(zeta) of the top score
+  tie.  A squared residual L above sqrt(zeta) |r|^2 is off by at most
+  sqrt(zeta) relative, its factor by half that, and a product of two such
+  factors by sqrt(zeta); two scores equal in exact arithmetic thus differ
+  by less than rho.  Ties go to the smallest step, then the smallest
+  coordinate, and then, when the two factors are equal within rho, to the
+  overflow side.
+- The winner's side must still reach tau - 1e-12 once materialised
+  exactly; if rounding beyond the bound made it qualify, the extraction
+  raises instead of recording it.
+
+So where two scores are equal in exact arithmetic the rule, not the noise,
+picks.  On the inverse-scaled fixtures at the default tau (n >= 8), the
+overflow system spans R^n before the underflow side is done, and the later
+underflow picks are the smallest steps with a unit factor, e.g. (13, 4),
+(13, 5), (15, 6), (15, 7) at magnitude 1 for n=8, where a per-round rescan
+with the projections picked the noise maxima (29, 2), (31, 3), (27, 1),
+(25, 0) at magnitude 0.707.
 """
 
 from __future__ import annotations
@@ -39,8 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import Block, LinearAlgorithm, layer, matrices_at, replay_layers, start_pair
-from .potential import row_norms
+from .gates import LinearAlgorithm, VectorWalk, layer, replay_layers, start_pair
 
 
 def speedup_factor(algorithm: LinearAlgorithm) -> float:
@@ -89,16 +140,32 @@ class DirectionSystem:
             raise RuntimeError("direction system concentrated on too few steps")
 
 
-def _orthogonalize(w: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    # Deflation already leaves w orthogonal to the basis up to float noise;
-    # re-orthogonalize explicitly only when the residual is visible.
-    if basis:
-        V = np.array(basis)
-        dots = V @ w
-        if np.abs(dots).max() > 1e-10 * max(np.linalg.norm(w), 1e-30):
-            w = w - V.T @ dots
-            w = w - V.T @ (V @ w)
-    return w
+def rounding_bound(n: int, m: int) -> float:
+    """zeta: a squared residual of the ledger is within zeta |r|^2 of the exact one
+    (see the module docstring)."""
+    return 2.0**-53 * (2 * n + m * (14 + 10 * math.sqrt(n)))
+
+
+class TargetMismatch(ValueError):
+    """The final matrix of the gate list is not the Walsh-Hadamard transform."""
+
+
+def _squared_row_norms(
+    algorithm: LinearAlgorithm, require_wht_target: bool, target_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """|row_i(M(t))|^2 and |row_i(M(t)^{-T})|^2 of every touched row, by one
+    layered walk of (I, I), in the row order of the layering; the walk's
+    M(m) is checked against the transform."""
+    blocks = layer(algorithm).blocks
+    cuts = blocks.row_cuts
+    r2, s2 = np.empty(blocks.rows.size), np.empty(blocks.rows.size)
+    A, B = start_pair(algorithm.n)
+    for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B)):
+        np.einsum("ij,ij->i", a1, a1, out=r2[cuts[b] : cuts[b + 1]])
+        np.einsum("ij,ij->i", b1, b1, out=s2[cuts[b] : cuts[b + 1]])
+    if require_wht_target and float(np.abs(A - wht_matrix(algorithm.n)).max()) > target_tol:
+        raise TargetMismatch("final matrix is not the Walsh-Hadamard transform")
+    return r2, s2
 
 
 def extract_directions(
@@ -111,97 +178,87 @@ def extract_directions(
     """Extract the overflow and underflow systems at threshold tau.
 
     The scan visits each step's touched coordinates; ``unrestricted`` widens
-    it to every coordinate at every step (including step 0).  Ties are broken
-    toward the smallest step, then the smallest coordinate, and toward the
-    overflow side when both factors are equal.
+    it to every coordinate at every step (including step 0).  Selection
+    follows the rule of the module docstring.  A final matrix other than the
+    Walsh-Hadamard transform raises ``TargetMismatch`` (a ``ValueError``)
+    unless ``require_wht_target`` is False.
 
     The unrestricted scan needs only the rows at step 0 and the touched rows.
-    A row that gate t does not touch is, at step t, bit for bit the row it
-    was at step t - 1, so the candidate (t, i) has exactly the factors of
-    (t - 1, i); by induction, those of (s, i) for the last step s <= t that
-    touched row i, or s = 0.  (s, i) comes first in scan order, so under the
-    strict first maximum (t, i) never wins, and dropping it changes nothing.
+    A row that gate t does not touch is, at step t, the row it was at step
+    t - 1, so the candidate (t, i) has exactly the factors of (t - 1, i);
+    by induction, those of (s, i) for the last step s <= t that touched row
+    i, or s = 0.  (s, i) comes first in scan order, so it wins every tie
+    and (t, i) never does: dropping it changes nothing.
     """
     n = algorithm.n
-    if require_wht_target:
-        M_final, _ = matrices_at(algorithm, algorithm.m)
-        if float(np.abs(M_final - wht_matrix(n)).max()) > target_tol:
-            raise ValueError(
-                "final matrix is not the Walsh-Hadamard transform; "
-                "pass require_wht_target=False to extract anyway"
-            )
+    r2, s2 = _squared_row_norms(algorithm, require_wht_target, target_tol)
     if tau is None:
         tau = math.sqrt(speedup_factor(algorithm) / 2.0)
     if tau <= 0:
         raise ValueError(f"threshold must be positive, got {tau}")
 
-    blocks = list(layer(algorithm).blocks)  # made once, walked in every round
-    P = np.eye(n)
-    Q = np.eye(n)
-    over = DirectionSystem("overflow", [], [], [], [], tau)
-    under = DirectionSystem("underflow", [], [], [], [], tau)
+    walk = VectorWalk(algorithm)
+    steps, coords = walk.steps, walk.rows
+    first = n if unrestricted else 0  # the step-0 rows are unit rows
+    if unrestricted:
+        steps = np.concatenate((np.zeros(n, dtype=np.int64), steps))
+        coords = np.concatenate((np.arange(n), coords))
+        r2, s2 = (np.concatenate((np.ones(n), x)) for x in (r2, s2))
+    rank = np.empty(steps.size, dtype=np.int64)  # position in (step, coordinate) order
+    rank[np.lexsort((coords, steps))] = np.arange(steps.size)
+    zeta = rounding_bound(n, algorithm.m)
+    rho = 2.0 * math.sqrt(zeta)
 
-    for _ in range(2 * n):
-        best = _best_candidate(algorithm, blocks, P, Q, tau, unrestricted)
-        if best is None:
+    systems = (
+        DirectionSystem("overflow", [], [], [], [], tau),
+        DirectionSystem("underflow", [], [], [], [], tau),
+    )
+    bases = (np.empty((n, n)), np.empty((n, n)))
+    squares = (r2, s2)
+    residuals = (r2.copy(), s2.copy())
+    factors = np.empty((2, steps.size))
+    pushed = np.empty(steps.size)
+    while systems[0].size + systems[1].size < 2 * n:
+        for side in (0, 1):
+            factors[side] = 0.0
+            np.sqrt(residuals[side], out=factors[side],
+                    where=residuals[side] > zeta * squares[side])
+        norm_m, norm_q = factors
+        qualifies = np.maximum(norm_m, norm_q) >= tau
+        if not qualifies.any():
             break
-        _, t, i, norm_m, norm_q, row_m, row_q = best
-        if norm_m >= norm_q:
-            system, projection, row, magnitude = over, P, row_m, norm_m
-        else:
-            system, projection, row, magnitude = under, Q, row_q, norm_q
-        w = _orthogonalize(row, system.vectors)
-        v = w / np.linalg.norm(w)
-        system.vectors.append(v)
+        score = norm_m * norm_q
+        (tied,) = np.nonzero(qualifies & (score >= score[qualifies].max() * (1.0 - rho)))
+        k = tied[np.argmin(rank[tied])]
+        side = 0 if norm_m[k] >= norm_q[k] * (1.0 - rho) else 1
+        t, i = int(steps[k]), int(coords[k])
+
+        system = systems[side]
+        V = bases[side][: system.size]
+        w = walk.row(t, i, inverse_transpose=side == 1)
+        w -= V.T @ (V @ w)
+        w -= V.T @ (V @ w)
+        magnitude = float(np.linalg.norm(w))
+        if magnitude < tau - 1e-12:
+            raise RuntimeError(
+                f"{system.kind} candidate ({t}, {i}) rated {factors[side, k]!r} but its row "
+                f"gives {magnitude!r} < tau: rounding beyond the ledger's bound"
+            )
+        v = np.divide(w, magnitude, out=bases[side][system.size])
+        system.vectors.append(v)  # a row of the system's basis array
         system.steps.append(t)
         system.coords.append(i)
         system.magnitudes.append(magnitude)
-        projection -= np.outer(v, v)
-        projection[:] = (projection + projection.T) / 2.0
+        if unrestricted:
+            pushed[:first] = v
+        walk.push(v.copy(), inverse_transpose=side == 1, out=pushed[first:])
+        np.subtract(residuals[side], np.square(pushed, out=pushed), out=residuals[side])
 
+    over, under = systems
     per_step = n if unrestricted else 2
     over.check(per_step=per_step)
     under.check(per_step=per_step)
     return over, under
-
-
-def _best_candidate(
-    algorithm: LinearAlgorithm,
-    blocks: list[Block],
-    P: np.ndarray,
-    Q: np.ndarray,
-    tau: float,
-    unrestricted: bool,
-):
-    """Scan one pass for the qualifying pair with the largest factor product.
-
-    Returns ``(score, t, i, |row_i(M(t)) P|, |row_i(M(t)^{-T}) Q|, row, row)``
-    of the winner, or None when no candidate qualifies.
-    """
-    best = None
-
-    def rate(steps: np.ndarray, coords: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-        nonlocal best
-        norm_m, norm_q = row_norms(a), row_norms(b)
-        score = norm_m * norm_q
-        qualifies = np.maximum(norm_m, norm_q) >= tau
-        if not qualifies.any():
-            return
-        top = score[qualifies].max()
-        if best is not None and top < best[0]:
-            return
-        (tied,) = np.nonzero(qualifies & (score == top))
-        k = tied[np.lexsort((coords[tied], steps[tied]))[0]]
-        t, i = int(steps[k]), int(coords[k])
-        if best is None or top > best[0] or (t, i) < best[1:3]:
-            best = (float(top), t, i, float(norm_m[k]), float(norm_q[k]), a[k].copy(), b[k].copy())
-
-    A, B = start_pair(algorithm.n, P, Q)
-    if unrestricted:
-        rate(np.zeros(algorithm.n, dtype=np.int64), np.arange(algorithm.n), A, B)
-    for block, _, _, a1, b1 in replay_layers(blocks, A, B):
-        rate(block.row_units + 1, block.rows, a1, b1)  # gate g is step g + 1
-    return best
 
 
 @dataclass

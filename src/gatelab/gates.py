@@ -14,7 +14,7 @@ j, cos, sin, c and 1/c), and the trajectory of (M(t) P, M(t)^{-T} Q) is
 walked in one of two ways:
 
 - ``replay`` applies one gate per step and yields every intermediate state.
-  ``matrices_at``, ``validate`` and the quantized cell search use it.
+  ``matrices_at`` and ``validate`` use it.
   ``validate`` reads only the rows and columns of M(t) M(t)^{-T}.T that
   gate t rewrites, and runs an SVD only at t = 0 and after a constant with
   |c| != 1, the only gates that change singular values.
@@ -25,17 +25,25 @@ walked in one of two ways:
   into a ``Workspace`` that the walk reuses, and the block is applied there
   with fancy indexing, so the walk allocates nothing per block.  ``trace_potential``,
   ``scan_bottlenecks``, ``verify_bottleneck_chain`` and
-  ``extract_directions`` use it: each reads only the rows a gate, or a
-  window of R gates, rewrites, so it can rate a whole block in a few numpy
-  calls.  Windows of R > 1 gates are layered as units, so a block holds
+  ``extract_directions`` (once, for its row norms) use it: each reads only
+  the rows a gate, or a window of R gates, rewrites, so it can rate a whole
+  block in a few numpy calls.  Windows of R > 1 gates are layered as units, so a block holds
   every row of its windows from the window's start to its end.
 
 Both walks give bit-identical matrices: every element sees the same
 elementwise multiplications and additions in the same order (numpy's
 elementwise ufuncs never fuse or reassociate), so only the order in which
-disjoint rows are visited differs.  ``simulate`` and ``apply_to_vector``
-apply gate objects one by one; they are bound by the sample columns or by a
-single vector, not by Python-level steps.  ``validate`` replays the
+disjoint rows are visited differs.
+
+A single vector walks the same layering, cut for one column so that a
+layer is one block (``VectorWalk``): ``push`` takes x to M(m) x or
+M(m)^{-T} x and reports its entry at every touched (t, i) on the way, in
+O(m) numpy work and a few calls per layer; ``row`` walks e_i back through
+the transposed gates to give one row of M(t) or M(t)^{-T}.
+``extract_directions`` and the quantized cell search use them.
+``simulate`` and ``apply_to_vector`` apply gate objects one by one; they
+are bound by the sample columns or by a single vector, not by Python-level
+steps.  ``validate`` replays the
 trajectory and reports its inverse consistency and condition numbers.
 
 Coordinates are 0-based everywhere, including the text file format.
@@ -181,26 +189,34 @@ def replay(
     A, B = start_pair(algorithm.n, P, Q)
     scratch = np.empty((2, algorithm.n))
     arrays = algorithm.arrays
-    columns = zip(
-        *(
-            getattr(arrays, name)[:stop].tolist()
-            for name in ("rotation", "i", "j", "cos", "sin", "c", "inv_c")
-        )
-    )
 
     def steps():
         yield 0, (), A, B
-        for t, (rotation, i, j, cos, sin, c, inv_c) in enumerate(columns, start=1):
-            if rotation:
-                rotate_rows(A, i, j, cos, sin, scratch)
-                rotate_rows(B, i, j, cos, sin, scratch)
-                yield t, (i, j), A, B
-            else:
-                A[i] *= c
-                B[i] *= inv_c
-                yield t, (i,), A, B
+        # the gate columns as Python numbers, a bounded chunk at a time
+        for lo in range(0, stop, REPLAY_CHUNK):
+            hi = min(lo + REPLAY_CHUNK, stop)
+            columns = zip(
+                *(
+                    getattr(arrays, name)[lo:hi].tolist()
+                    for name in ("rotation", "i", "j", "cos", "sin", "c", "inv_c")
+                )
+            )
+            for t, (rotation, i, j, cos, sin, c, inv_c) in enumerate(columns, start=lo + 1):
+                if rotation:
+                    rotate_rows(A, i, j, cos, sin, scratch)
+                    rotate_rows(B, i, j, cos, sin, scratch)
+                    yield t, (i, j), A, B
+                else:
+                    A[i] *= c
+                    B[i] *= inv_c
+                    yield t, (i,), A, B
 
     return steps()
+
+
+# Gates per chunk of ``replay``'s Python-number columns: about 150 bytes a
+# gate, so a chunk holds some 40 kB however long the gate list.
+REPLAY_CHUNK = 256
 
 
 # The most matrix elements (rows times n) a layered block gathers per side,
@@ -396,13 +412,15 @@ class Layering(NamedTuple):
     layers: int
 
 
-def layer(algorithm: LinearAlgorithm, R: int = 1) -> Layering:
+def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> Layering:
     """As-soon-as-possible layering of the algorithm's units of R gates.
 
     A unit joins the layer after the last one that touched any of its rows,
     so units in one layer touch disjoint rows and units that share a row
     keep their order.  Each layer is cut into blocks of at most
-    ``BLOCK_ELEMENTS`` elements per side (a unit is never split).
+    ``BLOCK_ELEMENTS`` elements per side (a unit is never split), for rows
+    of ``width`` columns (default n).  The width moves only the cuts: units
+    and rows come in the same order at every width.
     """
     if R < 1:
         raise ValueError(f"unit size must be at least 1, got {R}")
@@ -435,7 +453,7 @@ def layer(algorithm: LinearAlgorithm, R: int = 1) -> Layering:
     # into blocks of at most ``cap`` rows
     order = np.lexsort((sizes, level))
     sizes_o = sizes[order]
-    cap = max(1, BLOCK_ELEMENTS // n)
+    cap = max(1, BLOCK_ELEMENTS // (n if width is None else width))
     cuts = []
     used, current = 0, -1
     for p, (lv, size) in enumerate(zip(level[order].tolist(), sizes_o.tolist())):
@@ -528,6 +546,86 @@ def replay_layers(
         A[block.rows] = a1
         B[block.rows] = b1
         yield block, a0, b0, a1, b1
+
+
+class VectorWalk:
+    """The layering of single gates compiled for walks of one vector.
+
+    A vector's walk costs a few numpy calls per layer: the layering is cut
+    for one column (``layer(algorithm, width=1)``), so each layer is one
+    block while n <= ``BLOCK_ELEMENTS``.  ``rows[k]`` is the k-th row that a
+    gate rewrites and ``steps[k]`` that gate's step (gate g is step g + 1),
+    in the row order of the layering at any width, so entry k of ``push``
+    lines up with row k of ``replay_layers`` over ``layer(algorithm)``.
+    """
+
+    def __init__(self, algorithm: LinearAlgorithm):
+        blocks = layer(algorithm, width=1).blocks
+        self.n = algorithm.n
+        self.rows = blocks.rows
+        self.steps = blocks.row_units + 1
+        self._row_cuts = blocks.row_cuts
+        # R = 1: gate runs (block b, rotations) and (block b, constants) are
+        # bounded by cuts[2b : 2b + 3], each run in ascending gate order
+        self._cuts = blocks.gate_cuts
+        self._gates = blocks.gates
+        run_block = np.repeat(np.arange(len(blocks)), np.diff(self._cuts[::2]))
+        base = np.asarray(self._row_cuts, dtype=np.int64)[run_block]
+        self._i = blocks.rows[blocks.gate_rows[0] + base]
+        self._j = blocks.rows[blocks.gate_rows[1] + base]
+        self._first, self._second, self._neg_sin = blocks.first, blocks.second, blocks.neg_sin
+        self._block_of = np.empty(algorithm.m, dtype=np.int64)
+        self._block_of[blocks.gates] = run_block
+
+    def push(
+        self, x: np.ndarray, inverse_transpose: bool = False, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Walk x in place to M(m) x, or to M(m)^{-T} x with ``inverse_transpose``.
+
+        Returns ``out`` (fresh if None): entry k is (M(t) x)_i, or
+        (M(t)^{-T} x)_i, for (t, i) = (``steps[k]``, ``rows[k]``).  Every
+        entry of x sees the operations of ``apply_gate_rows`` in order, so x
+        ends bit-identical to ``apply_to_vector``.
+        """
+        if out is None:
+            out = np.empty(self.rows.size)
+        cuts, row_cuts, first, second = self._cuts, self._row_cuts, self._first, self._second
+        for b in range(len(row_cuts) - 1):
+            r0, r1, r2 = cuts[2 * b : 2 * b + 3]
+            if r1 > r0:
+                ri, rj = self._i[r0:r1], self._j[r0:r1]
+                xi, xj = x[ri], x[rj]
+                x[ri] = first[r0:r1] * xi + second[r0:r1] * xj
+                x[rj] = self._neg_sin[r0:r1] * xi + first[r0:r1] * xj
+            if r2 > r1:
+                x[self._i[r1:r2]] *= second[r1:r2] if inverse_transpose else first[r1:r2]
+            lo, hi = row_cuts[b], row_cuts[b + 1]
+            gather_rows(x, self.rows[lo:hi], out[lo:hi])
+        return out
+
+    def row(self, t: int, i: int, inverse_transpose: bool = False) -> np.ndarray:
+        """Row i of M(t), or of M(t)^{-T} with ``inverse_transpose``, as a fresh vector.
+
+        The transposed walk: e_i through the gates t-1, ..., 0 transposed
+        (M's rows) or inverted (M^{-T}'s), blocks in reverse order.  A block
+        may hold gates of later steps; they are left out.
+        """
+        x = np.zeros(self.n)
+        x[i] = 1.0
+        cuts, first, second = self._cuts, self._first, self._second
+        for b in range(int(self._block_of[t - 1]) if t else -1, -1, -1):
+            r0, r1, r2 = cuts[2 * b : 2 * b + 3]
+            rot_end = r0 + int(np.searchsorted(self._gates[r0:r1], t))
+            const_end = r1 + int(np.searchsorted(self._gates[r1:r2], t))
+            if const_end > r1:
+                x[self._i[r1:const_end]] *= (second if inverse_transpose else first)[r1:const_end]
+            if rot_end > r0:
+                ri, rj = self._i[r0:rot_end], self._j[r0:rot_end]
+                cos, sin = first[r0:rot_end], second[r0:rot_end]
+                xi, xj = x[ri], x[rj]
+                x[ri] = cos * xi + self._neg_sin[r0:rot_end] * xj
+                x[rj] = sin * xi + cos * xj
+        return x
 
 
 def matrices_at(algorithm: LinearAlgorithm, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,7 @@ from .directions import (
     speedup_factor,
     uncertainty_volume_log,
 )
-from .gates import Gate, LinearAlgorithm, apply_gate_rows, matrices_at, replay, touched
+from .gates import Gate, LinearAlgorithm, VectorWalk, apply_gate_rows, matrices_at, touched
 
 # Fixed vectorization width so results are byte-identical regardless of
 # available memory; chunks degrade gracefully for very wide problems.
@@ -330,11 +330,15 @@ def empirical_uncertainty_check(
 
 
 def _most_informative_cell(algorithm: LinearAlgorithm, z: np.ndarray) -> tuple[int, int]:
-    """The (step, coordinate) whose word carries the largest component of z."""
-    best = (0.0, 1, 0)
-    for t, rows, _, Minv_T in replay(algorithm):
-        for i in sorted(rows):
-            weight = abs(float(Minv_T[i] @ z))
-            if weight > best[0]:
-                best = (weight, t, i)
-    return best[1], best[2]
+    """The (step, coordinate) whose word carries the largest component of z.
+
+    One push of z through M^{-T} gives (M(t)^{-T} z)_i at every touched
+    (t, i); the largest magnitude wins, the smallest (t, i) among equals.
+    """
+    walk = VectorWalk(algorithm)
+    weights = np.abs(walk.push(z.copy(), inverse_transpose=True))
+    if not weights.size or weights.max() == 0.0:
+        return 1, 0
+    (top,) = np.nonzero(weights == weights.max())
+    k = top[np.lexsort((walk.rows[top], walk.steps[top]))[0]]
+    return int(walk.steps[k]), int(walk.rows[k])

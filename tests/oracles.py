@@ -17,18 +17,36 @@ The per-step references at the end walk the trajectory one gate at a time
 through ``gatelab.replay`` (itself checked against ``compose_dense``) and
 measure each row block with its own ``np.linalg.norm`` call, as the analyses
 did before they walked in layers: ``best_candidate_reference`` is the
-sequential extraction scan, ``window_products_reference`` the window products
-of the scan and the chain, and ``trace_bounds_reference`` the per-gate change
-bounds of the trace.  The layered analyses must match them bit for bit.
+sequential extraction scan (the rescan of ``extract_directions_reference``),
+``window_products_reference`` the window products of the scan and the
+chain, and ``trace_bounds_reference`` the per-gate change bounds of the
+trace.  The layered analyses must match the last two bit for bit.
 ``validate_reference`` is ``validate`` as a dense check at every step: the
 full residual product and an SVD after each gate.
+``extract_directions_reference`` is the extraction loop that formed the
+projections P and Q and rescanned every candidate in every round, and
+``most_informative_cell_reference`` the quantized cell search that read
+M(t)^{-T} z from a replay of both matrices.
+
+``extract_directions_exact`` is the greedy extraction in exact rational
+arithmetic (standard library only), the judge of the selection rule.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from gatelab.gates import Constant, Rotation, TrajectoryDiagnostics, replay, touched
+from gatelab.builders import wht_matrix
+from gatelab.directions import DirectionSystem, speedup_factor
+from gatelab.gates import (
+    Constant,
+    Rotation,
+    TrajectoryDiagnostics,
+    matrices_at,
+    replay,
+    touched,
+)
 from gatelab.potential import ZERO_PRODUCT, change_bound
 
 
@@ -227,3 +245,136 @@ def validate_reference(algorithm, residual_tol=1e-6):
         max_kappa=float(max(kappas)),
         stable=max_residual <= residual_tol,
     )
+
+
+def _orthogonalize(w, basis):
+    # Deflation already leaves w orthogonal to the basis up to float noise;
+    # re-orthogonalize explicitly only when the residual is visible.
+    if basis:
+        V = np.array(basis)
+        dots = V @ w
+        if np.abs(dots).max() > 1e-10 * max(np.linalg.norm(w), 1e-30):
+            w = w - V.T @ dots
+            w = w - V.T @ (V @ w)
+    return w
+
+
+def extract_directions_reference(
+    algorithm, tau=None, unrestricted=False, require_wht_target=True, target_tol=1e-8,
+    rounds=None,
+):
+    """``extract_directions`` with the projections P and Q and a full rescan per round.
+
+    Ties go to the first maximum in scan order, of scores exactly equal in
+    floating point; once a system spans R^n, rounding noise ranks the rest.
+    ``rounds``, a list, receives the kind of system each round extended.
+    """
+    n = algorithm.n
+    if require_wht_target:
+        M_final, _ = matrices_at(algorithm, algorithm.m)
+        if float(np.abs(M_final - wht_matrix(n)).max()) > target_tol:
+            raise ValueError("final matrix is not the Walsh-Hadamard transform")
+    if tau is None:
+        tau = math.sqrt(speedup_factor(algorithm) / 2.0)
+
+    P = np.eye(n)
+    Q = np.eye(n)
+    over = DirectionSystem("overflow", [], [], [], [], tau)
+    under = DirectionSystem("underflow", [], [], [], [], tau)
+
+    for _ in range(2 * n):
+        best = best_candidate_reference(algorithm, P, Q, tau, unrestricted)
+        if best is None:
+            break
+        _, t, i, norm_m, norm_q, row_m, row_q = best
+        if norm_m >= norm_q:
+            system, projection, row, magnitude = over, P, row_m, norm_m
+        else:
+            system, projection, row, magnitude = under, Q, row_q, norm_q
+        w = _orthogonalize(row, system.vectors)
+        v = w / np.linalg.norm(w)
+        system.vectors.append(v)
+        system.steps.append(t)
+        system.coords.append(i)
+        system.magnitudes.append(magnitude)
+        if rounds is not None:
+            rounds.append(system.kind)
+        projection -= np.outer(v, v)
+        projection[:] = (projection + projection.T) / 2.0
+
+    per_step = n if unrestricted else 2
+    over.check(per_step=per_step)
+    under.check(per_step=per_step)
+    return over, under
+
+
+def most_informative_cell_reference(algorithm, z):
+    """The (step, coordinate) whose word carries the largest component of z."""
+    best = (0.0, 1, 0)
+    for t, rows, _, Minv_T in replay(algorithm):
+        for i in sorted(rows):
+            weight = abs(float(Minv_T[i] @ z))
+            if weight > best[0]:
+                best = (weight, t, i)
+    return best[1], best[2]
+
+
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def extract_directions_exact(algorithm, tau, rho, unrestricted=False):
+    """Greedy extraction in exact rational arithmetic.
+
+    The gates are the algorithm's float cos, sin and c values taken exactly
+    as rationals; M^{-T} scales by the exact 1/c.  Directions are kept
+    unnormalised (Gram-Schmidt without square roots), so every squared
+    factor |r|^2 - sum_j (r . w_j)^2 / |w_j|^2 is an exact rational and
+    a factor in the span is exactly 0.  Selection: a candidate qualifies
+    when a squared factor reaches tau^2; scores (compared squared) within
+    the relative tolerance ``rho`` of the top tie, and ties go to the
+    smallest step, then coordinate, then the overflow side when the factors
+    are equal within ``rho``.  Returns, per system, its (step, coordinate,
+    magnitude) picks.
+    """
+    n = algorithm.n
+    A = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    B = [row[:] for row in A]
+    candidates = [(0, i, A[i], B[i]) for i in range(n)] if unrestricted else []
+    for t, gate in enumerate(algorithm.gates, start=1):
+        if isinstance(gate, Rotation):
+            c, s = Fraction(math.cos(gate.theta)), Fraction(math.sin(gate.theta))
+            for X in (A, B):
+                xi, xj = X[gate.i], X[gate.j]
+                X[gate.i] = [c * a + s * b for a, b in zip(xi, xj)]
+                X[gate.j] = [-s * a + c * b for a, b in zip(xi, xj)]
+        else:
+            c = Fraction(gate.c)
+            A[gate.i] = [c * a for a in A[gate.i]]
+            B[gate.i] = [a / c for a in B[gate.i]]
+        candidates += [(t, i, A[i], B[i]) for i in sorted(touched(gate))]
+    candidates.sort(key=lambda cand: cand[:2])
+
+    residual = [[_dot(r, r), _dot(s, s)] for _, _, r, s in candidates]
+    tau2 = Fraction(tau) ** 2
+    keep = (1 - Fraction(rho)) ** 2  # scores and factors compared as squares
+    bases = ([], [])  # each system's (w, |w|^2), unnormalised
+    picks = ([], [])
+    for _ in range(2 * n):
+        qualifying = [k for k, (lm, lq) in enumerate(residual) if max(lm, lq) >= tau2]
+        if not qualifying:
+            break
+        top = max(residual[k][0] * residual[k][1] for k in qualifying)
+        k = next(k for k in qualifying if residual[k][0] * residual[k][1] >= top * keep)
+        side = 0 if residual[k][0] >= residual[k][1] * keep else 1
+        t, i, *rows = candidates[k]
+        w = rows[side]
+        for wj, wj2 in bases[side]:
+            coef = _dot(w, wj) / wj2
+            w = [a - coef * b for a, b in zip(w, wj)]
+        w2 = _dot(w, w)  # equals residual[k][side]
+        picks[side].append((t, i, math.sqrt(w2)))
+        bases[side].append((w, w2))
+        for res, (_, _, *cand_rows) in zip(residual, candidates):
+            res[side] -= _dot(cand_rows[side], w) ** 2 / w2
+    return picks

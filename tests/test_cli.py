@@ -218,6 +218,34 @@ def test_volume_cli_exit_codes(tmp_path):
     assert run(["volume", alg, "--tau", 2, "--b", "1e9", "-o", out]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["extract", "ALG"], "error: final matrix is not the Walsh-Hadamard transform; "
+                             "pass --no-target-check to extract anyway\n"),
+        (["volume", "ALG"], "error: final matrix is not the Walsh-Hadamard transform\n"),
+        (["underflow", "ALG", "--eps", "2^-10"],
+         "error: final matrix is not the Walsh-Hadamard transform\n"),
+    ],
+    ids=["extract", "volume", "underflow"],
+)
+def test_target_check_failure_names_only_the_cli_flag(args, message, tmp_path, capsys):
+    alg = tmp_path / "random8.alg"
+    run(["build", "--random", "8,30,1", "-o", alg])
+    capsys.readouterr()
+    assert run([alg if a == "ALG" else a for a in args]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_extract_without_target_check_runs_on_any_program(tmp_path):
+    alg = tmp_path / "random8.alg"
+    run(["build", "--random", "8,30,1", "-o", alg])
+    out = tmp_path / "ex.json"
+    assert run(["extract", alg, "--no-target-check", "--tau", 100, "-o", out]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["overflow"]["size"] == payload["underflow"]["size"] == 0
+
+
 def test_unparseable_file_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("n 4 m 1\nR 0 0 1.0\n")
@@ -332,6 +360,9 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["build", "--scaled", "8,2,x", "-o", "ALG"], "--scaled: k must be an integer, got 'x'"),
         (["build", "--inverse-scaled", "8.0,2,1", "-o", "ALG"],
          "--inverse-scaled: n must be an integer, got '8.0'"),
+        (["build", "--scaled", "8,x,1", "-o", "ALG"], "--scaled: c must be a number, got 'x'"),
+        (["build", "--inverse-scaled", "8,2^x,1", "-o", "ALG"],
+         "--inverse-scaled: c must be a number, got '2^x'"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +17,15 @@ from gatelab import (
     speedup_factor,
     uncertainty_volume_log,
 )
+from gatelab import gates
 from gatelab.gates import apply_gate_rows, touched
 
-from oracles import best_candidate_reference, compose_dense, gate_matrix
+from oracles import (
+    compose_dense,
+    extract_directions_exact,
+    extract_directions_reference,
+    gate_matrix,
+)
 
 
 def greedy_extraction_oracle(algorithm, tau):
@@ -103,35 +110,116 @@ def test_extraction_matches_dense_greedy_oracle():
 
 
 @pytest.mark.parametrize(
-    "build, kwargs",
+    "build, kwargs, spans",
     [
-        (lambda: build_inverse_scaled_fixture(32, 2.0**8, 4), {}),
-        (lambda: build_inverse_scaled_fixture(64, 2.0**8, 4), {}),
-        (lambda: build_wht(8), {}),
-        (lambda: build_wht(16), {}),
-        (lambda: build_scaled_bottleneck_fixture(8, 4.0, 4), {"tau": 2.0}),
-        (lambda: build_inverse_scaled_fixture(8, 4.0, 4), {"tau": 2.0}),
-        (lambda: build_wht(16), {"unrestricted": True}),
-        (lambda: build_scaled_bottleneck_fixture(8, 4.0, 4), {"tau": 2.0, "unrestricted": True}),
+        (lambda: build_inverse_scaled_fixture(32, 2.0**8, 4), {}, True),
+        (lambda: build_inverse_scaled_fixture(64, 2.0**8, 4), {}, True),
+        (lambda: build_wht(8), {}, False),
+        (lambda: build_wht(16), {}, False),
+        (lambda: build_scaled_bottleneck_fixture(8, 4.0, 4), {"tau": 2.0}, False),
+        (lambda: build_inverse_scaled_fixture(8, 4.0, 4), {"tau": 2.0}, False),
+        (lambda: build_wht(16), {"unrestricted": True}, False),
+        (lambda: build_scaled_bottleneck_fixture(8, 4.0, 4), {"tau": 2.0, "unrestricted": True},
+         False),
     ],
     ids=["inv32", "inv64", "wht8", "wht16", "scaled8-tau2", "inv8-tau2", "wht16-unrestricted",
          "scaled8-tau2-unrestricted"],
 )
-def test_extraction_is_bit_identical_to_the_sequential_scan(build, kwargs, monkeypatch):
+def test_extraction_matches_the_projection_reference(build, kwargs, spans):
+    # Same picks as the loop that formed P and Q and rescanned every round,
+    # magnitudes and vectors within 1e-12.  Where ``spans``, the overflow
+    # system spans R^n before the underflow side is done; from then on every
+    # score is 0 in exact arithmetic and the reference ranks its rounding
+    # noise, so only the picks before that round are compared.
     algorithm = build()
-    layered = extract_directions(algorithm, **kwargs)
-    monkeypatch.setattr(
-        directions,
-        "_best_candidate",
-        lambda algorithm, _blocks, P, Q, tau, unrestricted: best_candidate_reference(
-            algorithm, P, Q, tau, unrestricted
-        ),
-    )
-    sequential = extract_directions(algorithm, **kwargs)
-    assert layered[0].size + layered[1].size > 0
-    for got, want in zip(layered, sequential):
-        assert (got.steps, got.coords, got.magnitudes) == (want.steps, want.coords, want.magnitudes)
-        assert [v.tobytes() for v in got.vectors] == [v.tobytes() for v in want.vectors]
+    got = extract_directions(algorithm, **kwargs)
+    rounds = []
+    want = extract_directions_reference(algorithm, **kwargs, rounds=rounds)
+    assert got[0].size + got[1].size > 0
+    if spans:
+        last = [k for k, kind in enumerate(rounds) if kind == "overflow"][algorithm.n - 1]
+        rounds = rounds[: last + 1]
+        assert rounds.count("underflow") == 4  # the planted rows
+    for g, w in zip(got, want):
+        count = rounds.count(w.kind)
+        assert (g.steps[:count], g.coords[:count]) == (w.steps[:count], w.coords[:count])
+        if not spans:
+            assert (g.size, len(rounds)) == (w.size, got[0].size + got[1].size)
+        assert np.allclose(g.magnitudes[:count], w.magnitudes[:count], rtol=0, atol=1e-12)
+        for gv, wv in zip(g.vectors[:count], w.vectors[:count]):
+            assert np.abs(gv - wv).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_inverse_scaled_fixture(8, 2.0**8, 4),
+        lambda: build_inverse_scaled_fixture(16, 2.0**8, 4),
+        lambda: build_scaled_bottleneck_fixture(8, 2.0**8, 4),
+    ],
+    ids=["inv8", "inv16", "scaled8"],
+)
+def test_extraction_matches_the_exact_greedy_oracle(build):
+    # at the default tau, where one system spans R^n and the selection rule,
+    # not the rounding noise, must pick the rest
+    algorithm = build()
+    got = extract_directions(algorithm)
+    rho = 2.0 * math.sqrt(directions.rounding_bound(algorithm.n, algorithm.m))
+    exact = extract_directions_exact(algorithm, got[0].threshold, rho)
+    assert max(g.size for g in got) == algorithm.n
+    for g, picks in zip(got, exact):
+        assert list(zip(g.steps, g.coords)) == [(t, i) for t, i, _ in picks]
+        assert np.allclose(g.magnitudes, [mag for _, _, mag in picks], rtol=1e-12, atol=0)
+
+
+def test_inverse_scaled_underflow_picks_follow_the_tie_break():
+    # after the four planted rows the overflow system spans R^8 and every
+    # score is 0: the smallest steps with a unit underflow factor win
+    _, under = extract_directions(build_inverse_scaled_fixture(8, 2.0**8, 4))
+    assert list(zip(under.steps, under.coords))[4:] == [(13, 4), (13, 5), (15, 6), (15, 7)]
+    assert np.allclose(under.magnitudes[4:], 1.0, rtol=1e-12, atol=0)
+
+
+def test_one_extraction_walks_the_matrices_once(monkeypatch):
+    walks = []
+    real = directions.replay_layers
+
+    def counted(*args, **kwargs):
+        walks.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-step replay during extraction")
+
+    monkeypatch.setattr(directions, "replay_layers", counted)
+    monkeypatch.setattr(gates, "replay", forbidden)
+    over, under = extract_directions(build_wht(32))
+    assert over.size + under.size == 64  # 64 rounds
+    assert walks == [(32, 32)]
+
+
+def test_wht256_fills_both_systems_within_a_second():
+    algorithm = build_wht(256)
+    start = time.perf_counter()
+    over, under = extract_directions(algorithm)
+    elapsed = time.perf_counter() - start
+    assert (over.size, under.size) == (256, 256)
+    assert elapsed < 1.0
+
+
+def test_ledger_rounding_beyond_the_bound_raises(monkeypatch):
+    # a ledger that rates a row far above its true factor is caught by the
+    # exact materialised row, not recorded as a direction
+    real = gates.VectorWalk.push
+
+    def inflated(self, x, inverse_transpose=False, out=None):
+        out = real(self, x, inverse_transpose, out)
+        out[:] = 0.0  # subtracts no projection: the first winner stays on top
+        return out
+
+    monkeypatch.setattr(gates.VectorWalk, "push", inflated)
+    with pytest.raises(RuntimeError, match="rounding beyond the ledger's bound"):
+        extract_directions(build_wht(8))
 
 
 def test_extraction_growth_across_sizes():

@@ -22,7 +22,8 @@ from gatelab import (
     validate,
 )
 
-from gatelab.gates import BLOCK_ELEMENTS, layer, replay_layers, start_pair
+from gatelab.builders import build_dft_real
+from gatelab.gates import BLOCK_ELEMENTS, VectorWalk, apply_gate_rows, layer, replay_layers, start_pair
 
 from oracles import (
     compose_dense,
@@ -168,6 +169,46 @@ def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance):
                 rows = slice(start, start + len(windows.unit_rows[w]))
                 assert (a1[rows].tobytes(), b1[rows].tobytes()) == after[w]
     assert (A.tobytes(), B.tobytes()) == (M.tobytes(), Minv_T.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_instances())
+def test_vector_push_matches_the_per_step_walk_bit_for_bit(instance):
+    # entry k of a push is row k's entry right after its gate, bit for bit
+    # what gate-by-gate application shows; the vector ends as apply_to_vector's
+    algorithm, _, P, _ = instance
+    walk = VectorWalk(algorithm)
+    assert np.array_equal(walk.rows, layer(algorithm).blocks.rows)
+    x = P[0]
+    with np.errstate(all="ignore"):
+        for inverse_transpose in (False, True):
+            y = x.copy()
+            seen = {}
+            for t, gate in enumerate(algorithm.gates, start=1):
+                apply_gate_rows(y, gate, inverse_transpose=inverse_transpose)
+                for i in touched(gate):
+                    seen[(t, i)] = y[i].tobytes()
+            pushed = x.copy()
+            out = walk.push(pushed, inverse_transpose=inverse_transpose)
+            assert pushed.tobytes() == y.tobytes()
+            got = {(t, i): v.tobytes() for t, i, v in zip(walk.steps.tolist(), walk.rows.tolist(), out)}
+            assert got == seen
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [build_wht(16), build_dft_real(16), build_random(8, 60, 3), build_random(300, 400, 5)],
+    ids=["wht16", "dft16", "random8", "random300"],
+)
+def test_transposed_walk_gives_the_rows_of_both_matrices(algorithm):
+    walk = VectorWalk(algorithm)
+    wanted = {(t, i) for t, i in zip(walk.steps.tolist(), walk.rows.tolist())}
+    wanted |= {(0, 0), (algorithm.m, 1)}  # untouched rows are rows too
+    for t, _, M, Minv_T in replay(algorithm):
+        for i in sorted(i for s, i in wanted if s == t):
+            for inverse_transpose, want in ((False, M[i]), (True, Minv_T[i])):
+                got = walk.row(t, i, inverse_transpose=inverse_transpose)
+                assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_layering_keeps_row_order_and_cuts_wide_layers_into_blocks():

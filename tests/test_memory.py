@@ -50,6 +50,14 @@ def test_validate_holds_the_two_matrices_and_no_full_size_product():
     assert _peak(lambda: validate(algorithm)) <= 3 * algorithm.n**2 * 8
 
 
+def test_validate_converts_the_gate_columns_in_bounded_chunks():
+    # M and M^-T, the compiled gate arrays and the kappas; no gate columns
+    # held as Python numbers for the whole walk (0.45 n^2 floats more)
+    algorithm = build_wht(256)
+    algorithm.arrays  # compiled before the measurement
+    assert _peak(lambda: validate(algorithm)) <= 2.5 * algorithm.n**2 * 8
+
+
 def test_simulate_holds_one_sample_array():
     algorithm = build_wht(32)
     samples = 50_000

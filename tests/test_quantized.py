@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatelab import quantized
+from gatelab.builders import build_dft_real, build_random
 from gatelab import (
     Constant,
     LinearAlgorithm,
@@ -21,7 +22,7 @@ from gatelab import (
     underflow_widths,
 )
 
-from oracles import spawned_normal_draws
+from oracles import most_informative_cell_reference, spawned_normal_draws
 
 EPS = 2.0**-10
 
@@ -225,3 +226,25 @@ def test_uncertainty_check_validates_direction():
         empirical_uncertainty_check(a, EPS, np.ones(4))
     with pytest.raises(ValueError):
         empirical_uncertainty_check(a, EPS, np.ones(3) / math.sqrt(3))
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [build_wht(8), build_wht(64), build_dft_real(16), build_dft_real(64),
+     build_random(16, 200, 1), build_random(64, 1000, 2), build_random(32, 300, 3, angle_only=True)],
+    ids=["wht8", "wht64", "dft16", "dft64", "random16", "random64", "random32-angles"],
+)
+def test_most_informative_cell_matches_the_replay_loop(algorithm):
+    rng = np.random.default_rng(algorithm.n)
+    for _ in range(3):
+        z = rng.standard_normal(algorithm.n)
+        z /= np.linalg.norm(z)
+        assert quantized._most_informative_cell(algorithm, z) == most_informative_cell_reference(
+            algorithm, z
+        )
+    # exact ties (a reflection repeats a row's weight) go to the smallest step
+    z = np.zeros(algorithm.n)
+    z[0] = 1.0
+    assert quantized._most_informative_cell(algorithm, z) == most_informative_cell_reference(
+        algorithm, z
+    )
