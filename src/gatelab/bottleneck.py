@@ -32,6 +32,11 @@ Both walk the trajectory layer by layer with windows as units
 (``gates.layer(algorithm, R)``; R = 1 is the gate case): windows in one
 block touch disjoint rows, so the block holds each window's rows at its start
 and at its end, and the products of a whole block take a few numpy calls.
+The walk takes the columns in panels (``gates.column_panels``): every
+potential, row contribution and squared window norm is a sum over columns,
+so each panel adds into per-window sums, and the products take their square
+roots at the end.  With one panel (n <= 512) every number is the full-width
+walk's, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,13 +46,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import Block, LinearAlgorithm, Layering, Workspace, layer, replay_layers, start_pair
+from .gates import (
+    Block,
+    LinearAlgorithm,
+    Layering,
+    Workspace,
+    column_panels,
+    layer,
+    panel_width,
+    replay_layers,
+)
 from .potential import (
     DRIFT_TOL,
-    block_products,
     change_bound,
+    norm_products,
     quasi_entropy,
     row_contribs,
+    squared_row_norms,
     swap_contribs,
 )
 
@@ -59,20 +74,18 @@ def _padded_length(m: int, R: int) -> int:
 def _windows(algorithm: LinearAlgorithm, R: int) -> Layering:
     if not 1 <= R <= algorithm.n // 2:
         raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
-    return layer(algorithm, R)
+    return layer(algorithm, R, width=panel_width(algorithm.n))
 
 
-def _window_products(block: Block, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|A_I|_F |B_I|_F of each window of a block, in ``block.units`` order,
-    from the block's rows ``a`` and ``b``; I is the window's sorted rows."""
-    n = a.shape[1]
-    products = np.empty(block.units.size)
+def _window_squares(block: Block, x: np.ndarray) -> np.ndarray:
+    """|X_I|_F^2 of each window of a block, in ``block.units`` order, from the
+    block's rows ``x``; I is the window's sorted rows."""
+    n = x.shape[1]
+    squares = np.empty(block.units.size)
     for size, first, end in block.groups:
         rows = slice(block.unit_starts[first], block.unit_starts[first] + (end - first) * size)
-        products[first:end] = block_products(
-            a[rows].reshape(end - first, size * n), b[rows].reshape(end - first, size * n)
-        )
-    return products
+        squares[first:end] = squared_row_norms(x[rows].reshape(end - first, size * n))
+    return squares
 
 
 def _scanned(algorithm: LinearAlgorithm, R: int, include_constants: bool) -> np.ndarray:
@@ -147,15 +160,45 @@ def scan_bottlenecks(
     single touched row plays the role of both indices.
     """
     windows = _windows(algorithm, R)
-    A, B = start_pair(algorithm.n, P, Q)
-    phi_identity = quasi_entropy(A, B)
-    products = np.zeros(len(windows.unit_rows))
-    for block, a0, b0, _, _ in replay_layers(windows.blocks, A, B):
-        products[block.units] = _window_products(block, a0, b0)
+    phi_identity, phi_final, squares, _, _ = _walk_windows(algorithm, windows, P, Q, ends=False)
     scanned = _scanned(algorithm, R, include_constants)
+    products = norm_products(squares[0], squares[1])
     return _scan_report(
-        algorithm, R, windows.unit_rows, scanned, products, phi_identity, quasi_entropy(A, B)
+        algorithm, R, windows.unit_rows, scanned, products, phi_identity, phi_final
     )
+
+
+def _walk_windows(
+    algorithm: LinearAlgorithm, windows: Layering, P, Q, ends: bool
+) -> tuple[float, float, np.ndarray, np.ndarray | None, float]:
+    """The walk of the scan and the chain, one column panel at a time.
+
+    Returns the identity and final potentials; each window's |A_I|_F^2 and
+    |B_I|_F^2 at its start and, with ``ends``, at its end (rows 2 and 3);
+    and, with ``ends``, each window's move and the largest row contribution
+    seen, from a row ledger per panel (None and 1.0 without).  The panels,
+    the ledgers and the workspace die with the call.
+    """
+    n_windows = len(windows.unit_rows)
+    workspace = Workspace()
+    # sums over the panels start at -0.0, the additive identity, so one
+    # panel gives its own numbers bit for bit
+    phi_identity = phi_final = -0.0
+    squares = np.zeros((4 if ends else 2, n_windows))
+    moves = np.full(n_windows, -0.0) if ends else None
+    scale = 1.0
+    for A, B in column_panels(algorithm.n, P, Q):
+        phi_identity += quasi_entropy(A, B, workspace)
+        ledger = row_contribs(A, B, workspace).copy() if ends else None
+        for block, a0, b0, a1, b1 in replay_layers(windows.blocks, A, B, workspace):
+            for x, sums in zip((a0, b0, a1, b1), squares):
+                sums[block.units] += _window_squares(block, x)
+            if ends:
+                before, after = swap_contribs(ledger, block, row_contribs(a1, b1, workspace))
+                moves[block.units] += after - before
+                scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
+        phi_final += quasi_entropy(A, B, workspace)
+    return phi_identity, phi_final, squares, moves, scale
 
 
 @dataclass
@@ -206,21 +249,11 @@ def verify_bottleneck_chain(
     windows = _windows(algorithm, R)
     window_sets = windows.unit_rows
     n_windows = len(window_sets)
-    A, B = start_pair(algorithm.n, P, Q)
-    workspace = Workspace()
-    phi_identity = quasi_entropy(A, B, workspace)
-    ledger = row_contribs(A, B)
-    start_products = np.zeros(n_windows)
-    end_products = np.zeros(n_windows)
-    moves = np.zeros(n_windows)
-    scale = 1.0
-    for block, a0, b0, a1, b1 in replay_layers(windows.blocks, A, B, workspace):
-        start_products[block.units] = _window_products(block, a0, b0)
-        end_products[block.units] = _window_products(block, a1, b1)
-        before, after = swap_contribs(ledger, block, row_contribs(a1, b1, workspace))
-        moves[block.units] = after - before
-        scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
-    phi_final = quasi_entropy(A, B, workspace)
+    phi_identity, phi_final, squares, moves, scale = _walk_windows(
+        algorithm, windows, P, Q, ends=True
+    )
+    start_products = norm_products(squares[0], squares[1])
+    end_products = norm_products(squares[2], squares[3])
 
     residual = abs(float(moves.sum()) - (phi_final - phi_identity))
     if residual > DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):

@@ -13,8 +13,9 @@ swap is a half-turn rotation plus a reflection, two gates per real pair.
 
 The builders make gate objects of ``model`` in plain Python, so building and
 writing a gate file never loads numpy.  Only the dense closed forms
-(``wht_matrix``, ``dft_real_matrix``) and ``build_random``, which draws from
-numpy's generator, import it, when they are called.
+(``wht_matrix`` and its blocks ``wht_entries``, ``dft_real_matrix``) and
+``build_random``, which draws from numpy's generator, import it, when they
+are called.
 """
 
 from __future__ import annotations
@@ -40,14 +41,31 @@ def wht_matrix(n: int) -> np.ndarray:
     """Dense normalized Walsh-Hadamard matrix, sign (-1)^<bits(k), bits(l)>."""
     import numpy as np
 
+    return wht_entries(n, np.arange(n), np.arange(n))
+
+
+def wht_entries(
+    n: int, rows: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The entries (rows x cols) of ``wht_matrix(n)``, built in float into
+    ``out`` (fresh if None), with no integer temporaries of that size.
+
+    <bits(k), bits(l)> is the product of the 0/1 bit matrices of the rows and
+    the columns, exact in float, and its parity p gives the sign 1 - 2p.
+    """
+    import numpy as np
+
     _require_power_of_two(n, 2)
-    idx = np.arange(n)
-    parity = np.zeros((n, n), dtype=int)
-    bits = idx[:, None] & idx[None, :]
-    while bits.any():
-        parity ^= bits & 1
-        bits >>= 1
-    return np.where(parity == 1, -1.0, 1.0) / math.sqrt(n)
+    shifts = np.arange(n.bit_length() - 1)
+    row_bits, col_bits = (
+        ((np.asarray(x)[:, None] >> shifts) & 1).astype(float) for x in (rows, cols)
+    )
+    out = np.matmul(row_bits, col_bits.T, out=out)
+    np.remainder(out, 2.0, out=out)
+    out *= -2.0
+    out += 1.0
+    out /= math.sqrt(n)
+    return out
 
 
 def dft_real_matrix(n: int) -> np.ndarray:
@@ -172,9 +190,9 @@ def build_scaled_bottleneck_fixture(n: int, c: float, k: int) -> LinearAlgorithm
     """
     _require_power_of_two(n, 2)
     if c <= 1.0:
-        raise ValueError(f"scale must exceed 1, got {c}")
+        raise ValueError(f"c must exceed 1, got {c}")
     if not 1 <= k <= n:
-        raise ValueError(f"affected-row count {k} out of range [1, {n}]")
+        raise ValueError(f"k must be in [1, {n}], got {k}")
     gates = [Constant(i, c) for i in range(k)]
     gates += [Constant(i, 1.0 / c) for i in range(k)]
     gates += list(build_wht(n).gates)
@@ -185,9 +203,9 @@ def build_inverse_scaled_fixture(n: int, c: float, k: int) -> LinearAlgorithm:
     """Mirror fixture scaling rows down by c first: the bottleneck sits in M^{-T}."""
     _require_power_of_two(n, 2)
     if c <= 1.0:
-        raise ValueError(f"scale must exceed 1, got {c}")
+        raise ValueError(f"c must exceed 1, got {c}")
     if not 1 <= k <= n:
-        raise ValueError(f"affected-row count {k} out of range [1, {n}]")
+        raise ValueError(f"k must be in [1, {n}], got {k}")
     gates = [Constant(i, 1.0 / c) for i in range(k)]
     gates += [Constant(i, c) for i in range(k)]
     gates += list(build_wht(n).gates)

@@ -171,8 +171,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     if len(chosen) != 1:
         raise ValueError("exactly one of --wht/--dft/--random/--scaled/--inverse-scaled is required")
     kind, value = chosen[0]
+    option = "--dft" if kind == "dft_real" else f"--{kind.replace('_', '-')}"
     if kind in ("wht", "dft_real"):
-        algorithm = builders.build_fixture(builders.FixtureSpec(kind, int(value)))
+        spec = builders.FixtureSpec(kind, int(value))
     elif kind == "random":
         parts = value.split(",")
         if len(parts) not in (3, 4):
@@ -180,16 +181,18 @@ def cmd_build(args: argparse.Namespace) -> int:
         if len(parts) == 4 and parts[3] != "angle_only":
             raise ValueError(f"--random: the fourth field must be angle_only, got {parts[3]!r}")
         n, m, seed = (_int_field("--random", f, p) for f, p in zip(("n", "m", "seed"), parts))
-        params = {"m": m, "seed": seed, "angle_only": len(parts) == 4}
-        algorithm = builders.build_fixture(builders.FixtureSpec(kind, n, params))
+        spec = builders.FixtureSpec(kind, n, {"m": m, "seed": seed, "angle_only": len(parts) == 4})
     else:
-        option = f"--{kind.replace('_', '-')}"
         parts = value.split(",")
         if len(parts) != 3:
             raise ValueError(f"{option} expects n,c,k")
         n = _int_field(option, "n", parts[0])
         params = {"c": _number_field(option, "c", parts[1]), "k": _int_field(option, "k", parts[2])}
-        algorithm = builders.build_fixture(builders.FixtureSpec(kind, n, params))
+        spec = builders.FixtureSpec(kind, n, params)
+    try:
+        algorithm = builders.build_fixture(spec)
+    except ValueError as exc:  # a field out of range: name the option
+        raise ValueError(f"{option}: {exc}") from None
     model.write_algorithm(algorithm, args.output)
     sys.stdout.write(f"wrote {args.output} (n={algorithm.n}, m={algorithm.m})\n")
     return 0

@@ -26,7 +26,11 @@ The ledger.  P and Q are never formed.  For a candidate row r and an
 orthonormal system v_1..v_k, |r P|^2 = |r|^2 - sum_j (r . v_j)^2, and
 r . v = (M(t) v)_i.  So one layered walk of (I, I) (``gates.replay_layers``)
 gives every candidate's |r|^2 and |s|^2 (s its row of M(t)^{-T}) and the
-final M(m) for the target check.  After that a round
+final M(m) for the target check.  The walk takes the identity's columns in
+panels (``gates.column_panels``): each panel adds its part of every squared
+norm, and its columns of M(m) are checked against the matching columns of
+the transform, a block at a time, so neither n x n matrix is ever whole
+beyond n = 512.  After that a round
 
 - rates every candidate from its two squared residuals;
 - materialises only the winner's row, by a transposed walk of e_i
@@ -90,8 +94,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import wht_matrix
-from .gates import LinearAlgorithm, VectorWalk, layer, replay_layers, start_pair
+from .builders import wht_entries
+from .gates import (
+    BLOCK_ELEMENTS,
+    LinearAlgorithm,
+    VectorWalk,
+    Workspace,
+    column_panels,
+    layer,
+    panel_width,
+    replay_layers,
+)
 
 
 def speedup_factor(algorithm: LinearAlgorithm) -> float:
@@ -117,10 +130,25 @@ class DirectionSystem:
         return len(self.vectors)
 
     def gram_residual(self) -> float:
-        if not self.vectors:
+        """max |V V^T - I| over the system's vectors V: blocks of at most
+        ``BLOCK_ELEMENTS`` entries of V against panels of ``panel_width(n)``
+        vectors, so that neither V nor V V^T is ever whole beyond n = 512."""
+        k = self.size
+        if not k:
             return 0.0
-        V = np.array(self.vectors)
-        return float(np.abs(V @ V.T - np.eye(self.size)).max())
+        n = len(self.vectors[0])
+        width, step = panel_width(n), max(1, BLOCK_ELEMENTS // n)
+        panels, blocks = np.empty((min(width, k), n)), np.empty((min(step, k), n))
+        worst = []
+        for col in range(0, k, width):
+            panel = np.stack(self.vectors[col : col + width], out=panels[: min(width, k - col)])
+            for lo in range(0, k, step):
+                rows = np.stack(self.vectors[lo : lo + step], out=blocks[: min(step, k - lo)])
+                gram = rows @ panel.T
+                diagonal = np.arange(max(lo, col), min(lo + step, col + width, k))
+                gram[diagonal - lo, diagonal - col] -= 1.0
+                worst.append(np.abs(gram, out=gram).max())
+        return float(np.max(worst))
 
     def check(self, ortho_tol: float = 1e-8, per_step: int = 2) -> None:
         """Raise if the extraction guarantees do not hold.
@@ -154,18 +182,39 @@ def _squared_row_norms(
     algorithm: LinearAlgorithm, require_wht_target: bool, target_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """|row_i(M(t))|^2 and |row_i(M(t)^{-T})|^2 of every touched row, by one
-    layered walk of (I, I), in the row order of the layering; the walk's
-    M(m) is checked against the transform."""
-    blocks = layer(algorithm).blocks
+    layered walk of (I, I), in the row order of the layering; each panel of
+    the walk's M(m) is checked against the transform."""
+    n = algorithm.n
+    width = panel_width(n)
+    blocks = layer(algorithm, width=width).blocks
     cuts = blocks.row_cuts
-    r2, s2 = np.empty(blocks.rows.size), np.empty(blocks.rows.size)
-    A, B = start_pair(algorithm.n)
-    for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B)):
-        np.einsum("ij,ij->i", a1, a1, out=r2[cuts[b] : cuts[b + 1]])
-        np.einsum("ij,ij->i", b1, b1, out=s2[cuts[b] : cuts[b + 1]])
-    if require_wht_target and float(np.abs(A - wht_matrix(algorithm.n)).max()) > target_tol:
-        raise TargetMismatch("final matrix is not the Walsh-Hadamard transform")
-    return r2, s2
+    squares = np.zeros((2, blocks.rows.size))  # 0.0 + x is x for every x >= 0
+    workspace = Workspace()
+    for lo, (A, B) in zip(range(0, n, width), column_panels(n)):
+        for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+            rows = slice(cuts[b], cuts[b + 1])
+            squares[0, rows] += np.einsum("ij,ij->i", a1, a1)
+            squares[1, rows] += np.einsum("ij,ij->i", b1, b1)
+        if require_wht_target and not _matches_wht(A, lo, target_tol, workspace):
+            raise TargetMismatch("final matrix is not the Walsh-Hadamard transform")
+    return squares[0], squares[1]
+
+
+def _matches_wht(A: np.ndarray, lo: int, tol: float, workspace: Workspace) -> bool:
+    """Whether the panel A, columns lo.. of an n x n matrix, is within tol of
+    the transform's columns everywhere, compared in blocks of at most
+    ``BLOCK_ELEMENTS`` entries; a NaN entry is a mismatch."""
+    n, k = A.shape
+    step = max(1, BLOCK_ELEMENTS // k)
+    cols = np.arange(lo, lo + k)
+    for r in range(0, n, step):
+        rows = A[r : r + step]
+        target = workspace.take("target", rows.shape)
+        wht_entries(n, np.arange(r, r + len(rows)), cols, out=target)
+        np.subtract(rows, target, out=target)
+        if not float(np.abs(target, out=target).max()) <= tol:
+            return False
+    return True
 
 
 def extract_directions(

@@ -30,6 +30,15 @@ walked in one of two ways:
   block in a few numpy calls.  Windows of R > 1 gates are layered as units, so a block holds
   every row of its windows from the window's start to its end.
 
+Gates act on rows, so each column of (M(t) P, M(t)^{-T} Q) evolves alone, and
+the potential and every squared row or window norm is a sum over columns.
+The four layered walks therefore take the columns in panels
+(``column_panels``): n x w slices of P and Q, w = ``panel_width(n)``, each
+walked over one layering cut for that width, adding into per-gate or
+per-window sums (square roots come only at the end).  Every n with
+n^2 <= ``PANEL_ELEMENTS`` (n <= 512) is one panel, the whole matrices, and
+gives exactly the full-width numbers; more panels move the sums by ulps.
+
 Both walks give bit-identical matrices: every element sees the same
 elementwise multiplications and additions in the same order (numpy's
 elementwise ufuncs never fuse or reassociate), so only the order in which
@@ -161,7 +170,7 @@ def apply_to_vector(
 
 
 def start_pair(n: int, P: np.ndarray | None = None, Q: np.ndarray | None = None):
-    """Fresh float copies of (P, Q), identity for None: where both walks start."""
+    """Fresh float copies of (P, Q), identity for None: where ``replay`` starts."""
     A = np.eye(n) if P is None else np.array(P, dtype=float)
     B = np.eye(n) if Q is None else np.array(Q, dtype=float)
     if A.shape != (n, n) or B.shape != (n, n):
@@ -226,6 +235,64 @@ REPLAY_CHUNK = 256
 # was no faster than gate by gate and took 27% more memory; budgets from
 # 2^14 to 2^17 elements ran about equally fast.
 BLOCK_ELEMENTS = 1 << 15
+
+
+# The most matrix elements (n times the panel width) a layered walk holds per
+# side.  Gates act on rows, so every column of M(t) P and M(t)^{-T} Q evolves
+# alone, and a walk can take the columns a panel at a time.  2^18 keeps every
+# n <= 512 on one panel (the full matrices) and gives WHT n=1024 four panels
+# of 256 columns: 4 MiB for A and B instead of 16.
+PANEL_ELEMENTS = 1 << 18
+
+
+def panel_width(n: int) -> int:
+    """Columns per panel: n while n^2 <= ``PANEL_ELEMENTS``, otherwise the
+    largest even w with n*w <= ``PANEL_ELEMENTS`` (2 at least).
+
+    Blocks are cut to ``BLOCK_ELEMENTS // width`` rows, so a full layer takes
+    as many block visits over all panels as on one; only layers thinner than
+    a block are visited once per panel.
+    """
+    if n * n <= PANEL_ELEMENTS:
+        return n
+    return max(2, PANEL_ELEMENTS // n // 2 * 2)
+
+
+def column_panels(
+    n: int, P: np.ndarray | None = None, Q: np.ndarray | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The column panels (P[:, lo:hi], Q[:, lo:hi]) of ``panel_width(n)``
+    columns, the last one ragged; P or Q of None means identity.
+
+    Each panel is a C-contiguous float array in one of two buffers that the
+    generator reuses, so it is overwritten by the next: finish with a panel
+    before taking the next one.  Identity columns are written directly, never
+    through an n x n identity.  With one panel (n^2 <= ``PANEL_ELEMENTS``)
+    the pair holds exactly ``start_pair``'s values.  The arguments are
+    checked when ``column_panels`` is called.
+    """
+    P = None if P is None else np.asarray(P, dtype=float)
+    Q = None if Q is None else np.asarray(Q, dtype=float)
+    if any(X is not None and X.shape != (n, n) for X in (P, Q)):
+        raise ValueError(f"P and Q must be {n}x{n}")
+    width = panel_width(n)
+
+    def panels():
+        buffers = np.empty((2, n * width))
+        for lo in range(0, n, width):
+            k = min(width, n - lo)
+            pair = []
+            for X, buffer in zip((P, Q), buffers):
+                panel = buffer[: n * k].reshape(n, k)
+                if X is None:
+                    panel.fill(0.0)
+                    panel[np.arange(lo, lo + k), np.arange(k)] = 1.0
+                else:
+                    np.copyto(panel, X[:, lo : lo + k])
+                pair.append(panel)
+            yield tuple(pair)
+
+    return panels()
 
 
 class Workspace:

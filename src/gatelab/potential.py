@@ -20,16 +20,23 @@ those rows' contribution (``row_contribs``), and by at most the change bound
 
     (|A_I before|_F |B_I before|_F + |A_I after|_F |B_I after|_F) * log2|I|
 
-(``change_bound`` of two ``block_products`` values).  ``trace_potential``
+(``change_bound`` of two ``norm_products`` values).  ``trace_potential``
 records both the per-step move and this bound; single-row (constant gate)
 steps have |I| = 1, bound 0, and indeed leave the potential unchanged because
 the scalings c and 1/c cancel in every entry product.
 
-``block_products`` takes each norm as the square root of the dot product
-that ``np.matmul`` reaches through BLAS ``ddot``, the same one
-``np.linalg.norm`` calls on a raveled block, so a batch of blocks gives the
-products of one ``np.linalg.norm`` call per block bit for bit.  (``einsum``
-sums in another order and does not.)
+``squared_row_norms`` takes each squared norm as the dot product that
+``np.matmul`` reaches through BLAS ``ddot``, the same one ``np.linalg.norm``
+calls on a raveled block, and ``norm_products`` multiplies the square roots,
+so a batch of blocks gives the products of one ``np.linalg.norm`` call per
+block bit for bit.  (``einsum`` sums in another order and does not.)
+
+The potential, every row contribution and every squared norm is a sum over
+columns, so ``trace_potential`` walks the columns in panels
+(``gates.column_panels``): each panel keeps its own row ledger and drift
+guard and adds its moves and squared norms into per-gate sums, and the
+bounds take their square roots at the end.  With one panel (n <= 512) every
+number is the full-width walk's, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,13 +49,15 @@ import numpy as np
 from .gates import (
     BLOCK_ELEMENTS,
     Block,
+    Blocks,
     LayerStep,
     LinearAlgorithm,
     Workspace,
+    column_panels,
     gather_rows,
     layer,
+    panel_width,
     replay_layers,
-    start_pair,
 )
 
 # Entry products below this threshold are treated as exact zeros; keeps log2
@@ -127,15 +136,17 @@ def complex_quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
     return _neg_p_log_p((p[:, 0::2] + p[:, 1::2]).ravel())
 
 
-def row_norms(X: np.ndarray) -> np.ndarray:
-    """The 2-norm of every row of a 2-D array, each equal to ``np.linalg.norm(row)``."""
-    return np.sqrt(np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0])
+def squared_row_norms(X: np.ndarray) -> np.ndarray:
+    """The squared 2-norm of every row of a 2-D array, whose square root is
+    ``np.linalg.norm(row)``; a row holding the raveled rows of a block gives
+    that block's |A_I|_F^2."""
+    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
 
 
-def block_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """|X_r| * |Y_r| for every row r; a row holding the raveled rows of a block
-    gives that block's |A_I|_F * |B_I|_F."""
-    return row_norms(X) * row_norms(Y)
+def norm_products(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """|X_r| * |Y_r| from the squared norms of ``squared_row_norms``: a
+    block's |A_I|_F * |B_I|_F."""
+    return np.sqrt(x2) * np.sqrt(y2)
 
 
 def row_contribs(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
@@ -194,17 +205,17 @@ class PotentialTrace:
     touched_sets: list[tuple[int, ...]]
 
 
-def _pair_products(
+def _pair_squares(
     step: LayerStep, x: np.ndarray, y: np.ndarray, workspace: Workspace
 ) -> np.ndarray:
-    """``block_products`` of each rotation's rows i and j of a block's rows x
-    and y, raveled in that order (gathered into the workspace)."""
+    """``squared_row_norms`` of each rotation's rows i and j of a block's rows
+    x, raveled in that order, then of y's: a (2, rotations) array."""
     k, n = step.rot_gates.size, x.shape[1]
     rows = np.stack((step.rot_i, step.rot_j), axis=1).ravel()
-    xs, ys = workspace.take("scratch", (2, 2 * k, n))
-    gather_rows(x, rows, xs)
-    gather_rows(y, rows, ys)
-    return block_products(xs.reshape(k, 2 * n), ys.reshape(k, 2 * n))
+    gathered = workspace.take("scratch", (2, 2 * k, n))
+    gather_rows(x, rows, gathered[0])
+    gather_rows(y, rows, gathered[1])
+    return squared_row_norms(gathered.reshape(2 * k, 2 * n)).reshape(2, k)
 
 
 def trace_potential(
@@ -214,21 +225,22 @@ def trace_potential(
 ) -> PotentialTrace:
     """Trace the projected potential along the trajectory.
 
-    The walk is layered (``gates.replay_layers``) and keeps a ledger of every
-    row's contribution.  A gate's move is the change in its own rows'
-    contribution, computed for a whole block at once; a block of reflections
+    The walk is layered (``gates.replay_layers``), one column panel at a
+    time, and each panel keeps a ledger of every row's contribution.  A
+    gate's move is the change in its own rows' contribution, computed for a
+    whole block at once and summed over the panels; a block of reflections
     (c = -1) carries its rows' entries, since negating both factors leaves
     every entry product bitwise unchanged.  Values are the initial potential
     plus a running sum of the moves in step order.  Bounds come from the
     touched rows' block products, in the gate's (i, j) row order, before and
     after the gate.
 
-    The drift guard recomputes the potential of the current matrices in
-    full at a block boundary whenever the next block would take the gates
-    applied since the last recheck past ``RECOMPUTE_EVERY``.  An incremental
-    total that misses it by more than ``DRIFT_TOL`` raises
-    ``ArithmeticError``.  Values are not snapped to the recomputation: a
-    block boundary is not a step.
+    Each panel's drift guard recomputes that panel's potential in full at a
+    block boundary whenever the next block would take the gates applied
+    since the last recheck past ``RECOMPUTE_EVERY``.  An incremental total
+    that misses it by more than ``DRIFT_TOL`` raises ``ArithmeticError``.
+    Values are not snapped to the recomputation: a block boundary is not a
+    step.
     """
     phi, moves, bounds = _ledger_walk(algorithm, P, Q)
     values = np.cumsum(np.concatenate([[phi], moves]))
@@ -243,17 +255,37 @@ def trace_potential(
 
 def _ledger_walk(algorithm: LinearAlgorithm, P, Q) -> tuple[float, np.ndarray, np.ndarray]:
     """``trace_potential``'s walk: the initial potential, each gate's move and
-    bound.  The matrices, the layering and the workspace die with it, before
+    bound.  The panels, the layering and the workspace die with it, before
     the trace's lists are built."""
-    m = algorithm.m
-    blocks = layer(algorithm).blocks
-    A, B = start_pair(algorithm.n, P, Q)
+    n, m = algorithm.n, algorithm.m
+    blocks = layer(algorithm, width=panel_width(n)).blocks
     workspace = Workspace()
+    # sums over the panels start at -0.0, the additive identity, so one
+    # panel gives its own numbers bit for bit
+    phi = -0.0
+    moves = np.full(m, -0.0)
+    squares = np.zeros((4, m))  # each rotation's |A_I|^2, |B_I|^2 before it, then after
+    for A, B in column_panels(n, P, Q):
+        phi += _ledger_panel(blocks, A, B, workspace, moves, squares, m)
+    before = norm_products(squares[0], squares[1])
+    after = norm_products(squares[2], squares[3])
+    return phi, moves, change_bound(2, before, after)  # 0 for constants: no squares
+
+
+def _ledger_panel(
+    blocks: Blocks,
+    A: np.ndarray,
+    B: np.ndarray,
+    workspace: Workspace,
+    moves: np.ndarray,
+    squares: np.ndarray,
+    m: int,
+) -> float:
+    """Walk one column panel: add its moves and squared pair norms, guard its
+    incremental potential, and return its initial potential."""
     phi = quasi_entropy(A, B, workspace)
-    ledger = row_contribs(A, B)
-    moves = np.zeros(m)
-    bounds = np.zeros(m)
-    total = phi  # incremental potential of the current matrices, summed in layer order
+    ledger = row_contribs(A, B, workspace).copy()
+    total = phi  # incremental potential of the panel, summed in layer order
     scale = max(1.0, abs(phi))
     unchecked = done = 0
     for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
@@ -263,15 +295,13 @@ def _ledger_walk(algorithm: LinearAlgorithm, P, Q) -> tuple[float, np.ndarray, n
         else:
             new = row_contribs(a1, b1, workspace)
         before, after = swap_contribs(ledger, block, new)
-        moves[block.units] = after - before
-        total += float((after - before).sum())
+        delta = after - before
+        moves[block.units] += delta
+        total += float(delta.sum())
         scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
         if step.rot_gates.size:
-            bounds[step.rot_gates] = change_bound(
-                2,
-                _pair_products(step, a0, b0, workspace),
-                _pair_products(step, a1, b1, workspace),
-            )
+            squares[:2, step.rot_gates] += _pair_squares(step, a0, b0, workspace)
+            squares[2:, step.rot_gates] += _pair_squares(step, a1, b1, workspace)
 
         unchecked += block.gates
         done += block.gates
@@ -283,7 +313,7 @@ def _ledger_walk(algorithm: LinearAlgorithm, P, Q) -> tuple[float, np.ndarray, n
                     f"after {done} of {m} gates"
                 )
             unchecked = 0
-    return phi, moves, bounds
+    return phi
 
 
 def random_orthogonal(rng: np.random.Generator, a: int) -> np.ndarray:

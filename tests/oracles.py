@@ -30,24 +30,62 @@ M(t)^{-T} z from a replay of both matrices.
 
 ``extract_directions_exact`` is the greedy extraction in exact rational
 arithmetic (standard library only), the judge of the selection rule.
+
+``panel_instances`` draws programs, operators and a panel width for the
+column-panel properties, which hold a multi-panel walk to the one-panel walk
+of the same program within ``DRIFT_TOL`` (``within_drift``).
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gatelab.builders import wht_matrix
 from gatelab.directions import DirectionSystem, speedup_factor
 from gatelab.gates import (
     Constant,
+    LinearAlgorithm,
     Rotation,
     TrajectoryDiagnostics,
     matrices_at,
     replay,
     touched,
 )
-from gatelab.potential import ZERO_PRODUCT, change_bound
+from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound
+
+
+@st.composite
+def panel_instances(draw):
+    """(algorithm, R, width, P, Q): up to 40 gates on n = 5..16 rows, about
+    half constants in +-[0.5, 2], a window size R, random P and Q, and an
+    even panel width that cuts the n columns into 2 to 5 panels, the last one
+    ragged (no even width does that for n = 4)."""
+    n = draw(st.integers(5, 16))
+    width = draw(st.sampled_from([w for w in range(2, n, 2) if n % w and -(-n // w) <= 5]))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            gates.append(Constant(i, sign * draw(st.floats(0.5, 2.0))))
+        else:
+            j = draw(st.integers(0, n - 2))
+            gates.append(Rotation(i, j + (j >= i), draw(st.floats(-7, 7))))
+    R = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    P = rng.standard_normal((n, n))
+    Q = rng.standard_normal((n, n))
+    return LinearAlgorithm(n, tuple(gates)), R, width, P, Q
+
+
+def within_drift(got, want) -> bool:
+    """Whether ``got`` is ``want`` within ``DRIFT_TOL`` relative to the largest
+    magnitude in ``want`` (at least 1), entry by entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    return got.shape == want.shape and bool((np.abs(got - want) <= DRIFT_TOL * scale).all())
 
 
 def wht_sign_matrix(n: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from gatelab import (
     build_random,
     build_scaled_bottleneck_fixture,
     build_wht,
+    gates,
     matrices_at,
     quasi_entropy,
     scan_bottlenecks,
@@ -27,12 +28,14 @@ from gatelab.bottleneck import random_projection, sweep_fourier_projection_bound
 from gatelab.cli import main
 from gatelab.gates import touched
 
-from gatelab.potential import change_bound
+from gatelab.potential import DRIFT_TOL, change_bound
 
 from oracles import (
     compose_dense,
     compose_dense_inverse_transpose,
+    panel_instances,
     window_products_reference,
+    within_drift,
     wht_sign_matrix,
 )
 
@@ -344,6 +347,30 @@ def test_chain_window_moves_match_dense_potentials(instance):
         phi_end, size_end = dense(link.start + R)
         scale = max(1.0, size_start, size_end)
         assert abs(link.delta_abs - abs(phi_end - phi_start)) <= 1e-9 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(panel_instances())
+def test_multi_panel_scan_and_chain_match_the_one_panel_walk(instance):
+    algorithm, R, width, P, Q = instance
+    R = min(R, algorithm.n // 2)
+    one_scan = scan_bottlenecks(algorithm, P, Q, R=R)
+    one_chain = verify_bottleneck_chain(algorithm, P, Q, R=R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "PANEL_ELEMENTS", algorithm.n * width)
+        scan = scan_bottlenecks(algorithm, P, Q, R=R)
+        chain = verify_bottleneck_chain(algorithm, P, Q, R=R)
+    assert within_drift(scan.per_step_lhs, one_scan.per_step_lhs)
+    assert within_drift([scan.phi_identity, scan.phi_final],
+                        [one_scan.phi_identity, one_scan.phi_final])
+    top = sorted(one_scan.per_step_lhs)[-2:]
+    if len(top) < 2 or top[1] - top[0] > DRIFT_TOL * max(1.0, top[1]):
+        assert (scan.t_star, scan.affected) == (one_scan.t_star, one_scan.affected)
+    assert [link.affected for link in chain.windows] == [w.affected for w in one_chain.windows]
+    for field in ("delta_abs", "bound"):
+        got = [getattr(link, field) for link in chain.windows]
+        assert within_drift(got, [getattr(link, field) for link in one_chain.windows])
+    assert within_drift(chain.scan.per_step_lhs, one_chain.scan.per_step_lhs)
 
 
 def test_chain_closure_check_catches_a_window_missing_a_row(tmp_path, monkeypatch, capsys):

@@ -363,6 +363,9 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["build", "--scaled", "8,x,1", "-o", "ALG"], "--scaled: c must be a number, got 'x'"),
         (["build", "--inverse-scaled", "8,2^x,1", "-o", "ALG"],
          "--inverse-scaled: c must be a number, got '2^x'"),
+        (["build", "--scaled", "8,0.5,1", "-o", "ALG"], "--scaled: c must exceed 1, got 0.5"),
+        (["build", "--inverse-scaled", "8,4,9", "-o", "ALG"],
+         "--inverse-scaled: k must be in [1, 8], got 9"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):

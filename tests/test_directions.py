@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gatelab import (
     DirectionSystem,
@@ -25,6 +26,8 @@ from oracles import (
     extract_directions_exact,
     extract_directions_reference,
     gate_matrix,
+    panel_instances,
+    within_drift,
 )
 
 
@@ -196,6 +199,40 @@ def test_one_extraction_walks_the_matrices_once(monkeypatch):
     over, under = extract_directions(build_wht(32))
     assert over.size + under.size == 64  # 64 rounds
     assert walks == [(32, 32)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel_instances())
+def test_multi_panel_norm_walk_matches_the_one_panel_walk(instance):
+    algorithm, _, width, _, _ = instance
+    one = directions._squared_row_norms(algorithm, False, 1e-8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "PANEL_ELEMENTS", algorithm.n * width)
+        panels = directions._squared_row_norms(algorithm, False, 1e-8)
+    for got, want in zip(panels, one):
+        assert within_drift(got, want)
+
+
+def test_multi_panel_extraction_checks_the_target_and_picks_alike(monkeypatch):
+    fixture = build_inverse_scaled_fixture(16, 4.0, 8)
+    one = extract_directions(fixture, tau=2.0)
+    monkeypatch.setattr(gates, "PANEL_ELEMENTS", 16 * 6)  # panels of 6, 6 and 4 columns
+    for want, got in zip(one, extract_directions(fixture, tau=2.0)):
+        assert (got.steps, got.coords) == (want.steps, want.coords)
+        assert got.magnitudes == want.magnitudes
+    with pytest.raises(directions.TargetMismatch):
+        extract_directions(build_random(16, 60, seed=1), tau=2.0)
+    # every panel is checked: a transform off in its last column only
+    real = directions.wht_entries
+
+    def last_column_off(n, rows, cols, out=None):
+        out = real(n, rows, cols, out)
+        out[:, cols == n - 1] += 1.0
+        return out
+
+    monkeypatch.setattr(directions, "wht_entries", last_column_off)
+    with pytest.raises(directions.TargetMismatch):
+        extract_directions(build_wht(16), tau=2.0)
 
 
 def test_wht256_fills_both_systems_within_a_second():

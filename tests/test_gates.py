@@ -22,8 +22,18 @@ from gatelab import (
     validate,
 )
 
+from gatelab import gates
 from gatelab.builders import build_dft_real
-from gatelab.gates import BLOCK_ELEMENTS, VectorWalk, apply_gate_rows, layer, replay_layers, start_pair
+from gatelab.gates import (
+    BLOCK_ELEMENTS,
+    VectorWalk,
+    apply_gate_rows,
+    column_panels,
+    layer,
+    panel_width,
+    replay_layers,
+    start_pair,
+)
 
 from oracles import (
     compose_dense,
@@ -209,6 +219,33 @@ def test_transposed_walk_gives_the_rows_of_both_matrices(algorithm):
             for inverse_transpose, want in ((False, M[i]), (True, Minv_T[i])):
                 got = walk.row(t, i, inverse_transpose=inverse_transpose)
                 assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_panel_width_keeps_every_n_up_to_512_on_one_panel():
+    assert all(panel_width(n) == n for n in range(1, 513))
+    assert panel_width(1024) == 256
+    assert panel_width(8192) == 32
+
+
+@pytest.mark.parametrize("n, elements", [(8, 64), (7, 14), (9, 36), (5, 10)])
+def test_column_panels_tile_the_start_pair(n, elements, monkeypatch):
+    # panels of the width rule, the last one ragged where n is not a multiple
+    monkeypatch.setattr(gates, "PANEL_ELEMENTS", elements)
+    width = panel_width(n)
+    rng = np.random.default_rng(n)
+    P = rng.standard_normal((n, n))
+    for operators in ((None, None), (P, None), (None, P.tolist())):
+        A, B = start_pair(n, *operators)
+        lo = 0
+        for a, b in column_panels(n, *operators):
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert a.shape == (n, min(width, n - lo))
+            assert a.tobytes() == A[:, lo : lo + a.shape[1]].tobytes()
+            assert b.tobytes() == B[:, lo : lo + b.shape[1]].tobytes()
+            lo += a.shape[1]
+        assert lo == n
+    with pytest.raises(ValueError, match=f"P and Q must be {n}x{n}"):
+        column_panels(n, P[:, :-1])
 
 
 def test_layering_keeps_row_order_and_cuts_wide_layers_into_blocks():

@@ -2,9 +2,10 @@
 
 ``tracemalloc`` counts numpy's array buffers, so the peak it reports over a
 call is the most the call held at once beyond what existed before it.  A
-walk holds A and B (2n^2 floats) plus one fixed workspace; ``validate``
-holds M and M^{-T} plus a few rows; ``simulate`` holds one n x chunk sample
-array plus small accumulators.
+walk holds one column panel of A and of B (2nw floats, w = ``panel_width(n)``)
+plus one fixed workspace; an extraction holds its two n x n bases and
+nothing else of that size; ``validate`` holds M and M^{-T} plus a few rows;
+``simulate`` holds one n x chunk sample array plus small accumulators.
 """
 
 import tracemalloc
@@ -12,7 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gatelab import build_wht, quasi_entropy, scan_bottlenecks, trace_potential, validate
+from gatelab import (
+    build_wht,
+    extract_directions,
+    quasi_entropy,
+    scan_bottlenecks,
+    trace_potential,
+    validate,
+    verify_bottleneck_chain,
+)
+from gatelab.gates import panel_width
 from gatelab.potential import row_contribs
 from gatelab.quantized import simulate
 
@@ -37,11 +47,21 @@ def test_dense_potentials_need_no_full_size_temporaries(function):
     assert _peak(lambda: function(A, B)) <= 1 * MB
 
 
-@pytest.mark.parametrize("walk", [trace_potential, scan_bottlenecks])
+@pytest.mark.parametrize("walk", [trace_potential, scan_bottlenecks, verify_bottleneck_chain])
 def test_walks_hold_the_two_matrices_and_a_fixed_workspace(walk):
+    # the two matrices one column panel at a time: 4 panels of 256 columns
     algorithm = build_wht(1024)
-    two_matrices = 2 * algorithm.n**2 * 8
-    assert _peak(lambda: walk(algorithm)) <= two_matrices + 4 * MB
+    two_panels = 2 * algorithm.n * panel_width(algorithm.n) * 8
+    assert _peak(lambda: walk(algorithm)) <= two_panels + 4 * MB
+
+
+def test_extraction_holds_its_two_bases_and_no_dense_target():
+    # the bases (2n^2 floats) and fixed-size blocks: no n x n transform for
+    # the target check, no whole Gram matrix; at n = 1024, where n^2 floats
+    # outweigh the 1.5 MiB workspace
+    algorithm = build_wht(1024)
+    algorithm.arrays  # compiled before the measurement
+    assert _peak(lambda: extract_directions(algorithm)) <= 3 * algorithm.n**2 * 8
 
 
 def test_validate_holds_the_two_matrices_and_no_full_size_product():

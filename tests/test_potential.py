@@ -15,7 +15,7 @@ from gatelab import (
     quasi_entropy,
     trace_potential,
 )
-from gatelab import potential
+from gatelab import gates, potential
 from gatelab.gates import BLOCK_ELEMENTS
 from gatelab.potential import (
     UNIT_PAIR_SHARP_DIM2,
@@ -27,9 +27,11 @@ from gatelab.potential import (
 
 from oracles import (
     dft_embedding_matrix,
+    panel_instances,
     potential_brute,
     row_contribs_reference,
     trace_bounds_reference,
+    within_drift,
     wht_sign_matrix,
 )
 
@@ -266,6 +268,24 @@ def test_trace_drift_guard_fires_on_a_drifting_ledger(monkeypatch):
     monkeypatch.setattr(potential, "RECOMPUTE_EVERY", 16)
     with pytest.raises(ArithmeticError, match="incremental potential drifted by"):
         trace_potential(build_wht(32))
+    # every panel keeps its own guard: five panels of 6 columns and one of 2
+    monkeypatch.setattr(gates, "PANEL_ELEMENTS", 32 * 6)
+    with pytest.raises(ArithmeticError, match="incremental potential drifted by"):
+        trace_potential(build_wht(32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(panel_instances())
+def test_multi_panel_trace_matches_the_one_panel_trace(instance):
+    algorithm, _, width, P, Q = instance
+    one = trace_potential(algorithm, P, Q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "PANEL_ELEMENTS", algorithm.n * width)
+        assert gates.panel_width(algorithm.n) == width
+        panels = trace_potential(algorithm, P, Q)
+    assert within_drift(panels.values, one.values)
+    assert within_drift(panels.per_step_bound, one.per_step_bound)
+    assert panels.touched_sets == one.touched_sets
 
 
 def test_two_row_change_bound_single_row_is_zero():
