@@ -24,19 +24,21 @@ c and 1/c and provably cannot move the potential.
 reports the slack of each link, which is nonnegative up to float noise for
 every algorithm and every P, Q.  A window rewrites only the rows in I_t, so
 its move is the change in those rows' potential contribution across the
-window; the exact potential is evaluated only at the two ends, and the moves
-must add up to its change.  The chain reads its scan report from the same
-walk, so it equals ``scan_bottlenecks`` exactly.
+window.  The chain reads its scan report from its own walk, so it equals
+``scan_bottlenecks`` exactly.
 
-Both walk the trajectory layer by layer with windows as units
-(``gates.layer(algorithm, R)``; R = 1 is the gate case): windows in one
-block touch disjoint rows, so the block holds each window's rows at its start
-and at its end, and the products of a whole block take a few numpy calls.
-The walk takes the columns in panels (``gates.column_panels``): every
-potential, row contribution and squared window norm is a sum over columns,
-so each panel adds into per-window sums, and the products take their square
-roots at the end.  With one panel (n <= 512) every number is the full-width
-walk's, bit for bit.
+Both run ``potential.ledger_walk``, the walk of ``trace_potential`` too,
+over the windows layered as units (``gates.layer(algorithm, R)``; R = 1 is
+the gate case): windows in one block touch disjoint rows, so the block holds
+each window's rows at its start and at its end, and ``_window_squares``
+takes the squared window norms of a whole block in a few numpy calls.  The
+walk takes the columns in panels, so the norms are summed over panels and
+the products take their square roots at the end.  The chain keeps the
+walk's row ledger and its drift guard: a recheck of the potential every
+``RECOMPUTE_EVERY`` gates of a panel and, at the end, a check that the
+moves add up to the change of the potential.  The scan runs without the
+ledger.  With one panel (n <= 512) every number is the full-width walk's,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -46,25 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import (
-    Block,
-    LinearAlgorithm,
-    Layering,
-    Workspace,
-    column_panels,
-    layer,
-    panel_width,
-    replay_layers,
-)
-from .potential import (
-    DRIFT_TOL,
-    change_bound,
-    norm_products,
-    quasi_entropy,
-    row_contribs,
-    squared_row_norms,
-    swap_contribs,
-)
+from .gates import LinearAlgorithm, Layering, layer, panel_width
+from .potential import change_bound, ledger_walk, norm_products, quasi_entropy, squared_row_norms
 
 
 def _padded_length(m: int, R: int) -> int:
@@ -77,15 +62,23 @@ def _windows(algorithm: LinearAlgorithm, R: int) -> Layering:
     return layer(algorithm, R, width=panel_width(algorithm.n))
 
 
-def _window_squares(block: Block, x: np.ndarray) -> np.ndarray:
-    """|X_I|_F^2 of each window of a block, in ``block.units`` order, from the
-    block's rows ``x``; I is the window's sorted rows."""
-    n = x.shape[1]
-    squares = np.empty(block.units.size)
-    for size, first, end in block.groups:
-        rows = slice(block.unit_starts[first], block.unit_starts[first] + (end - first) * size)
-        squares[first:end] = squared_row_norms(x[rows].reshape(end - first, size * n))
-    return squares
+def _window_squares(squares: np.ndarray):
+    """The scan's and the chain's ``ledger_walk`` measure: it adds each
+    window's |A_I|_F^2 and |B_I|_F^2 at its start into rows 0 and 1 of
+    ``squares`` and, if ``squares`` has rows 2 and 3, at its end; I is the
+    window's sorted rows."""
+
+    def measure(block, a0, b0, a1, b1, workspace):
+        n = a0.shape[1]
+        for x, sums in zip((a0, b0, a1, b1), squares):
+            block_squares = np.empty(block.units.size)
+            for size, first, end in block.groups:
+                start = block.unit_starts[first]
+                rows = x[start : start + (end - first) * size]
+                block_squares[first:end] = squared_row_norms(rows.reshape(end - first, size * n))
+            sums[block.units] += block_squares
+
+    return measure
 
 
 def _scanned(algorithm: LinearAlgorithm, R: int, include_constants: bool) -> np.ndarray:
@@ -160,45 +153,15 @@ def scan_bottlenecks(
     single touched row plays the role of both indices.
     """
     windows = _windows(algorithm, R)
-    phi_identity, phi_final, squares, _, _ = _walk_windows(algorithm, windows, P, Q, ends=False)
+    squares = np.zeros((2, len(windows.unit_rows)))
+    phi_identity, phi_final, _ = ledger_walk(
+        algorithm, windows, P, Q, _window_squares(squares), ledger=False
+    )
     scanned = _scanned(algorithm, R, include_constants)
     products = norm_products(squares[0], squares[1])
     return _scan_report(
         algorithm, R, windows.unit_rows, scanned, products, phi_identity, phi_final
     )
-
-
-def _walk_windows(
-    algorithm: LinearAlgorithm, windows: Layering, P, Q, ends: bool
-) -> tuple[float, float, np.ndarray, np.ndarray | None, float]:
-    """The walk of the scan and the chain, one column panel at a time.
-
-    Returns the identity and final potentials; each window's |A_I|_F^2 and
-    |B_I|_F^2 at its start and, with ``ends``, at its end (rows 2 and 3);
-    and, with ``ends``, each window's move and the largest row contribution
-    seen, from a row ledger per panel (None and 1.0 without).  The panels,
-    the ledgers and the workspace die with the call.
-    """
-    n_windows = len(windows.unit_rows)
-    workspace = Workspace()
-    # sums over the panels start at -0.0, the additive identity, so one
-    # panel gives its own numbers bit for bit
-    phi_identity = phi_final = -0.0
-    squares = np.zeros((4 if ends else 2, n_windows))
-    moves = np.full(n_windows, -0.0) if ends else None
-    scale = 1.0
-    for A, B in column_panels(algorithm.n, P, Q):
-        phi_identity += quasi_entropy(A, B, workspace)
-        ledger = row_contribs(A, B, workspace).copy() if ends else None
-        for block, a0, b0, a1, b1 in replay_layers(windows.blocks, A, B, workspace):
-            for x, sums in zip((a0, b0, a1, b1), squares):
-                sums[block.units] += _window_squares(block, x)
-            if ends:
-                before, after = swap_contribs(ledger, block, row_contribs(a1, b1, workspace))
-                moves[block.units] += after - before
-                scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
-        phi_final += quasi_entropy(A, B, workspace)
-    return phi_identity, phi_final, squares, moves, scale
 
 
 @dataclass
@@ -241,23 +204,17 @@ def verify_bottleneck_chain(
     max-versus-average step.  All slacks are nonnegative up to float noise.
 
     A window rewrites only the rows it touches, so its move is the change in
-    those rows' contribution from its start to its end; the exact potential is
-    computed only at the first and the last boundary.  The moves must add up
-    to the total change within ``DRIFT_TOL`` of the largest value or block
-    contribution seen, or ``ArithmeticError`` is raised.
+    those rows' contribution from its start to its end, read from the row
+    ledger of ``potential.ledger_walk``, whose drift guard raises
+    ``ArithmeticError`` when the ledger drifts from the exact potential.
     """
     windows = _windows(algorithm, R)
     window_sets = windows.unit_rows
     n_windows = len(window_sets)
-    phi_identity, phi_final, squares, moves, scale = _walk_windows(
-        algorithm, windows, P, Q, ends=True
-    )
+    squares = np.zeros((4, n_windows))
+    phi_identity, phi_final, moves = ledger_walk(algorithm, windows, P, Q, _window_squares(squares))
     start_products = norm_products(squares[0], squares[1])
     end_products = norm_products(squares[2], squares[3])
-
-    residual = abs(float(moves.sum()) - (phi_final - phi_identity))
-    if residual > DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
-        raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
 
     links: list[WindowLink] = []
     for w, rows in enumerate(window_sets):

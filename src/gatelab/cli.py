@@ -7,7 +7,8 @@ schema_version marker.  Numeric options accept a power literal ``B^E``
 
 Exit codes: 0 success, 1 usage, input, I/O or out-of-memory error, 2 a
 verification failed: an inequality beyond tolerance (regression signal), an
-extraction guarantee, or the incremental-potential drift guard.
+extraction guarantee, the incremental-potential drift guard of trace and
+chain, or a trajectory whose inverse-consistency residual is not finite.
 """
 
 from __future__ import annotations
@@ -96,15 +97,19 @@ _dims = _ranged(
 
 
 def parse_operator(spec: str, n: int) -> np.ndarray | None:
-    """Operator spec: ``id``, ``proj:i,j,...`` (coordinate projection), or ``file:PATH``."""
+    """Operator spec: ``id``, ``proj:i,j,...`` (coordinate projection), or
+    ``file:PATH`` (an n x n text matrix of finite numbers)."""
     if spec == "id":
         return None
     import numpy as np
 
     if spec.startswith("proj:"):
-        coords = [int(tok) for tok in spec[5:].split(",") if tok]
         P = np.zeros((n, n))
-        for i in coords:
+        for tok in filter(None, spec[5:].split(",")):
+            try:
+                i = int(tok)
+            except ValueError:
+                raise ValueError(f"projection coordinate {tok!r} is not an integer") from None
             if not 0 <= i < n:
                 raise ValueError(f"projection coordinate {i} out of range for n={n}")
             P[i, i] = 1.0
@@ -113,8 +118,25 @@ def parse_operator(spec: str, n: int) -> np.ndarray | None:
         P = np.loadtxt(spec[5:])
         if P.shape != (n, n):
             raise ValueError(f"operator file has shape {P.shape}, expected ({n}, {n})")
+        bad = np.argwhere(~np.isfinite(P))
+        if bad.size:
+            r, c = bad[0].tolist()
+            raise ValueError(
+                f"entry {float(P[r, c])} at row {r}, column {c} of {spec[5:]} is not finite"
+            )
         return P
     raise ValueError(f"bad operator spec {spec!r}; use id, proj:i,j,..., or file:PATH")
+
+
+def _operators(args: argparse.Namespace, n: int) -> list[np.ndarray | None]:
+    """P and Q from ``--P`` and ``--Q``; an error names its option."""
+    pair = []
+    for option, spec in (("--P", args.P), ("--Q", args.Q)):
+        try:
+            pair.append(parse_operator(spec, n))
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"{option}: {exc}") from None
+    return pair
 
 
 def _emit(pieces: Iterable[str], path: str | None) -> None:
@@ -232,8 +254,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from . import potential
 
     algorithm = _load(args.algorithm)
-    P = parse_operator(args.P, algorithm.n)
-    Q = parse_operator(args.Q, algorithm.n)
+    P, Q = _operators(args, algorithm.n)
     trace = potential.trace_potential(algorithm, P, Q)
     _emit(_trace_csv(trace), args.output)
     worst = max(
@@ -246,8 +267,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     from . import bottleneck
 
     algorithm = _load(args.algorithm)
-    P = parse_operator(args.P, algorithm.n)
-    Q = parse_operator(args.Q, algorithm.n)
+    P, Q = _operators(args, algorithm.n)
     report = bottleneck.scan_bottlenecks(
         algorithm, P, Q, R=args.R, include_constants=args.include_constants
     )
@@ -277,8 +297,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     from . import bottleneck
 
     algorithm = _load(args.algorithm)
-    P = parse_operator(args.P, algorithm.n)
-    Q = parse_operator(args.Q, algorithm.n)
+    P, Q = _operators(args, algorithm.n)
     report = bottleneck.verify_bottleneck_chain(algorithm, P, Q, R=args.R)
     slacks = [report.triangle_slack, report.min_window_slack, report.max_vs_average_slack,
               report.scan.slack]
@@ -595,7 +614,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         return _fail(exc, 1)
     except (RuntimeError, ArithmeticError) as exc:
-        # a failed extraction guarantee or the drift guard of trace_potential
+        # a failed extraction guarantee, the drift guard of the ledger walk
+        # or a non-finite validate residual
         return _fail(exc, 2)
 
 

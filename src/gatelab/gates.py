@@ -23,8 +23,9 @@ walked in one of two ways:
   a row keep their order, and each layer is split into blocks of at most
   ``BLOCK_ELEMENTS`` matrix elements per side.  A block's rows are gathered
   into a ``Workspace`` that the walk reuses, and the block is applied there
-  with fancy indexing, so the walk allocates nothing per block.  ``trace_potential``,
-  ``scan_bottlenecks``, ``verify_bottleneck_chain`` and
+  with fancy indexing, so the walk allocates nothing per block.
+  ``potential.ledger_walk`` (the one walk of ``trace_potential``,
+  ``scan_bottlenecks`` and ``verify_bottleneck_chain``) and
   ``extract_directions`` (once, for its row norms) use it: each reads only
   the rows a gate, or a window of R gates, rewrites, so it can rate a whole
   block in a few numpy calls.  Windows of R > 1 gates are layered as units, so a block holds
@@ -725,25 +726,32 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
     condition number comes from an SVD at t = 0 and after each constant
     with |c| != 1, and is repeated at every other step.  A residual above
     ``residual_tol`` flags the algorithm as numerically unstable (only
-    pathological constants can cause this).
+    pathological constants can cause this); a residual that is not finite
+    (an overflowed trajectory) raises ``ArithmeticError`` naming its step.
     """
     rescales = (np.abs(algorithm.arrays.c) != 1.0).tolist()
     max_residual = 0.0
     kappas: list[float] = []
     changed = np.empty((4, algorithm.n))  # the rewritten rows, then the rewritten columns
-    for t, rows, M, Minv_T in replay(algorithm):
-        if rows:
-            k = len(rows)
-            rows = list(rows)
-            lines = changed[: 2 * k]
-            np.matmul(M[rows], Minv_T.T, out=lines[:k])
-            np.matmul(Minv_T[rows], M.T, out=lines[k:])  # columns, as rows k..2k-1
-            lines[range(2 * k), rows + rows] -= 1.0
-            max_residual = max(max_residual, float(np.abs(lines, out=lines).max()))
-        if t == 0 or rescales[t - 1]:
-            svals = np.linalg.svd(M, compute_uv=False)
-            kappa = float(svals[0] / svals[-1])
-        kappas.append(kappa)
+    # an overflow shows as a non-finite residual on the rows it hit, which is
+    # reported as an error, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, rows, M, Minv_T in replay(algorithm):
+            if rows:
+                k = len(rows)
+                rows = list(rows)
+                lines = changed[: 2 * k]
+                np.matmul(M[rows], Minv_T.T, out=lines[:k])
+                np.matmul(Minv_T[rows], M.T, out=lines[k:])  # columns, as rows k..2k-1
+                lines[range(2 * k), rows + rows] -= 1.0
+                residual = float(np.abs(lines, out=lines).max())
+                if not math.isfinite(residual):
+                    raise ArithmeticError(f"inverse-consistency residual is not finite at step {t}")
+                max_residual = max(max_residual, residual)
+            if t == 0 or rescales[t - 1]:
+                svals = np.linalg.svd(M, compute_uv=False)
+                kappa = float(svals[0] / svals[-1])
+            kappas.append(kappa)
     return TrajectoryDiagnostics(
         n=algorithm.n,
         m=algorithm.m,

@@ -32,24 +32,28 @@ so a batch of blocks gives the products of one ``np.linalg.norm`` call per
 block bit for bit.  (``einsum`` sums in another order and does not.)
 
 The potential, every row contribution and every squared norm is a sum over
-columns, so ``trace_potential`` walks the columns in panels
-(``gates.column_panels``): each panel keeps its own row ledger and drift
-guard and adds its moves and squared norms into per-gate sums, and the
-bounds take their square roots at the end.  With one panel (n <= 512) every
-number is the full-width walk's, bit for bit.
+columns, so ``ledger_walk``, the one walk of ``trace_potential``,
+``bottleneck.scan_bottlenecks`` and ``bottleneck.verify_bottleneck_chain``,
+takes the columns in panels (``gates.column_panels``) and adds each block's
+numbers into per-gate or per-window sums; bounds take their square roots at
+the end.  Each panel keeps a row ledger, and one drift guard serves trace
+and chain: every panel rechecks its incremental potential against an exact
+recomputation every ``RECOMPUTE_EVERY`` gates, and at the end the moves must
+add up to the change between the two end potentials.  With one panel
+(n <= 512) every number is the full-width walk's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import (
     BLOCK_ELEMENTS,
-    Block,
-    Blocks,
+    Layering,
     LayerStep,
     LinearAlgorithm,
     Workspace,
@@ -165,19 +169,6 @@ def row_contribs(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = Non
     return np.negative(out, out=out)
 
 
-def swap_contribs(
-    ledger: np.ndarray, block: Block, new: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Store a block's new row contributions in the per-row ledger.
-
-    Returns each unit's contribution before and after the block, in
-    ``block.units`` order.
-    """
-    before = np.add.reduceat(ledger[block.rows], block.unit_starts)
-    ledger[block.rows] = new
-    return before, np.add.reduceat(new, block.unit_starts)
-
-
 def change_bound(rows: int, before: float, after: float) -> float:
     """Bound on the potential move of a block of rows rewritten by one nonsingular map.
 
@@ -187,10 +178,11 @@ def change_bound(rows: int, before: float, after: float) -> float:
     return (before + after) * math.log2(rows) if rows > 1 else 0.0
 
 
-# The incremental potential is checked against an exact recomputation at
-# least every RECOMPUTE_EVERY gates; a disagreement beyond DRIFT_TOL relative
-# to the largest value or row-block contribution seen (the scale healthy
-# float drift tracks) is an error.
+# ``ledger_walk``'s incremental potential is checked against an exact
+# recomputation at least every RECOMPUTE_EVERY gates of a panel and once at
+# the end of the walk; a disagreement beyond DRIFT_TOL relative to the
+# largest value or row-block contribution seen (the scale healthy float
+# drift tracks) is an error.
 RECOMPUTE_EVERY = 1000
 DRIFT_TOL = 1e-7
 
@@ -218,6 +210,84 @@ def _pair_squares(
     return squared_row_norms(gathered.reshape(2 * k, 2 * n)).reshape(2, k)
 
 
+def ledger_walk(
+    algorithm: LinearAlgorithm,
+    layering: Layering,
+    P: np.ndarray | None,
+    Q: np.ndarray | None,
+    measure: Callable[..., None],
+    ledger: bool = True,
+) -> tuple[float, float, np.ndarray | None]:
+    """The one walk of ``trace_potential``, ``scan_bottlenecks`` and
+    ``verify_bottleneck_chain``: ``replay_layers`` over ``layering`` (cut for
+    ``panel_width(n)``), one column panel at a time.
+
+    After each block it calls ``measure(block, a0, b0, a1, b1, workspace)``
+    with the block's rows before and after it, which the caller adds into
+    its own per-unit sums.  It returns the identity and final potentials
+    and, with ``ledger``, each unit's move (None without): the change in its
+    rows' contribution, from a row ledger per panel, summed over the panels.
+    A block of reflections (c = -1 only) carries its rows' contributions,
+    since negating both factors leaves every entry product bitwise
+    unchanged.  Sums over the panels start at -0.0, the additive identity,
+    so one panel gives its own numbers bit for bit.  The panels, the ledgers
+    and the workspace die with the call.
+
+    The ledger's drift guard has two checks; both raise ``ArithmeticError``
+    and both fail on a NaN drift.  Each panel recomputes its potential at a
+    block boundary whenever the next block would take the gates applied
+    since its last recheck past ``RECOMPUTE_EVERY``, and its incremental
+    total must match within ``DRIFT_TOL`` of the largest value or unit
+    contribution seen.  At the end the moves must add up to the change of
+    the potential within ``DRIFT_TOL`` of that scale and both end values.
+    """
+    blocks = layering.blocks
+    # the blocks whose gates are all reflections (rotations have c = 1)
+    kept = np.cumsum(algorithm.arrays.c[blocks.gates] != -1.0)
+    kept = np.concatenate(([0], kept))[blocks.gate_cuts[:: 2 * layering.R]]
+    reflections = (kept[1:] == kept[:-1]).tolist()
+    workspace = Workspace()
+    phi_identity = phi_final = -0.0
+    moves = np.full(len(layering.unit_rows), -0.0) if ledger else None
+    scale = 1.0
+    for A, B in column_panels(algorithm.n, P, Q):
+        total = quasi_entropy(A, B, workspace)  # the panel's incremental potential
+        phi_identity += total
+        scale = max(scale, abs(total))
+        if ledger:
+            contribs = row_contribs(A, B, workspace).copy()
+        unchecked = done = 0
+        for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+            measure(block, a0, b0, a1, b1, workspace)
+            if not ledger:
+                continue
+            old = contribs[block.rows]
+            new = old if reflections[k] else row_contribs(a1, b1, workspace)
+            before = np.add.reduceat(old, block.unit_starts)
+            contribs[block.rows] = new
+            after = np.add.reduceat(new, block.unit_starts)
+            delta = after - before
+            moves[block.units] += delta
+            total += float(delta.sum())
+            scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
+            unchecked += block.gates
+            done += block.gates
+            if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
+                exact = quasi_entropy(A, B, workspace)
+                if not abs(exact - total) <= DRIFT_TOL * max(scale, abs(exact)):
+                    raise ArithmeticError(
+                        f"incremental potential drifted by {abs(exact - total):.3e} "
+                        f"after {done} of {algorithm.m} gates"
+                    )
+                unchecked = 0
+        phi_final += quasi_entropy(A, B, workspace)
+    if ledger:
+        residual = abs(float(moves.sum()) - (phi_final - phi_identity))
+        if not residual <= DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
+            raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
+    return phi_identity, phi_final, moves
+
+
 def trace_potential(
     algorithm: LinearAlgorithm,
     P: np.ndarray | None = None,
@@ -225,95 +295,36 @@ def trace_potential(
 ) -> PotentialTrace:
     """Trace the projected potential along the trajectory.
 
-    The walk is layered (``gates.replay_layers``), one column panel at a
-    time, and each panel keeps a ledger of every row's contribution.  A
-    gate's move is the change in its own rows' contribution, computed for a
-    whole block at once and summed over the panels; a block of reflections
-    (c = -1) carries its rows' entries, since negating both factors leaves
-    every entry product bitwise unchanged.  Values are the initial potential
-    plus a running sum of the moves in step order.  Bounds come from the
+    ``ledger_walk`` over the layering of single gates: a gate's move is the
+    change in its own rows' contribution, summed over the panels, and the
+    walk's drift guard checks the moves.  Values are the initial potential
+    plus a running sum of the moves in step order; they are not snapped to
+    a recheck, since a block boundary is not a step.  Bounds come from the
     touched rows' block products, in the gate's (i, j) row order, before and
     after the gate.
-
-    Each panel's drift guard recomputes that panel's potential in full at a
-    block boundary whenever the next block would take the gates applied
-    since the last recheck past ``RECOMPUTE_EVERY``.  An incremental total
-    that misses it by more than ``DRIFT_TOL`` raises ``ArithmeticError``.
-    Values are not snapped to the recomputation: a block boundary is not a
-    step.
     """
-    phi, moves, bounds = _ledger_walk(algorithm, P, Q)
-    values = np.cumsum(np.concatenate([[phi], moves]))
-    gate_i, gate_j = algorithm.arrays.i.tolist(), algorithm.arrays.j.tolist()
-    return PotentialTrace(
-        values=values.tolist(),
-        per_step_delta=[0.0] + np.abs(np.diff(values)).tolist(),
-        per_step_bound=[0.0] + bounds.tolist(),
-        touched_sets=[()] + [(i,) if j < 0 else (i, j) for i, j in zip(gate_i, gate_j)],
-    )
+    squares = np.zeros((4, algorithm.m))  # each rotation's |A_I|^2, |B_I|^2 before it, then after
 
-
-def _ledger_walk(algorithm: LinearAlgorithm, P, Q) -> tuple[float, np.ndarray, np.ndarray]:
-    """``trace_potential``'s walk: the initial potential, each gate's move and
-    bound.  The panels, the layering and the workspace die with it, before
-    the trace's lists are built."""
-    n, m = algorithm.n, algorithm.m
-    blocks = layer(algorithm, width=panel_width(n)).blocks
-    workspace = Workspace()
-    # sums over the panels start at -0.0, the additive identity, so one
-    # panel gives its own numbers bit for bit
-    phi = -0.0
-    moves = np.full(m, -0.0)
-    squares = np.zeros((4, m))  # each rotation's |A_I|^2, |B_I|^2 before it, then after
-    for A, B in column_panels(n, P, Q):
-        phi += _ledger_panel(blocks, A, B, workspace, moves, squares, m)
-    before = norm_products(squares[0], squares[1])
-    after = norm_products(squares[2], squares[3])
-    return phi, moves, change_bound(2, before, after)  # 0 for constants: no squares
-
-
-def _ledger_panel(
-    blocks: Blocks,
-    A: np.ndarray,
-    B: np.ndarray,
-    workspace: Workspace,
-    moves: np.ndarray,
-    squares: np.ndarray,
-    m: int,
-) -> float:
-    """Walk one column panel: add its moves and squared pair norms, guard its
-    incremental potential, and return its initial potential."""
-    phi = quasi_entropy(A, B, workspace)
-    ledger = row_contribs(A, B, workspace).copy()
-    total = phi  # incremental potential of the panel, summed in layer order
-    scale = max(1.0, abs(phi))
-    unchecked = done = 0
-    for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+    def measure(block, a0, b0, a1, b1, workspace):
         (step,) = block.steps
-        if not step.rot_gates.size and (step.c == -1.0).all():
-            new = ledger[block.rows]
-        else:
-            new = row_contribs(a1, b1, workspace)
-        before, after = swap_contribs(ledger, block, new)
-        delta = after - before
-        moves[block.units] += delta
-        total += float(delta.sum())
-        scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
         if step.rot_gates.size:
             squares[:2, step.rot_gates] += _pair_squares(step, a0, b0, workspace)
             squares[2:, step.rot_gates] += _pair_squares(step, a1, b1, workspace)
 
-        unchecked += block.gates
-        done += block.gates
-        if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
-            exact = quasi_entropy(A, B, workspace)
-            if abs(exact - total) > DRIFT_TOL * max(scale, abs(exact)):
-                raise ArithmeticError(
-                    f"incremental potential drifted by {abs(exact - total):.3e} "
-                    f"after {done} of {m} gates"
-                )
-            unchecked = 0
-    return phi
+    # the layering dies with the walk, before the trace's lists are built
+    phi, _, moves = ledger_walk(
+        algorithm, layer(algorithm, width=panel_width(algorithm.n)), P, Q, measure
+    )
+    values = np.cumsum(np.concatenate([[phi], moves]))
+    before = norm_products(squares[0], squares[1])
+    bounds = change_bound(2, before, norm_products(squares[2], squares[3]))
+    gate_i, gate_j = algorithm.arrays.i.tolist(), algorithm.arrays.j.tolist()
+    return PotentialTrace(
+        values=values.tolist(),
+        per_step_delta=[0.0] + np.abs(np.diff(values)).tolist(),
+        per_step_bound=[0.0] + bounds.tolist(),  # 0 for constants: no squares
+        touched_sets=[()] + [(i,) if j < 0 else (i, j) for i, j in zip(gate_i, gate_j)],
+    )
 
 
 def random_orthogonal(rng: np.random.Generator, a: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -18,8 +19,10 @@ from gatelab import (
     build_wht,
     gates,
     matrices_at,
+    potential,
     quasi_entropy,
     scan_bottlenecks,
+    trace_potential,
     verify_bottleneck_chain,
     verify_fourier_projection_bound,
     write_algorithm,
@@ -374,7 +377,7 @@ def test_multi_panel_scan_and_chain_match_the_one_panel_walk(instance):
 
 
 def test_chain_closure_check_catches_a_window_missing_a_row(tmp_path, monkeypatch, capsys):
-    real_row_contribs = bottleneck.row_contribs
+    real_row_contribs = potential.row_contribs
 
     def drop_a_row(A, B, *workspace):
         # the first row of every block goes missing from its window's move
@@ -382,7 +385,7 @@ def test_chain_closure_check_catches_a_window_missing_a_row(tmp_path, monkeypatc
         contribs[0] = 0.0
         return contribs
 
-    monkeypatch.setattr(bottleneck, "row_contribs", drop_a_row)
+    monkeypatch.setattr(potential, "row_contribs", drop_a_row)
     with pytest.raises(ArithmeticError, match="window moves miss the potential change"):
         verify_bottleneck_chain(build_wht(8), R=2)
     alg = tmp_path / "wht8.alg"
@@ -399,3 +402,38 @@ def test_chain_closure_holds_at_extreme_scales(R):
     # closure check rates the moves' sum against that scale and passes
     report = verify_bottleneck_chain(build_random(8, 2500, seed=12), R=R)
     assert report.triangle_slack >= -1e-7 * max(1.0, report.triangle_lhs)
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_chain_rechecks_its_ledger_before_the_walk_ends(R, monkeypatch):
+    # every row contribution 1% too large: the periodic recheck of the one
+    # drift guard catches it before the closing check would
+    real = potential.row_contribs
+    monkeypatch.setattr(
+        potential, "row_contribs", lambda A, B, *workspace: 1.01 * real(A, B, *workspace)
+    )
+    monkeypatch.setattr(potential, "RECOMPUTE_EVERY", 16)
+    algorithm = build_wht(32)
+    with pytest.raises(ArithmeticError, match="incremental potential drifted by") as caught:
+        verify_bottleneck_chain(algorithm, R=R)
+    done, m = map(int, re.search(r"after (\d+) of (\d+) gates", str(caught.value)).groups())
+    assert 0 < done < m == algorithm.m
+
+
+def test_trace_scan_and_chain_run_the_one_walk(monkeypatch):
+    calls = []
+    real = potential.ledger_walk
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("ledger", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "ledger_walk", counted)
+    monkeypatch.setattr(bottleneck, "ledger_walk", counted)
+    algorithm = build_wht(16)
+    trace_potential(algorithm)
+    scan_bottlenecks(algorithm, R=2)
+    verify_bottleneck_chain(algorithm, R=2)
+    assert calls == [True, False, True]  # the scan runs without the ledger
+    for name in ("row_contribs", "swap_contribs", "DRIFT_TOL"):
+        assert not hasattr(bottleneck, name)

@@ -43,6 +43,13 @@ def test_parse_operator_specs(tmp_path):
     assert np.array_equal(parse_operator(f"file:{mat}", 4), np.eye(4))
     with pytest.raises(ValueError):
         parse_operator("proj:9", 4)
+    with pytest.raises(ValueError, match="coordinate '1.5' is not an integer"):
+        parse_operator("proj:0,1.5", 4)
+    bad = np.eye(4)
+    bad[3, 0] = np.nan
+    np.savetxt(mat, bad)
+    with pytest.raises(ValueError, match="entry nan at row 3, column 0 of .* is not finite"):
+        parse_operator(f"file:{mat}", 4)
     with pytest.raises(ValueError):
         parse_operator("diag", 4)
 
@@ -403,6 +410,46 @@ def test_library_failures_exit_with_a_one_line_message(
     monkeypatch.setattr(target, fail)
     assert run([alg if a == "ALG" else a for a in args]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_of_an_overflowed_trajectory_exits_two_without_output(tmp_path, capsys):
+    alg = tmp_path / "overflow.alg"
+    alg.write_text("n 2 m 3\nC 0 1e200\nC 0 1e200\nR 0 1 0.5\n")
+    out = tmp_path / "validate.json"
+    assert run(["validate", alg, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: inverse-consistency residual is not finite at step 2\n"
+
+
+@pytest.mark.parametrize("command", ["trace", "scan", "chain"])
+@pytest.mark.parametrize(
+    "option, spec, reason",
+    [
+        ("--P", "file:{nan}", "--P: entry nan at row 1, column 2 of "),
+        ("--Q", "file:{inf}", "--Q: entry -inf at row 1, column 2 of "),
+        ("--P", "proj:1,x", "--P: projection coordinate 'x' is not an integer"),
+        ("--Q", "file:{missing}", "--Q: "),
+    ],
+)
+def test_bad_operators_exit_one_before_anything_is_written(
+    command, option, spec, reason, tmp_path, capsys
+):
+    alg = tmp_path / "wht4.alg"
+    run(["build", "--wht", 4, "-o", alg])
+    files = {"nan": tmp_path / "nan.txt", "inf": tmp_path / "inf.txt"}
+    for name, entry in (("nan", np.nan), ("inf", -np.inf)):
+        X = np.eye(4)
+        X[1, 2] = entry
+        np.savetxt(files[name], X)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    spec = spec.format(missing=tmp_path / "missing.txt", **files)
+    assert run([command, alg, option, spec, "-o", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: {reason}") and captured.err.count("\n") == 1
 
 
 def test_help_exits_zero(capsys):

@@ -310,6 +310,15 @@ def test_validate_tracks_planted_condition_number():
     assert abs(diag.max_kappa - 16.0) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would only repeat the error
+def test_validate_names_the_first_step_whose_residual_is_not_finite():
+    # row 0 of M overflows to inf at step 2 while row 0 of M^{-T} underflows to
+    # 0, so the residual there is NaN; a running max would keep 0.0
+    overflow = LinearAlgorithm(2, (Constant(0, 1e200), Constant(0, 1e200), Rotation(0, 1, 0.5)))
+    with pytest.raises(ArithmeticError, match="residual is not finite at step 2$"):
+        validate(overflow)
+
+
 def test_validate_empty_gate_list():
     diag = validate(LinearAlgorithm(3, ()))
     assert diag.max_residual == 0.0

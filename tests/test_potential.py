@@ -274,6 +274,16 @@ def test_trace_drift_guard_fires_on_a_drifting_ledger(monkeypatch):
         trace_potential(build_wht(32))
 
 
+@pytest.mark.parametrize("n", [8, 128])  # 24 and 896 gates, both below RECOMPUTE_EVERY
+def test_trace_closing_check_catches_a_drift_the_rechecks_never_see(n, monkeypatch):
+    real = potential.row_contribs
+    monkeypatch.setattr(
+        potential, "row_contribs", lambda A, B, *workspace: 1.01 * real(A, B, *workspace)
+    )
+    with pytest.raises(ArithmeticError, match="window moves miss the potential change"):
+        trace_potential(build_wht(n))
+
+
 @settings(max_examples=80, deadline=None)
 @given(panel_instances())
 def test_multi_panel_trace_matches_the_one_panel_trace(instance):
