@@ -49,7 +49,9 @@ import numpy as np
 
 from .builders import wht_matrix
 from .gates import LinearAlgorithm, Layering, layer, panel_width
-from .potential import change_bound, ledger_walk, norm_products, quasi_entropy, squared_row_norms
+from .potential import (
+    change_bound, check_finite, ledger_walk, norm_products, quasi_entropy, squared_row_norms
+)
 
 
 def _padded_length(m: int, R: int) -> int:
@@ -159,6 +161,7 @@ def scan_bottlenecks(
     )
     scanned = _scanned(algorithm, R, include_constants)
     products = norm_products(squares[0], squares[1])
+    check_finite(products[scanned], lambda k: f"the window product at t = {scanned[k] * R}")
     return _scan_report(
         algorithm, R, windows.unit_rows, scanned, products, phi_identity, phi_final
     )
@@ -215,6 +218,8 @@ def verify_bottleneck_chain(
     phi_identity, phi_final, moves = ledger_walk(algorithm, windows, P, Q, _window_squares(squares))
     start_products = norm_products(squares[0], squares[1])
     end_products = norm_products(squares[2], squares[3])
+    ends = np.maximum(start_products, end_products)
+    check_finite(ends, lambda w: f"the window product at t = {w * R}")
 
     links: list[WindowLink] = []
     for w, rows in enumerate(window_sets):
@@ -232,7 +237,7 @@ def verify_bottleneck_chain(
 
     triangle_lhs = sum(link.delta_abs for link in links)
     triangle_rhs = abs(phi_final - phi_identity)
-    max_endpoint = float(np.maximum(start_products, end_products).max(initial=0.0))
+    max_endpoint = float(ends.max(initial=0.0))
     average_requirement = (
         (phi_final - phi_identity) / (2 * n_windows * math.log2(2 * R)) if n_windows else 0.0
     )

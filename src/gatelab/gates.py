@@ -10,11 +10,12 @@ orthogonal), a scaling by c scales the matching row by 1/c.  Every gate
 therefore touches at most two rows of both matrices.
 
 A ``LinearAlgorithm`` is compiled once into arrays (``GateArrays``: kind, i,
-j, cos, sin, c and 1/c), and the trajectory of (M(t) P, M(t)^{-T} Q) is
-walked in one of two ways:
+j, cos, sin, c and 1/c), and every walk applies gates from those arrays, in
+one of two kernels:
 
-- ``replay`` applies one gate per step and yields every intermediate state.
-  ``matrices_at`` and ``validate`` use it.
+- ``replay`` applies one gate per step to the caller's arrays in place:
+  ``apply_to_vector``'s vector, (Id, Id) for ``matrices_at`` and
+  ``validate``, or the sample columns that ``simulate`` rounds.
   ``validate`` reads only the rows and columns of M(t) M(t)^{-T}.T that
   gate t rewrites, and runs an SVD only at t = 0 and after a constant with
   |c| != 1, the only gates that change singular values.
@@ -51,10 +52,6 @@ M(m)^{-T} x and reports its entry at every touched (t, i) on the way, in
 O(m) numpy work and a few calls per layer; ``row`` walks e_i back through
 the transposed gates to give one row of M(t) or M(t)^{-T}.
 ``extract_directions`` and the quantized cell search use them.
-``simulate`` and ``apply_to_vector`` apply gate objects one by one; they
-are bound by the sample columns or by a single vector, not by Python-level
-steps.  ``validate`` replays the
-trajectory and reports its inverse consistency and condition numbers.
 
 Coordinates are 0-based everywhere, including the text file format.
 """
@@ -88,7 +85,7 @@ class GateArrays(NamedTuple):
 
     Rotations have c = 1/c = 1; constants have j = -1, cos = 1 and sin = 0.
     ``cos``/``sin`` are ``math.cos``/``math.sin`` of the angle and ``inv_c``
-    is ``1.0 / c``: the numbers ``apply_gate_rows`` applies.
+    is ``1.0 / c``: the numbers every walk applies.
     """
 
     rotation: np.ndarray  # bool: the gate's kind
@@ -119,38 +116,28 @@ class GateArrays(NamedTuple):
 
 
 def rotate_rows(
-    A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float, scratch: np.ndarray | None = None
+    A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float, scratch: np.ndarray
 ) -> None:
     """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place.
 
     Row i becomes cos*A[i] + sin*A[j] and row j (-sin)*A[i] + cos*A[j].  The
-    two temporaries go to ``scratch``, two rows' worth of space (fresh if
-    None), so rotating long sample rows allocates nothing.
+    two temporaries go to ``scratch``, two rows of at most a row's columns:
+    rows with more columns than it are rotated a slice of that many columns
+    at a time, so rotating long sample rows allocates nothing.
     """
     xi, xj = A[i, ...], A[j, ...]  # views, also of a vector's entries
-    if scratch is None:
-        scratch = np.empty((2, *xi.shape))
+    if xi.ndim and len(xi) > scratch.shape[1]:
+        width = scratch.shape[1]
+        for lo in range(0, len(xi), width):
+            part = A[:, lo : lo + width]
+            rotate_rows(part, i, j, cos_t, sin_t, scratch[:, : part.shape[1]])
+        return
     ri, tmp = scratch[0, ...], scratch[1, ...]
     np.multiply(cos_t, xi, out=ri)
     np.add(ri, np.multiply(sin_t, xj, out=tmp), out=ri)
     np.multiply(-sin_t, xi, out=tmp)
     np.add(tmp, np.multiply(cos_t, xj, out=xj), out=xj)
     xi[...] = ri
-
-
-def apply_gate_rows(
-    A: np.ndarray, gate: Gate, inverse_transpose: bool = False, scratch: np.ndarray | None = None
-) -> None:
-    """Apply a gate as a left row-operation to A in place.
-
-    With ``inverse_transpose`` the induced operation on M^{-T} is applied
-    instead: identical for rotations, row scaling by 1/c for constants.
-    ``scratch`` is handed to ``rotate_rows``.
-    """
-    if isinstance(gate, Rotation):
-        rotate_rows(A, gate.i, gate.j, math.cos(gate.theta), math.sin(gate.theta), scratch)
-    else:
-        A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
 
 
 def apply_to_vector(
@@ -160,48 +147,41 @@ def apply_to_vector(
     x = np.asarray(x, dtype=float)
     if x.shape != (algorithm.n,):
         raise ValueError(f"expected vector of length {algorithm.n}, got shape {x.shape}")
-    if upto_t is None:
-        upto_t = algorithm.m
-    if not 0 <= upto_t <= algorithm.m:
-        raise ValueError(f"step index {upto_t} out of range [0, {algorithm.m}]")
     y = x.copy()
-    for gate in algorithm.gates[:upto_t]:
-        apply_gate_rows(y, gate)
+    for _ in replay(algorithm, y, stop=upto_t):
+        pass
     return y
-
-
-def start_pair(n: int, P: np.ndarray | None = None, Q: np.ndarray | None = None):
-    """Fresh float copies of (P, Q), identity for None: where ``replay`` starts."""
-    A = np.eye(n) if P is None else np.array(P, dtype=float)
-    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
-    if A.shape != (n, n) or B.shape != (n, n):
-        raise ValueError(f"P and Q must be {n}x{n}")
-    return A, B
 
 
 def replay(
     algorithm: LinearAlgorithm,
-    P: np.ndarray | None = None,
-    Q: np.ndarray | None = None,
+    A: np.ndarray,
+    B: np.ndarray | None = None,
     stop: int | None = None,
-) -> Iterator[tuple[int, tuple[int, ...], np.ndarray, np.ndarray]]:
-    """Walk the trajectory (M(t) P, M(t)^{-T} Q) for t = 0..stop (default m).
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Apply gates 1..stop (default m) to A, in place, one per step.
 
-    Yields ``(t, rows, A, B)`` with ``rows`` the rows gate t rewrote (``()``
-    at t = 0).  A and B are the same two arrays at every step, updated in
-    place (O(n) per gate): copy them to keep a snapshot.  P or Q of None
-    means identity.  The arguments are checked when ``replay`` is called.
+    A is a float array of leading dimension n: a vector, an n x n matrix or
+    n x samples columns.  B, if given, has A's shape and receives the
+    inverse-transpose operations (1/c for a constant), so from (P, Q) the
+    pair walks (M(t) P, M(t)^{-T} Q).  Yields ``(t, rows)`` once gate t is
+    applied, ``rows`` the rows it rewrote (``()`` at t = 0); copy the arrays
+    to keep a snapshot.  Rotations of rows wider than ``ROTATE_COLUMNS`` go
+    that many columns at a time.  The arguments are checked when ``replay``
+    is called.
     """
     if stop is None:
         stop = algorithm.m
     if not 0 <= stop <= algorithm.m:
         raise ValueError(f"step index {stop} out of range [0, {algorithm.m}]")
-    A, B = start_pair(algorithm.n, P, Q)
-    scratch = np.empty((2, algorithm.n))
+    shape = getattr(A, "shape", ())
+    if shape[:1] != (algorithm.n,) or (B is not None and getattr(B, "shape", None) != shape):
+        raise ValueError(f"A must be an array of {algorithm.n} rows and B one of A's shape")
+    scratch = np.empty((2, *A[0, :ROTATE_COLUMNS].shape)) if A.ndim > 1 else np.empty(2)
     arrays = algorithm.arrays
 
     def steps():
-        yield 0, (), A, B
+        yield 0, ()
         # the gate columns as Python numbers, a bounded chunk at a time
         for lo in range(0, stop, REPLAY_CHUNK):
             hi = min(lo + REPLAY_CHUNK, stop)
@@ -214,12 +194,14 @@ def replay(
             for t, (rotation, i, j, cos, sin, c, inv_c) in enumerate(columns, start=lo + 1):
                 if rotation:
                     rotate_rows(A, i, j, cos, sin, scratch)
-                    rotate_rows(B, i, j, cos, sin, scratch)
-                    yield t, (i, j), A, B
+                    if B is not None:
+                        rotate_rows(B, i, j, cos, sin, scratch)
+                    yield t, (i, j)
                 else:
                     A[i] *= c
-                    B[i] *= inv_c
-                    yield t, (i,), A, B
+                    if B is not None:
+                        B[i] *= inv_c
+                    yield t, (i,)
 
     return steps()
 
@@ -227,6 +209,11 @@ def replay(
 # Gates per chunk of ``replay``'s Python-number columns: about 150 bytes a
 # gate, so a chunk holds some 40 kB however long the gate list.
 REPLAY_CHUNK = 256
+
+# Columns per pass of ``replay``'s rotations: their two temporaries take at
+# most 256 kB however many sample columns A holds, so ``simulate`` holds its
+# sample array and little more.
+ROTATE_COLUMNS = 1 << 14
 
 
 # The most matrix elements (rows times n) a layered block gathers per side,
@@ -269,8 +256,8 @@ def column_panels(
     generator reuses, so it is overwritten by the next: finish with a panel
     before taking the next one.  Identity columns are written directly, never
     through an n x n identity.  With one panel (n^2 <= ``PANEL_ELEMENTS``)
-    the pair holds exactly ``start_pair``'s values.  The arguments are
-    checked when ``column_panels`` is called.
+    the pair is exactly (P, Q) as floats.  The arguments are checked when
+    ``column_panels`` is called.
     """
     P = None if P is None else np.asarray(P, dtype=float)
     Q = None if Q is None else np.asarray(Q, dtype=float)
@@ -349,8 +336,8 @@ class LayerStep(NamedTuple):
     inv_c: np.ndarray
 
     def apply(self, a: np.ndarray, b: np.ndarray, workspace: Workspace) -> None:
-        """``rotate_rows`` and the row scalings of ``apply_gate_rows``, all gates
-        at once: the same multiplications and additions, into the workspace."""
+        """``rotate_rows`` and the row scalings of ``replay``, all gates at
+        once: the same multiplications and additions, into the workspace."""
         k, n = self.rot_gates.size, a.shape[1]
         if k:
             rot_i, rot_j = self.rot_i, self.rot_j
@@ -652,8 +639,8 @@ class VectorWalk:
 
         Returns ``out`` (fresh if None): entry k is (M(t) x)_i, or
         (M(t)^{-T} x)_i, for (t, i) = (``steps[k]``, ``rows[k]``).  Every
-        entry of x sees the operations of ``apply_gate_rows`` in order, so x
-        ends bit-identical to ``apply_to_vector``.
+        entry of x sees the operations of ``replay`` in order, so x ends
+        bit-identical to ``apply_to_vector``.
         """
         if out is None:
             out = np.empty(self.rows.size)
@@ -698,7 +685,8 @@ class VectorWalk:
 
 def matrices_at(algorithm: LinearAlgorithm, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense (M(t), M(t)^{-T}) obtained by replaying gates from the identity."""
-    for _, _, M, Minv_T in replay(algorithm, stop=t):
+    M, Minv_T = np.eye(algorithm.n), np.eye(algorithm.n)
+    for _ in replay(algorithm, M, Minv_T, stop=t):
         pass
     return M, Minv_T
 
@@ -732,11 +720,12 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
     rescales = (np.abs(algorithm.arrays.c) != 1.0).tolist()
     max_residual = 0.0
     kappas: list[float] = []
+    M, Minv_T = np.eye(algorithm.n), np.eye(algorithm.n)
     changed = np.empty((4, algorithm.n))  # the rewritten rows, then the rewritten columns
     # an overflow shows as a non-finite residual on the rows it hit, which is
     # reported as an error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, rows, M, Minv_T in replay(algorithm):
+        for t, rows in replay(algorithm, M, Minv_T):
             if rows:
                 k = len(rows)
                 rows = list(rows)

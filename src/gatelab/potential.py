@@ -149,8 +149,10 @@ def squared_row_norms(X: np.ndarray) -> np.ndarray:
 
 def norm_products(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
     """|X_r| * |Y_r| from the squared norms of ``squared_row_norms``: a
-    block's |A_I|_F * |B_I|_F."""
-    return np.sqrt(x2) * np.sqrt(y2)
+    block's |A_I|_F * |B_I|_F.  An overflowed square times an underflowed
+    one gives NaN, silently: callers report it (``check_finite``)."""
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(x2) * np.sqrt(y2)
 
 
 def row_contribs(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
@@ -250,42 +252,59 @@ def ledger_walk(
     phi_identity = phi_final = -0.0
     moves = np.full(len(layering.unit_rows), -0.0) if ledger else None
     scale = 1.0
-    for A, B in column_panels(algorithm.n, P, Q):
-        total = quasi_entropy(A, B, workspace)  # the panel's incremental potential
-        phi_identity += total
-        scale = max(scale, abs(total))
-        if ledger:
-            contribs = row_contribs(A, B, workspace).copy()
-        unchecked = done = 0
-        for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
-            measure(block, a0, b0, a1, b1, workspace)
-            if not ledger:
-                continue
-            old = contribs[block.rows]
-            new = old if reflections[k] else row_contribs(a1, b1, workspace)
-            before = np.add.reduceat(old, block.unit_starts)
-            contribs[block.rows] = new
-            after = np.add.reduceat(new, block.unit_starts)
-            delta = after - before
-            moves[block.units] += delta
-            total += float(delta.sum())
-            scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
-            unchecked += block.gates
-            done += block.gates
-            if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
-                exact = quasi_entropy(A, B, workspace)
-                if not abs(exact - total) <= DRIFT_TOL * max(scale, abs(exact)):
-                    raise ArithmeticError(
-                        f"incremental potential drifted by {abs(exact - total):.3e} "
-                        f"after {done} of {algorithm.m} gates"
-                    )
-                unchecked = 0
-        phi_final += quasi_entropy(A, B, workspace)
+    # an overflow is reported as an error, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for A, B in column_panels(algorithm.n, P, Q):
+            total = quasi_entropy(A, B, workspace)  # the panel's incremental potential
+            phi_identity += total
+            scale = max(scale, abs(total))
+            if ledger:
+                contribs = row_contribs(A, B, workspace).copy()
+            unchecked = done = 0
+            for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+                measure(block, a0, b0, a1, b1, workspace)
+                if not ledger:
+                    continue
+                old = contribs[block.rows]
+                new = old if reflections[k] else row_contribs(a1, b1, workspace)
+                before = np.add.reduceat(old, block.unit_starts)
+                contribs[block.rows] = new
+                after = np.add.reduceat(new, block.unit_starts)
+                delta = after - before
+                moves[block.units] += delta
+                total += float(delta.sum())
+                scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
+                unchecked += block.gates
+                done += block.gates
+                if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
+                    exact = quasi_entropy(A, B, workspace)
+                    if not abs(exact - total) <= DRIFT_TOL * max(scale, abs(exact)):
+                        raise ArithmeticError(
+                            f"incremental potential drifted by {abs(exact - total):.3e} "
+                            f"after {done} of {algorithm.m} gates"
+                        )
+                    unchecked = 0
+            # no gate makes an entry that is not finite finite again
+            if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                raise ArithmeticError(
+                    "the trajectory overflowed: M(m) P or M(m)^{-T} Q is not finite"
+                )
+            phi_final += quasi_entropy(A, B, workspace)
+    if not (math.isfinite(phi_identity) and math.isfinite(phi_final)):
+        raise ArithmeticError("the potential is not finite")
     if ledger:
         residual = abs(float(moves.sum()) - (phi_final - phi_identity))
         if not residual <= DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
             raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
     return phi_identity, phi_final, moves
+
+
+def check_finite(values: np.ndarray, name: Callable[[int], str]) -> None:
+    """Raise ``ArithmeticError`` if an entry of ``values`` is not finite,
+    naming the first such entry k as ``name(k)``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ArithmeticError(f"{name(int(bad[0]))} is not finite")
 
 
 def trace_potential(
@@ -318,6 +337,7 @@ def trace_potential(
     values = np.cumsum(np.concatenate([[phi], moves]))
     before = norm_products(squares[0], squares[1])
     bounds = change_bound(2, before, norm_products(squares[2], squares[3]))
+    check_finite(bounds, lambda g: f"the change bound of step {g + 1}")
     gate_i, gate_j = algorithm.arrays.i.tolist(), algorithm.arrays.j.tolist()
     return PotentialTrace(
         values=values.tolist(),

@@ -34,7 +34,7 @@ from .directions import (
     speedup_factor,
     uncertainty_volume_log,
 )
-from .gates import Gate, LinearAlgorithm, VectorWalk, apply_gate_rows, matrices_at, touched
+from .gates import LinearAlgorithm, VectorWalk, matrices_at, replay
 
 # Fixed vectorization width so results are byte-identical regardless of
 # available memory; chunks degrade gracefully for very wide problems.
@@ -83,19 +83,6 @@ def _quantize_rows(X: np.ndarray, rows: Iterable[int], epsilon: float) -> None:
     for r in rows:
         row = X[r]  # a view, so the row needs no temporaries
         np.multiply(np.rint(np.divide(row, epsilon, out=row), out=row), epsilon, out=row)
-
-
-def _quantized_step(
-    X: np.ndarray, gate: Gate, epsilon: float, scratch: np.ndarray
-) -> tuple[int, ...]:
-    """Apply one gate to the rows of X, round the rows it wrote; returns them.
-
-    ``scratch`` holds two rows of X's width for the rotation's temporaries.
-    """
-    apply_gate_rows(X, gate, scratch=scratch)
-    rows = touched(gate)
-    _quantize_rows(X, rows, epsilon)
-    return rows
 
 
 def _score_rows(
@@ -161,13 +148,12 @@ def simulate(
         # the drawn chunk is the only n x chunk array: rounded and scored in
         # place, row by row, as each step rounds and scores its rows
         X = _draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n)
-        scratch = np.empty((2, X.shape[1]))
+        scratch = np.empty(X.shape[1])
         _quantize_rows(X, range(n), epsilon)
-        _score_rows(X, range(n), epsilon, cur_bits, cur_max, scratch[0])
-        for t in range(m + 1):
-            if t:
-                rows = _quantized_step(X, algorithm.gates[t - 1], epsilon, scratch)
-                _score_rows(X, rows, epsilon, cur_bits, cur_max, scratch[0])
+        _score_rows(X, range(n), epsilon, cur_bits, cur_max, scratch)
+        for t, rows in replay(algorithm, X):
+            _quantize_rows(X, rows, epsilon)
+            _score_rows(X, rows, epsilon, cur_bits, cur_max, scratch)
             bits_sum[t] += cur_bits
             np.maximum(max_abs[t], cur_max, out=max_abs[t])
 
@@ -282,9 +268,8 @@ def empirical_uncertainty_check(
         hi = min(lo + chunk, samples)
         X0 = _draw_inputs(seed, lo, hi, sigma, n)
         Xq = quantize(X0, epsilon)
-        scratch = np.empty((2, hi - lo))
-        for gate in algorithm.gates[:step]:
-            _quantized_step(Xq, gate, epsilon, scratch)
+        for _, rows in replay(algorithm, Xq, stop=step):
+            _quantize_rows(Xq, rows, epsilon)
         words[lo:hi] = Xq[coord]
         exact[lo:hi] = M[coord] @ X0
 

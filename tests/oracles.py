@@ -13,10 +13,15 @@ row-blocked ``row_contribs`` must reproduce bit for bit.
 ``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
 contract the README documents.
 
+``apply_gate_reference`` applies one gate object to the rows of an array,
+the judge of the compiled kernels (``gatelab.replay``, the layered walks
+and ``VectorWalk``), and ``simulate_reference`` is ``simulate`` as a loop
+over the gate objects, the judge of its replay bit for bit.
+
 The per-step references at the end walk the trajectory one gate at a time
-through ``gatelab.replay`` (itself checked against ``compose_dense``) and
-measure each row block with its own ``np.linalg.norm`` call, as the analyses
-did before they walked in layers: ``best_candidate_reference`` is the
+through ``gatelab.replay`` from ``start_pair`` (the replay itself checked
+against ``compose_dense``) and measure each row block with its own
+``np.linalg.norm`` call, as the analyses did before they walked in layers: ``best_candidate_reference`` is the
 sequential extraction scan (the rescan of ``extract_directions_reference``),
 ``window_products_reference`` the window products of the scan and the
 chain, and ``trace_bounds_reference`` the per-gate change bounds of the
@@ -54,6 +59,7 @@ from gatelab.gates import (
     touched,
 )
 from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound
+from gatelab.quantized import QuantizedRunStats
 
 
 @st.composite
@@ -143,6 +149,70 @@ def compose_dense_inverse_transpose(algorithm, t: int | None = None) -> np.ndarr
     return N
 
 
+def start_pair(n: int, P=None, Q=None):
+    """Fresh float copies of (P, Q), identity for None: the arrays that a
+    replay of (M(t) P, M(t)^{-T} Q) starts from."""
+    A = np.eye(n) if P is None else np.array(P, dtype=float)
+    B = np.eye(n) if Q is None else np.array(Q, dtype=float)
+    return A, B
+
+
+def apply_gate_reference(A: np.ndarray, gate, inverse_transpose: bool = False) -> None:
+    """Apply one gate object to the rows of A in place, or its inverse
+    transpose (1/c for a constant) with ``inverse_transpose``.
+
+    A rotation takes ``math.cos``/``math.sin`` of its angle and forms
+    cos*x_i + sin*x_j and (-sin)*x_i + cos*x_j from copies of both rows:
+    the operations of the compiled kernels, read from the gate itself.
+    """
+    if isinstance(gate, Rotation):
+        c, s = math.cos(gate.theta), math.sin(gate.theta)
+        xi, xj = A[gate.i].copy(), A[gate.j].copy()
+        A[gate.i] = c * xi + s * xj
+        A[gate.j] = -s * xi + c * xj
+    else:
+        A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
+
+
+def simulate_reference(
+    algorithm, epsilon, sigma=1.0, samples=1000, seed=0, word_budget=32.0, chunk=None
+):
+    """``simulate`` as a loop over the gate objects, ``chunk`` samples at a
+    time (all of them for None): the drawn inputs are rounded and scored,
+    then each gate is applied by ``apply_gate_reference`` and the rows it
+    touched are rounded and scored again, with fresh temporaries."""
+    n, m = algorithm.n, algorithm.m
+    chunk = chunk or samples
+    bits_sum = np.zeros((m + 1, n))
+    max_abs = np.zeros((m + 1, n))
+    bits, top = np.empty(n), np.empty(n)
+    for lo in range(0, samples, chunk):
+        X = spawned_normal_draws(seed, lo, min(lo + chunk, samples), sigma, n)
+        rows = range(n)
+        for t in range(m + 1):
+            if t:
+                gate = algorithm.gates[t - 1]
+                apply_gate_reference(X, gate)
+                rows = touched(gate)
+            for r in rows:
+                X[r] = np.rint(X[r] / epsilon) * epsilon
+                magnitude = np.abs(X[r])
+                top[r] = magnitude.max()
+                bits[r] = (np.log2(magnitude / epsilon + 1.0) + 1.0).sum()
+            bits_sum[t] += bits
+            np.maximum(max_abs[t], top, out=max_abs[t])
+    mean_bits = bits_sum / samples
+    return QuantizedRunStats(
+        epsilon=epsilon,
+        sigma=sigma,
+        samples=samples,
+        word_budget=word_budget,
+        mean_bits=mean_bits,
+        max_abs=max_abs,
+        overflow_flags=mean_bits > word_budget,
+    )
+
+
 def potential_brute(A: np.ndarray, B: np.ndarray) -> float:
     total = 0.0
     for a, b in zip(np.ravel(A), np.ravel(B)):
@@ -217,7 +287,8 @@ def assert_lemma_contract(code: int, payload: dict) -> None:
 def best_candidate_reference(algorithm, P, Q, tau, unrestricted):
     """The sequential extraction scan: the first qualifying pair with the largest score."""
     best = None
-    for t, rows, A, B in replay(algorithm, P, Q):
+    A, B = start_pair(algorithm.n, P, Q)
+    for t, rows in replay(algorithm, A, B):
         for i in range(algorithm.n) if unrestricted else sorted(rows):
             norm_m = float(np.linalg.norm(A[i]))
             norm_q = float(np.linalg.norm(B[i]))
@@ -243,7 +314,8 @@ def window_products_reference(algorithm, P, Q, R):
         for s in starts
     ]
     start_products, end_products = [], []
-    for t, _, A, B in replay(algorithm, P, Q):
+    A, B = start_pair(algorithm.n, P, Q)
+    for t, _ in replay(algorithm, A, B):
         if t % R == 0 and t < m:
             start_products.append(_block_product(A, B, sets[t // R]))
         if t and (t % R == 0 or t == m):
@@ -254,8 +326,9 @@ def window_products_reference(algorithm, P, Q, R):
 def trace_bounds_reference(algorithm, P=None, Q=None):
     """Per-step change bounds, each gate's rows measured in its (i, j) order."""
     bounds = [0.0]
-    steps = replay(algorithm, P, Q)
-    _, _, A, B = next(steps)
+    A, B = start_pair(algorithm.n, P, Q)
+    steps = replay(algorithm, A, B)
+    next(steps)
     for gate in algorithm.gates:
         rows = touched(gate)
         before = _block_product(A, B, rows)
@@ -270,7 +343,8 @@ def validate_reference(algorithm, residual_tol=1e-6):
     eye = np.eye(n)
     max_residual = 0.0
     kappas: list[float] = []
-    for _, _, M, Minv_T in replay(algorithm):
+    M, Minv_T = start_pair(n)
+    for _ in replay(algorithm, M, Minv_T):
         residual = float(np.abs(M @ Minv_T.T - eye).max())
         max_residual = max(max_residual, residual)
         svals = np.linalg.svd(M, compute_uv=False)
@@ -349,7 +423,8 @@ def extract_directions_reference(
 def most_informative_cell_reference(algorithm, z):
     """The (step, coordinate) whose word carries the largest component of z."""
     best = (0.0, 1, 0)
-    for t, rows, _, Minv_T in replay(algorithm):
+    M, Minv_T = start_pair(algorithm.n)
+    for t, rows in replay(algorithm, M, Minv_T):
         for i in sorted(rows):
             weight = abs(float(Minv_T[i] @ z))
             if weight > best[0]:

@@ -437,3 +437,35 @@ def test_trace_scan_and_chain_run_the_one_walk(monkeypatch):
     assert calls == [True, False, True]  # the scan runs without the ledger
     for name in ("row_contribs", "swap_contribs", "DRIFT_TOL"):
         assert not hasattr(bottleneck, name)
+
+
+# Row 0 of M overflows to inf at step 2 and the rotation spreads it: the
+# trajectory itself is not finite.
+_OVERFLOWED = LinearAlgorithm(2, (Constant(0, 1e200), Constant(0, 1e200), Rotation(0, 1, 0.5)))
+# M stays finite, but |row 0 of M|^2 = 1e400 overflows: the squared norms,
+# and the bounds and products formed from them, are not.
+_SQUARES_OVERFLOW = LinearAlgorithm(2, (Constant(0, 1e200), Rotation(0, 1, 0.5)))
+_BIG = 1e200 * np.eye(4)  # entry products of 1e400: the potential is not finite
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would only repeat the error
+@pytest.mark.parametrize(
+    "walk, algorithm, operators, message",
+    [
+        (walk, _OVERFLOWED, (), "the trajectory overflowed: M(m) P or M(m)^{-T} Q is not finite")
+        for walk in (trace_potential, scan_bottlenecks, verify_bottleneck_chain)
+    ]
+    + [
+        (trace_potential, _SQUARES_OVERFLOW, (), "the change bound of step 2 is not finite"),
+        (scan_bottlenecks, _SQUARES_OVERFLOW, (), "the window product at t = 1 is not finite"),
+        (verify_bottleneck_chain, _SQUARES_OVERFLOW, (), "the window product at t = 0 is not finite"),
+    ]
+    + [
+        (walk, build_wht(4), (_BIG, _BIG), "the potential is not finite")
+        for walk in (trace_potential, scan_bottlenecks, verify_bottleneck_chain)
+    ],
+)
+def test_walks_reject_numbers_that_are_not_finite(walk, algorithm, operators, message):
+    with pytest.raises(ArithmeticError) as caught:
+        walk(algorithm, *operators)
+    assert str(caught.value) == message

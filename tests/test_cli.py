@@ -423,6 +423,32 @@ def test_validate_of_an_overflowed_trajectory_exits_two_without_output(tmp_path,
     assert captured.err == "error: inverse-consistency residual is not finite at step 2\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, program, message",
+    [
+        (command, "n 2 m 3\nC 0 1e200\nC 0 1e200\nR 0 1 0.5\n",
+         "the trajectory overflowed: M(m) P or M(m)^{-T} Q is not finite")
+        for command in ("trace", "scan", "chain")
+    ]
+    + [
+        ("trace", "n 2 m 2\nC 0 1e200\nR 0 1 0.5\n", "the change bound of step 2 is not finite"),
+        ("scan", "n 2 m 2\nC 0 1e200\nR 0 1 0.5\n", "the window product at t = 1 is not finite"),
+        ("chain", "n 2 m 2\nC 0 1e200\nR 0 1 0.5\n", "the window product at t = 0 is not finite"),
+    ],
+)
+def test_walks_over_numbers_that_are_not_finite_exit_two_without_output(
+    command, program, message, tmp_path, capsys
+):
+    alg = tmp_path / "overflow.alg"
+    alg.write_text(program)
+    out = tmp_path / "report.out"
+    assert run([command, alg, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["trace", "scan", "chain"])
 @pytest.mark.parametrize(
     "option, spec, reason",

@@ -19,9 +19,10 @@ from gatelab import (
     uncertainty_volume_log,
 )
 from gatelab import gates
-from gatelab.gates import apply_gate_rows, touched
+from gatelab.gates import touched
 
 from oracles import (
+    apply_gate_reference,
     compose_dense,
     extract_directions_exact,
     extract_directions_reference,
@@ -274,8 +275,8 @@ def test_extraction_stops_below_threshold_everywhere():
     A, B = P.copy(), Q.copy()
     worst = 0.0
     for gate in a.gates:
-        apply_gate_rows(A, gate)
-        apply_gate_rows(B, gate, inverse_transpose=True)
+        apply_gate_reference(A, gate)
+        apply_gate_reference(B, gate, inverse_transpose=True)
         for i in touched(gate):
             worst = max(worst, np.linalg.norm(A[i]) * np.linalg.norm(B[i]))
     assert worst < 4.0  # goes below tau squared once no factor reaches tau
@@ -289,8 +290,8 @@ def test_re_extraction_is_stable():
     A, B = np.eye(8), Q.copy()
     eligible = 0
     for gate in a.gates:
-        apply_gate_rows(A, gate)
-        apply_gate_rows(B, gate, inverse_transpose=True)
+        apply_gate_reference(A, gate)
+        apply_gate_reference(B, gate, inverse_transpose=True)
         for i in touched(gate):
             if max(np.linalg.norm(A[i]), np.linalg.norm(B[i])) >= 2.0:
                 eligible += 1

@@ -27,17 +27,17 @@ from gatelab.builders import build_dft_real
 from gatelab.gates import (
     BLOCK_ELEMENTS,
     VectorWalk,
-    apply_gate_rows,
     column_panels,
     layer,
     panel_width,
     replay_layers,
-    start_pair,
 )
 
 from oracles import (
+    apply_gate_reference,
     compose_dense,
     compose_dense_inverse_transpose,
+    start_pair,
     validate_reference,
     wht_sign_matrix,
 )
@@ -71,9 +71,10 @@ def test_apply_to_vector_rejects_bad_inputs():
 
 
 def test_replay_quarter_turn_rotation():
-    steps = replay(LinearAlgorithm(2, (Rotation(0, 1, math.pi / 4),)))
+    M, Minv_T = start_pair(2)
+    steps = replay(LinearAlgorithm(2, (Rotation(0, 1, math.pi / 4),)), M, Minv_T)
     assert next(steps)[:2] == (0, ())
-    t, rows, M, Minv_T = next(steps)
+    t, rows = next(steps)
     r = math.sqrt(2) / 2
     expected = np.array([[r, r], [-r, r]])
     assert np.allclose(M, expected, atol=1e-15)
@@ -83,9 +84,10 @@ def test_replay_quarter_turn_rotation():
 
 
 def test_replay_constant_scales_inverse_row():
-    steps = replay(LinearAlgorithm(2, (Constant(0, 4.0),)))
+    M, Minv_T = start_pair(2)
+    steps = replay(LinearAlgorithm(2, (Constant(0, 4.0),)), M, Minv_T)
     next(steps)
-    t, rows, M, Minv_T = next(steps)
+    t, rows = next(steps)
     assert np.allclose(M[0], [4.0, 0.0])
     assert np.allclose(Minv_T[0], [0.25, 0.0])
     assert (t, rows) == (1, (0,))
@@ -94,9 +96,9 @@ def test_replay_constant_scales_inverse_row():
 def test_replay_checks_arguments_when_called():
     a = build_wht(4)
     with pytest.raises(ValueError):
-        replay(a, stop=a.m + 1)
+        replay(a, np.eye(4), stop=a.m + 1)
     with pytest.raises(ValueError):
-        replay(a, P=np.eye(3))
+        replay(a, np.eye(3))
 
 
 @settings(max_examples=80, deadline=None)
@@ -120,7 +122,8 @@ def test_replay_matches_dense_composition_at_every_step(raw_gates):
         elif i != second:
             gates.append(Rotation(i, second, value))
     a = LinearAlgorithm(4, tuple(gates))
-    for t, _, M, Minv_T in replay(a):
+    M, Minv_T = start_pair(4)
+    for t, _ in replay(a, M, Minv_T):
         want_M = compose_dense(a, t)
         want_N = compose_dense_inverse_transpose(a, t)
         # 1e-10 relative to the trajectory scale, which constants move
@@ -168,7 +171,8 @@ def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance):
     windows = layer(algorithm, R)
     after = {}
     with np.errstate(all="ignore"):
-        for t, _, M, Minv_T in replay(algorithm, P, Q):
+        M, Minv_T = start_pair(algorithm.n, P, Q)
+        for t, _ in replay(algorithm, M, Minv_T):
             if t and (t % R == 0 or t == algorithm.m):
                 rows = list(windows.unit_rows[(t - 1) // R])
                 after[(t - 1) // R] = (M[rows].tobytes(), Minv_T[rows].tobytes())
@@ -195,7 +199,7 @@ def test_vector_push_matches_the_per_step_walk_bit_for_bit(instance):
             y = x.copy()
             seen = {}
             for t, gate in enumerate(algorithm.gates, start=1):
-                apply_gate_rows(y, gate, inverse_transpose=inverse_transpose)
+                apply_gate_reference(y, gate, inverse_transpose=inverse_transpose)
                 for i in touched(gate):
                     seen[(t, i)] = y[i].tobytes()
             pushed = x.copy()
@@ -203,6 +207,49 @@ def test_vector_push_matches_the_per_step_walk_bit_for_bit(instance):
             assert pushed.tobytes() == y.tobytes()
             got = {(t, i): v.tobytes() for t, i, v in zip(walk.steps.tolist(), walk.rows.tolist(), out)}
             assert got == seen
+
+
+def _assert_replay_matches_the_gate_reference(algorithm, A, B):
+    """Each step of ``replay`` on (A, B) leaves the bytes that applying the
+    gate objects one by one leaves."""
+    want_A, want_B = A.copy(), B.copy()
+    with np.errstate(all="ignore"):
+        for t, rows in replay(algorithm, A, B):
+            if t:
+                gate = algorithm.gates[t - 1]
+                apply_gate_reference(want_A, gate)
+                apply_gate_reference(want_B, gate, inverse_transpose=True)
+                assert rows == touched(gate)
+            assert (A.tobytes(), B.tobytes()) == (want_A.tobytes(), want_B.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_instances())
+def test_replay_matches_the_gate_reference_bit_for_bit(instance):
+    # on a vector and on n x 7 columns (the extreme constants overflow to inf
+    # and nan, in both alike)
+    algorithm, _, P, Q = instance
+    _assert_replay_matches_the_gate_reference(algorithm, P[0].copy(), Q[0].copy())
+    A, B = np.tile(P, 7)[:, :7], np.tile(Q, 7)[:, :7]
+    _assert_replay_matches_the_gate_reference(algorithm, A, B)
+
+
+@pytest.mark.parametrize("columns", [1, 7, 64])
+def test_replay_rotates_wide_rows_a_slice_of_columns_at_a_time(columns, monkeypatch):
+    # 50 columns in slices of 1, of 7 (the last one ragged) and in one pass
+    monkeypatch.setattr(gates, "ROTATE_COLUMNS", columns)
+    rng = np.random.default_rng(columns)
+    A, B = rng.standard_normal((2, 8, 50))
+    _assert_replay_matches_the_gate_reference(build_random(8, 120, seed=4), A, B)
+
+
+def test_no_gate_objects_are_applied_outside_the_two_kernels():
+    from gatelab import quantized
+
+    for name in ("apply_gate_rows", "start_pair"):
+        assert not hasattr(gates, name)
+    for name in ("_quantized_step", "Gate", "touched"):
+        assert not hasattr(quantized, name)
 
 
 @pytest.mark.parametrize(
@@ -214,7 +261,8 @@ def test_transposed_walk_gives_the_rows_of_both_matrices(algorithm):
     walk = VectorWalk(algorithm)
     wanted = {(t, i) for t, i in zip(walk.steps.tolist(), walk.rows.tolist())}
     wanted |= {(0, 0), (algorithm.m, 1)}  # untouched rows are rows too
-    for t, _, M, Minv_T in replay(algorithm):
+    M, Minv_T = start_pair(algorithm.n)
+    for t, _ in replay(algorithm, M, Minv_T):
         for i in sorted(i for s, i in wanted if s == t):
             for inverse_transpose, want in ((False, M[i]), (True, Minv_T[i])):
                 got = walk.row(t, i, inverse_transpose=inverse_transpose)

@@ -11,6 +11,7 @@ from gatelab.builders import build_dft_real, build_random
 from gatelab import (
     Constant,
     LinearAlgorithm,
+    Rotation,
     build_inverse_scaled_fixture,
     build_scaled_bottleneck_fixture,
     build_wht,
@@ -22,7 +23,7 @@ from gatelab import (
     underflow_widths,
 )
 
-from oracles import most_informative_cell_reference, spawned_normal_draws
+from oracles import most_informative_cell_reference, simulate_reference, spawned_normal_draws
 
 EPS = 2.0**-10
 
@@ -132,6 +133,52 @@ def test_results_do_not_depend_on_chunking(monkeypatch):
     # orders of n positive terms agree within (n - 1) * eps relative
     rtol = samples * np.finfo(float).eps
     assert np.allclose(chunked.mean_bits, whole.mean_bits, rtol=rtol, atol=0.0)
+
+
+_SIMULATED = {
+    "wht32": build_wht(32),
+    "dft16": build_dft_real(16),
+    "scaled16": build_scaled_bottleneck_fixture(16, 2.0**40, 4),
+    "random12": build_random(12, 80, 3),
+    # overflows to inf and then nan: those cells must match too
+    "overflow": LinearAlgorithm(
+        2, (Constant(0, 1e200), Constant(0, 1e200), Rotation(0, 1, 0.5))
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 37])
+@pytest.mark.parametrize("name", list(_SIMULATED))
+def test_simulate_matches_the_gate_object_reference_bit_for_bit(name, chunk, monkeypatch):
+    algorithm, samples = _SIMULATED[name], 100
+    if chunk:
+        monkeypatch.setattr(quantized, "_CHUNK_BUDGET", algorithm.n * chunk)
+    with np.errstate(all="ignore"):
+        got = simulate(algorithm, epsilon=EPS, samples=samples, seed=17, word_budget=20.0)
+        want = simulate_reference(
+            algorithm, EPS, samples=samples, seed=17, word_budget=20.0, chunk=chunk
+        )
+    assert got.mean_bits.tobytes() == want.mean_bits.tobytes()
+    assert got.max_abs.tobytes() == want.max_abs.tobytes()
+    assert np.array_equal(got.overflow_flags, want.overflow_flags)
+
+
+@pytest.mark.parametrize("chunk, calls", [(None, 1), (1, 100), (37, 3)])
+def test_simulate_replays_once_per_chunk(chunk, calls, monkeypatch):
+    algorithm = build_wht(8)
+    if chunk:
+        monkeypatch.setattr(quantized, "_CHUNK_BUDGET", algorithm.n * chunk)
+    seen = []
+    real = quantized.replay
+
+    def counted(*args, **kwargs):
+        seen.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quantized, "replay", counted)
+    simulate(algorithm, epsilon=EPS, samples=100, seed=2)
+    assert len(seen) == calls
+    assert sum(shape[1] for shape in seen) == 100
 
 
 def test_draws_reject_negative_seeds_and_too_many_samples():
