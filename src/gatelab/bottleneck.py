@@ -27,18 +27,15 @@ its move is the change in those rows' potential contribution across the
 window.  The chain reads its scan report from its own walk, so it equals
 ``scan_bottlenecks`` exactly.
 
-Both run ``potential.ledger_walk``, the walk of ``trace_potential`` too,
-over the windows layered as units (``gates.layer(algorithm, R)``; R = 1 is
-the gate case): windows in one block touch disjoint rows, so the block holds
-each window's rows at its start and at its end, and ``_window_squares``
-takes the squared window norms of a whole block in a few numpy calls.  The
-walk takes the columns in panels, so the norms are summed over panels and
-the products take their square roots at the end.  The chain keeps the
-walk's row ledger and its drift guard: a recheck of the potential every
-``RECOMPUTE_EVERY`` gates of a panel and, at the end, a check that the
-moves add up to the change of the potential.  The scan runs without the
-ledger.  With one panel (n <= 512) every number is the full-width walk's,
-bit for bit.
+Both read one record of ``potential.ledger_walk``, the walk of
+``trace_potential`` too, which layers the windows as units
+(``gates.layer(algorithm, R)``; R = 1 is the gate case) and takes every
+window's touched-row products at its start and, for the chain, at its end.
+The chain keeps the walk's row ledger and its drift guard: a recheck of the
+potential every ``RECOMPUTE_EVERY`` gates of a panel and, at the end, a
+check that the moves add up to the change of the potential.  The scan runs
+without the ledger.  With one panel (n <= 512) every number is the
+full-width walk's, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,39 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import wht_matrix
-from .gates import LinearAlgorithm, Layering, layer, panel_width
-from .potential import (
-    change_bound, check_finite, ledger_walk, norm_products, quasi_entropy, squared_row_norms
-)
+from .gates import LinearAlgorithm, check_finite
+from .potential import WindowWalk, change_bound, ledger_walk, quasi_entropy
 
 
 def _padded_length(m: int, R: int) -> int:
     return ((m + R - 1) // R) * R
-
-
-def _windows(algorithm: LinearAlgorithm, R: int) -> Layering:
-    if not 1 <= R <= algorithm.n // 2:
-        raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
-    return layer(algorithm, R, width=panel_width(algorithm.n))
-
-
-def _window_squares(squares: np.ndarray):
-    """The scan's and the chain's ``ledger_walk`` measure: it adds each
-    window's |A_I|_F^2 and |B_I|_F^2 at its start into rows 0 and 1 of
-    ``squares`` and, if ``squares`` has rows 2 and 3, at its end; I is the
-    window's sorted rows."""
-
-    def measure(block, a0, b0, a1, b1, workspace):
-        n = a0.shape[1]
-        for x, sums in zip((a0, b0, a1, b1), squares):
-            block_squares = np.empty(block.units.size)
-            for size, first, end in block.groups:
-                start = block.unit_starts[first]
-                rows = x[start : start + (end - first) * size]
-                block_squares[first:end] = squared_row_norms(rows.reshape(end - first, size * n))
-            sums[block.units] += block_squares
-
-    return measure
 
 
 def _scanned(algorithm: LinearAlgorithm, R: int, include_constants: bool) -> np.ndarray:
@@ -107,23 +77,18 @@ class BottleneckReport:
 
 
 def _scan_report(
-    algorithm: LinearAlgorithm,
-    R: int,
-    window_sets: list[tuple[int, ...]],
-    scanned: np.ndarray,
-    products: np.ndarray,
-    phi_identity: float,
-    phi_final: float,
+    algorithm: LinearAlgorithm, R: int, walk: WindowWalk, scanned: np.ndarray
 ) -> BottleneckReport:
-    """Scan report from the start products of all windows and the scanned ones' indices."""
+    """Scan report from the walk's start products and the scanned windows' indices."""
     m = algorithm.m
+    phi_identity, phi_final = walk.phi_identity, walk.phi_final
     rhs = R * (phi_final - phi_identity) / (m * math.log2(2 * R)) if m else 0.0
-    per_step = products[scanned].tolist()
+    per_step = walk.start_products[scanned].tolist()
     if per_step:
         best = int(np.argmax(per_step))
         lhs = per_step[best]
         t_star: int | None = int(scanned[best]) * R
-        best_affected = window_sets[scanned[best]]
+        best_affected = walk.unit_rows[scanned[best]]
     else:
         lhs, t_star, best_affected = 0.0, None, ()
     return BottleneckReport(
@@ -154,17 +119,12 @@ def scan_bottlenecks(
     ``include_constants`` widens the R = 1 scan to constant-gate steps, whose
     single touched row plays the role of both indices.
     """
-    windows = _windows(algorithm, R)
-    squares = np.zeros((2, len(windows.unit_rows)))
-    phi_identity, phi_final, _ = ledger_walk(
-        algorithm, windows, P, Q, _window_squares(squares), ledger=False
-    )
+    walk = ledger_walk(algorithm, P, Q, R, ledger=False)
     scanned = _scanned(algorithm, R, include_constants)
-    products = norm_products(squares[0], squares[1])
-    check_finite(products[scanned], lambda k: f"the window product at t = {scanned[k] * R}")
-    return _scan_report(
-        algorithm, R, windows.unit_rows, scanned, products, phi_identity, phi_final
+    check_finite(
+        walk.start_products[scanned], lambda k: f"the window product at t = {scanned[k] * R}"
     )
+    return _scan_report(algorithm, R, walk, scanned)
 
 
 @dataclass
@@ -211,20 +171,16 @@ def verify_bottleneck_chain(
     ledger of ``potential.ledger_walk``, whose drift guard raises
     ``ArithmeticError`` when the ledger drifts from the exact potential.
     """
-    windows = _windows(algorithm, R)
-    window_sets = windows.unit_rows
-    n_windows = len(window_sets)
-    squares = np.zeros((4, n_windows))
-    phi_identity, phi_final, moves = ledger_walk(algorithm, windows, P, Q, _window_squares(squares))
-    start_products = norm_products(squares[0], squares[1])
-    end_products = norm_products(squares[2], squares[3])
-    ends = np.maximum(start_products, end_products)
+    walk = ledger_walk(algorithm, P, Q, R)
+    phi_identity, phi_final = walk.phi_identity, walk.phi_final
+    n_windows = len(walk.unit_rows)
+    ends = np.maximum(walk.start_products, walk.end_products)
     check_finite(ends, lambda w: f"the window product at t = {w * R}")
 
     links: list[WindowLink] = []
-    for w, rows in enumerate(window_sets):
-        delta_abs = abs(float(moves[w]))
-        bound = change_bound(len(rows), float(start_products[w]), float(end_products[w]))
+    for w, rows in enumerate(walk.unit_rows):
+        delta_abs = abs(float(walk.moves[w]))
+        bound = change_bound(len(rows), float(walk.start_products[w]), float(walk.end_products[w]))
         links.append(
             WindowLink(
                 start=w * R,
@@ -241,10 +197,7 @@ def verify_bottleneck_chain(
     average_requirement = (
         (phi_final - phi_identity) / (2 * n_windows * math.log2(2 * R)) if n_windows else 0.0
     )
-    scanned = _scanned(algorithm, R, False)
-    scan = _scan_report(
-        algorithm, R, window_sets, scanned, start_products, phi_identity, phi_final
-    )
+    scan = _scan_report(algorithm, R, walk, _scanned(algorithm, R, False))
     return ChainReport(
         R=R,
         m=algorithm.m,
@@ -370,8 +323,13 @@ class ProjectionSweepReport:
     violations: int
 
 
+# A trial of ``sweep_fourier_projection_bound`` violates a bound when its
+# slack is below -PROJ_SLACK_TOL.
+PROJ_SLACK_TOL = 1e-6
+
+
 def sweep_fourier_projection_bound(
-    n: int, trials: int = 100, seed: int = 0, slack_tol: float = 1e-6
+    n: int, trials: int = 100, seed: int = 0
 ) -> ProjectionSweepReport:
     """Both bounds on random orthogonal-projection pairs of rank n - r, r <= n/2."""
     rng = np.random.default_rng(seed)
@@ -386,7 +344,7 @@ def sweep_fourier_projection_bound(
         report = verify_fourier_projection_bound(n, P, Q)
         worst_lower = min(worst_lower, report.lower_slack)
         worst_upper = min(worst_upper, report.upper_slack)
-        if report.lower_slack < -slack_tol or report.upper_slack < -slack_tol:
+        if report.lower_slack < -PROJ_SLACK_TOL or report.upper_slack < -PROJ_SLACK_TOL:
             violations += 1
     return ProjectionSweepReport(
         n=n,

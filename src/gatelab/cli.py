@@ -8,7 +8,9 @@ schema_version marker.  Numeric options accept a power literal ``B^E``
 Exit codes: 0 success, 1 usage, input, I/O or out-of-memory error, 2 a
 verification failed: an inequality beyond tolerance (regression signal), an
 extraction guarantee, the incremental-potential drift guard of trace and
-chain, or a trajectory whose inverse-consistency residual is not finite.
+chain, a trajectory whose inverse-consistency residual is not finite, or a
+walk over numbers that are not finite (trace, scan and chain; extraction,
+when M(m) or a squared row norm overflows).
 """
 
 from __future__ import annotations
@@ -615,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 1)
     except (RuntimeError, ArithmeticError) as exc:
         # a failed extraction guarantee, the drift guard of the ledger walk
-        # or a non-finite validate residual
+        # or a number that is not finite
         return _fail(exc, 2)
 
 

@@ -100,11 +100,18 @@ from .gates import (
     LinearAlgorithm,
     VectorWalk,
     Workspace,
+    check_finite,
     column_panels,
     layer,
     panel_width,
     replay_layers,
 )
+
+
+# A system's Gram matrix may miss the identity by ORTHO_TOL (``check``), and
+# the final matrix the transform by TARGET_TOL (``extract_directions``).
+ORTHO_TOL = 1e-8
+TARGET_TOL = 1e-8
 
 
 def speedup_factor(algorithm: LinearAlgorithm) -> float:
@@ -150,14 +157,14 @@ class DirectionSystem:
                 worst.append(np.abs(gram, out=gram).max())
         return float(np.max(worst))
 
-    def check(self, ortho_tol: float = 1e-8, per_step: int = 2) -> None:
+    def check(self, per_step: int = 2) -> None:
         """Raise if the extraction guarantees do not hold.
 
         ``per_step`` is the most coordinates the scan offered at one step: 2
         for the touched-row scan, n for the unrestricted one.
         """
-        if self.gram_residual() > ortho_tol:
-            raise RuntimeError(f"direction system not orthonormal within {ortho_tol}")
+        if self.gram_residual() > ORTHO_TOL:
+            raise RuntimeError(f"direction system not orthonormal within {ORTHO_TOL}")
         for mag in self.magnitudes:
             if mag < self.threshold - 1e-12:
                 raise RuntimeError(f"magnitude {mag} below threshold {self.threshold}")
@@ -179,24 +186,34 @@ class TargetMismatch(ValueError):
 
 
 def _squared_row_norms(
-    algorithm: LinearAlgorithm, require_wht_target: bool, target_tol: float
+    algorithm: LinearAlgorithm, require_wht_target: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """|row_i(M(t))|^2 and |row_i(M(t)^{-T})|^2 of every touched row, by one
     layered walk of (I, I), in the row order of the layering; each panel of
-    the walk's M(m) is checked against the transform."""
+    the walk's M(m) is checked against the transform.  A panel whose M(m) or
+    M(m)^{-T} is not finite, or a squared norm that is not finite, raises
+    ``ArithmeticError`` before that panel's target check."""
     n = algorithm.n
     width = panel_width(n)
     blocks = layer(algorithm, width=width).blocks
     cuts = blocks.row_cuts
     squares = np.zeros((2, blocks.rows.size))  # 0.0 + x is x for every x >= 0
     workspace = Workspace()
-    for lo, (A, B) in zip(range(0, n, width), column_panels(n)):
-        for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
-            rows = slice(cuts[b], cuts[b + 1])
-            squares[0, rows] += np.einsum("ij,ij->i", a1, a1)
-            squares[1, rows] += np.einsum("ij,ij->i", b1, b1)
-        if require_wht_target and not _matches_wht(A, lo, target_tol, workspace):
-            raise TargetMismatch("final matrix is not the Walsh-Hadamard transform")
+    # an overflow is reported as an error, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, (A, B) in zip(range(0, n, width), column_panels(n)):
+            for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+                rows = slice(cuts[b], cuts[b + 1])
+                squares[0, rows] += np.einsum("ij,ij->i", a1, a1)
+                squares[1, rows] += np.einsum("ij,ij->i", b1, b1)
+            # no gate makes an entry that is not finite finite again
+            if not (np.isfinite(A).all() and np.isfinite(B).all()):
+                raise ArithmeticError("the trajectory overflowed: M(m) or M(m)^{-T} is not finite")
+            for side, name in zip(squares, ("M", "M^{-T}")):
+                check_finite(side, lambda k: f"the squared norm of row {blocks.rows[k]} of "
+                                             f"{name}({blocks.row_units[k] + 1})")
+            if require_wht_target and not _matches_wht(A, lo, TARGET_TOL, workspace):
+                raise TargetMismatch("final matrix is not the Walsh-Hadamard transform")
     return squares[0], squares[1]
 
 
@@ -222,15 +239,15 @@ def extract_directions(
     tau: float | None = None,
     unrestricted: bool = False,
     require_wht_target: bool = True,
-    target_tol: float = 1e-8,
 ) -> tuple[DirectionSystem, DirectionSystem]:
     """Extract the overflow and underflow systems at threshold tau.
 
     The scan visits each step's touched coordinates; ``unrestricted`` widens
     it to every coordinate at every step (including step 0).  Selection
     follows the rule of the module docstring.  A final matrix other than the
-    Walsh-Hadamard transform raises ``TargetMismatch`` (a ``ValueError``)
-    unless ``require_wht_target`` is False.
+    Walsh-Hadamard transform (within ``TARGET_TOL``) raises
+    ``TargetMismatch`` (a ``ValueError``) unless ``require_wht_target`` is
+    False; an overflowed walk raises ``ArithmeticError`` either way.
 
     The unrestricted scan needs only the rows at step 0 and the touched rows.
     A row that gate t does not touch is, at step t, the row it was at step
@@ -240,7 +257,7 @@ def extract_directions(
     and (t, i) never does: dropping it changes nothing.
     """
     n = algorithm.n
-    r2, s2 = _squared_row_norms(algorithm, require_wht_target, target_tol)
+    r2, s2 = _squared_row_norms(algorithm, require_wht_target)
     if tau is None:
         tau = math.sqrt(speedup_factor(algorithm) / 2.0)
     if tau <= 0:

@@ -26,15 +26,15 @@ one of two kernels:
   into a ``Workspace`` that the walk reuses, and the block is applied there
   with fancy indexing, so the walk allocates nothing per block.
   ``potential.ledger_walk`` (the one walk of ``trace_potential``,
-  ``scan_bottlenecks`` and ``verify_bottleneck_chain``) and
-  ``extract_directions`` (once, for its row norms) use it: each reads only
-  the rows a gate, or a window of R gates, rewrites, so it can rate a whole
-  block in a few numpy calls.  Windows of R > 1 gates are layered as units, so a block holds
-  every row of its windows from the window's start to its end.
+  ``scan_bottlenecks`` and ``verify_bottleneck_chain``, which layers
+  windows of R gates as units, R = 1 for the trace) and
+  ``extract_directions`` (once, for its row norms) use it: a block holds
+  every row of its units from the unit's start to its end, sorted within
+  each unit, so a walk rates a whole block in a few numpy calls.
 
 Gates act on rows, so each column of (M(t) P, M(t)^{-T} Q) evolves alone, and
 the potential and every squared row or window norm is a sum over columns.
-The four layered walks therefore take the columns in panels
+The two layered walks therefore take the columns in panels
 (``column_panels``): n x w slices of P and Q, w = ``panel_width(n)``, each
 walked over one layering cut for that width, adding into per-gate or
 per-window sums (square roots come only at the end).  Every n with
@@ -59,7 +59,7 @@ Coordinates are 0-based everywhere, including the text file format.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -311,6 +311,14 @@ class Workspace:
         return view
 
 
+def check_finite(values: np.ndarray, name: Callable[[int], str]) -> None:
+    """Raise ``ArithmeticError`` if an entry of ``values`` is not finite,
+    naming the first such entry k as ``name(k)``."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ArithmeticError(f"{name(int(bad[0]))} is not finite")
+
+
 def gather_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``x[rows]`` written into ``out``.  The rows are in range; ``mode="clip"``
     skips the bounds check, for which ``np.take`` would buffer ``out``."""
@@ -361,17 +369,15 @@ class Block(NamedTuple):
     """Units of one layer (gates, or windows of R gates) on disjoint rows.
 
     ``rows`` holds the units' rows, unit after unit and each unit's in
-    ascending order; unit ``units[u]`` starts at ``unit_starts[u]`` and
-    ``row_units`` names the unit of every row.  Units are sorted by row
-    count, then by index, and ``groups`` lists each run of equal-sized units
-    as (rows per unit, first position, end position) in ``units``.
-    ``steps[k]`` applies the k-th gate of every unit that has one.
+    ascending order; unit ``units[u]`` starts at ``unit_starts[u]``.  Units
+    are sorted by row count, then by index, and ``groups`` lists each run of
+    equal-sized units as (rows per unit, first position, end position) in
+    ``units``.  ``steps[k]`` applies the k-th gate of every unit that has one.
     """
 
     units: np.ndarray
     rows: np.ndarray
     unit_starts: np.ndarray
-    row_units: np.ndarray
     groups: tuple[tuple[int, int, int], ...]
     steps: tuple[LayerStep, ...]
     gates: int
@@ -396,12 +402,13 @@ class Blocks(Sequence):
     """A layering's blocks, packed into arrays in block order.
 
     Block b holds the units ``units[cuts[b]:cuts[b + 1]]`` and the rows
-    ``rows[row_cuts[b]:row_cuts[b + 1]]``; its gates are sorted by step, then
-    rotations before constants, then by unit, and ``gate_cuts`` bounds each
-    (block, step, kind) run.  ``gate_rows`` holds each gate's rows i and j
-    as positions in its block, ``first`` its cos (or c) and ``second`` its
-    sin (or 1/c).  Indexing makes a ``Block`` of views, so the layering
-    keeps a dozen arrays in all rather than a dozen per block.
+    ``rows[row_cuts[b]:row_cuts[b + 1]]`` (``row_units`` names each row's
+    unit); its gates are sorted by step, then rotations before constants,
+    then by unit, and ``gate_cuts`` bounds each (block, step, kind) run.
+    ``gate_rows`` holds each gate's rows i and j as positions in its block,
+    ``first`` its cos (or c) and ``second`` its sin (or 1/c).  Indexing
+    makes a ``Block`` of views, so the layering keeps a dozen arrays in all
+    rather than a dozen per block.
     """
 
     def __init__(self, R, units, rows, unit_starts, row_units, cuts, row_cuts, groups,
@@ -447,7 +454,6 @@ class Blocks(Sequence):
             units=self.units[us:ue],
             rows=self.rows[rs:re],
             unit_starts=self.unit_starts[us:ue],
-            row_units=self.row_units[rs:re],
             groups=self.groups[b],
             steps=tuple(steps),
             gates=self.gate_counts[b],
@@ -703,7 +709,12 @@ class TrajectoryDiagnostics:
     stable: bool
 
 
-def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> TrajectoryDiagnostics:
+# A trajectory whose inverse-consistency residual exceeds RESIDUAL_TOL is
+# flagged as numerically unstable (``validate``).
+RESIDUAL_TOL = 1e-6
+
+
+def validate(algorithm: LinearAlgorithm) -> TrajectoryDiagnostics:
     """Replay the trajectory and report consistency diagnostics, O(n^2) per gate.
 
     Residual is the max entrywise deviation of M(t) * M(t)^{-T}.T from the
@@ -713,7 +724,7 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
     and reflections (|c| = 1) leave singular values unchanged, so the
     condition number comes from an SVD at t = 0 and after each constant
     with |c| != 1, and is repeated at every other step.  A residual above
-    ``residual_tol`` flags the algorithm as numerically unstable (only
+    ``RESIDUAL_TOL`` flags the algorithm as numerically unstable (only
     pathological constants can cause this); a residual that is not finite
     (an overflowed trajectory) raises ``ArithmeticError`` naming its step.
     """
@@ -747,5 +758,5 @@ def validate(algorithm: LinearAlgorithm, residual_tol: float = 1e-6) -> Trajecto
         max_residual=max_residual,
         kappas=kappas,
         max_kappa=float(max(kappas)),
-        stable=max_residual <= residual_tol,
+        stable=max_residual <= RESIDUAL_TOL,
     )

@@ -32,33 +32,33 @@ so a batch of blocks gives the products of one ``np.linalg.norm`` call per
 block bit for bit.  (``einsum`` sums in another order and does not.)
 
 The potential, every row contribution and every squared norm is a sum over
-columns, so ``ledger_walk``, the one walk of ``trace_potential``,
-``bottleneck.scan_bottlenecks`` and ``bottleneck.verify_bottleneck_chain``,
-takes the columns in panels (``gates.column_panels``) and adds each block's
-numbers into per-gate or per-window sums; bounds take their square roots at
-the end.  Each panel keeps a row ledger, and one drift guard serves trace
-and chain: every panel rechecks its incremental potential against an exact
-recomputation every ``RECOMPUTE_EVERY`` gates, and at the end the moves must
-add up to the change between the two end potentials.  With one panel
-(n <= 512) every number is the full-width walk's, bit for bit.
+columns.  ``ledger_walk`` is the one walk of ``trace_potential`` (windows
+of R = 1 gate), ``bottleneck.scan_bottlenecks`` and
+``bottleneck.verify_bottleneck_chain``: it layers the windows itself, takes
+the columns in panels (``gates.column_panels``), adds each block's squared
+window norms into per-window sums and returns one record (``WindowWalk``)
+whose products take their square roots at the end.  Each panel keeps a row
+ledger, and one drift guard serves trace and chain: every panel rechecks
+its incremental potential against an exact recomputation every
+``RECOMPUTE_EVERY`` gates, and at the end the moves must add up to the
+change between the two end potentials.  With one panel (n <= 512) every
+number is the full-width walk's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import (
     BLOCK_ELEMENTS,
-    Layering,
-    LayerStep,
     LinearAlgorithm,
+    UnitRows,
     Workspace,
+    check_finite,
     column_panels,
-    gather_rows,
     layer,
     panel_width,
     replay_layers,
@@ -199,41 +199,44 @@ class PotentialTrace:
     touched_sets: list[tuple[int, ...]]
 
 
-def _pair_squares(
-    step: LayerStep, x: np.ndarray, y: np.ndarray, workspace: Workspace
-) -> np.ndarray:
-    """``squared_row_norms`` of each rotation's rows i and j of a block's rows
-    x, raveled in that order, then of y's: a (2, rotations) array."""
-    k, n = step.rot_gates.size, x.shape[1]
-    rows = np.stack((step.rot_i, step.rot_j), axis=1).ravel()
-    gathered = workspace.take("scratch", (2, 2 * k, n))
-    gather_rows(x, rows, gathered[0])
-    gather_rows(y, rows, gathered[1])
-    return squared_row_norms(gathered.reshape(2 * k, 2 * n)).reshape(2, k)
+@dataclass
+class WindowWalk:
+    """What ``ledger_walk`` measures of each unit w (a gate, or a window of R
+    gates) on its rows I = ``unit_rows[w]``: the products |A_I|_F |B_I|_F
+    at the unit's start and, with the ledger, at its end, and its move."""
+
+    unit_rows: UnitRows
+    phi_identity: float
+    phi_final: float
+    start_products: np.ndarray
+    end_products: np.ndarray | None
+    moves: np.ndarray | None
 
 
 def ledger_walk(
     algorithm: LinearAlgorithm,
-    layering: Layering,
     P: np.ndarray | None,
     Q: np.ndarray | None,
-    measure: Callable[..., None],
+    R: int = 1,
     ledger: bool = True,
-) -> tuple[float, float, np.ndarray | None]:
-    """The one walk of ``trace_potential``, ``scan_bottlenecks`` and
-    ``verify_bottleneck_chain``: ``replay_layers`` over ``layering`` (cut for
-    ``panel_width(n)``), one column panel at a time.
+) -> WindowWalk:
+    """The one walk of ``trace_potential`` (R = 1), ``scan_bottlenecks`` and
+    ``verify_bottleneck_chain``: ``replay_layers`` over the windows of R gates
+    layered as units (``layer(algorithm, R)``, cut for ``panel_width(n)``),
+    one column panel at a time.
 
-    After each block it calls ``measure(block, a0, b0, a1, b1, workspace)``
-    with the block's rows before and after it, which the caller adds into
-    its own per-unit sums.  It returns the identity and final potentials
-    and, with ``ledger``, each unit's move (None without): the change in its
-    rows' contribution, from a row ledger per panel, summed over the panels.
-    A block of reflections (c = -1 only) carries its rows' contributions,
-    since negating both factors leaves every entry product bitwise
-    unchanged.  Sums over the panels start at -0.0, the additive identity,
-    so one panel gives its own numbers bit for bit.  The panels, the ledgers
-    and the workspace die with the call.
+    Units in one block touch disjoint rows, so the block holds each unit's
+    sorted rows at its start and at its end, and a few ``squared_row_norms``
+    calls per block give every unit's |A_I|_F^2 and |B_I|_F^2; they are
+    summed over the panels and ``norm_products`` takes the square roots at
+    the end.  With ``ledger`` the walk also measures each unit's end and
+    keeps a row ledger per panel; a unit's move is the change in its rows'
+    contribution, summed over the panels.  A block of reflections (c = -1
+    only) carries its rows' contributions, since negating both factors
+    leaves every entry product bitwise unchanged.  Sums over the panels
+    start at -0.0 (or 0.0 for squares, which are never negative), so one
+    panel gives its own numbers bit for bit.  The layering, the panels, the
+    ledgers and the workspace die with the call.
 
     The ledger's drift guard has two checks; both raise ``ArithmeticError``
     and both fail on a NaN drift.  Each panel recomputes its potential at a
@@ -243,14 +246,19 @@ def ledger_walk(
     contribution seen.  At the end the moves must add up to the change of
     the potential within ``DRIFT_TOL`` of that scale and both end values.
     """
+    if not 1 <= R <= algorithm.n // 2:
+        raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
+    layering = layer(algorithm, R, width=panel_width(algorithm.n))
     blocks = layering.blocks
     # the blocks whose gates are all reflections (rotations have c = 1)
     kept = np.cumsum(algorithm.arrays.c[blocks.gates] != -1.0)
-    kept = np.concatenate(([0], kept))[blocks.gate_cuts[:: 2 * layering.R]]
+    kept = np.concatenate(([0], kept))[blocks.gate_cuts[:: 2 * R]]
     reflections = (kept[1:] == kept[:-1]).tolist()
     workspace = Workspace()
     phi_identity = phi_final = -0.0
-    moves = np.full(len(layering.unit_rows), -0.0) if ledger else None
+    units = len(layering.unit_rows)
+    squares = np.zeros((4 if ledger else 2, units))  # |A_I|^2, |B_I|^2 at the start, then the end
+    moves = np.full(units, -0.0) if ledger else None
     scale = 1.0
     # an overflow is reported as an error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -262,7 +270,15 @@ def ledger_walk(
                 contribs = row_contribs(A, B, workspace).copy()
             unchecked = done = 0
             for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
-                measure(block, a0, b0, a1, b1, workspace)
+                for x, sums in zip((a0, b0, a1, b1), squares):
+                    block_squares = np.empty(block.units.size)
+                    for size, first, end in block.groups:
+                        start = block.unit_starts[first]
+                        rows = x[start : start + (end - first) * size]
+                        block_squares[first:end] = squared_row_norms(
+                            rows.reshape(end - first, size * x.shape[1])
+                        )
+                    sums[block.units] += block_squares
                 if not ledger:
                     continue
                 old = contribs[block.rows]
@@ -296,15 +312,14 @@ def ledger_walk(
         residual = abs(float(moves.sum()) - (phi_final - phi_identity))
         if not residual <= DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
             raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
-    return phi_identity, phi_final, moves
-
-
-def check_finite(values: np.ndarray, name: Callable[[int], str]) -> None:
-    """Raise ``ArithmeticError`` if an entry of ``values`` is not finite,
-    naming the first such entry k as ``name(k)``."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ArithmeticError(f"{name(int(bad[0]))} is not finite")
+    return WindowWalk(
+        unit_rows=layering.unit_rows,
+        phi_identity=phi_identity,
+        phi_final=phi_final,
+        start_products=norm_products(squares[0], squares[1]),
+        end_products=norm_products(squares[2], squares[3]) if ledger else None,
+        moves=moves,
+    )
 
 
 def trace_potential(
@@ -314,35 +329,26 @@ def trace_potential(
 ) -> PotentialTrace:
     """Trace the projected potential along the trajectory.
 
-    ``ledger_walk`` over the layering of single gates: a gate's move is the
-    change in its own rows' contribution, summed over the panels, and the
-    walk's drift guard checks the moves.  Values are the initial potential
-    plus a running sum of the moves in step order; they are not snapped to
-    a recheck, since a block boundary is not a step.  Bounds come from the
-    touched rows' block products, in the gate's (i, j) row order, before and
-    after the gate.
+    ``ledger_walk`` at R = 1, whose units are the gates: a gate's move is
+    the change in its own rows' contribution, summed over the panels, and
+    the walk's drift guard checks the moves.  Values are the initial
+    potential plus a running sum of the moves in step order; they are not
+    snapped to a recheck, since a block boundary is not a step.  A
+    rotation's bound is ``change_bound(2, start, end)`` of its rows' block
+    products, the rows in ascending order as in every window, so it is the
+    R = 1 chain's window bound bit for bit; a constant's bound is 0.
     """
-    squares = np.zeros((4, algorithm.m))  # each rotation's |A_I|^2, |B_I|^2 before it, then after
-
-    def measure(block, a0, b0, a1, b1, workspace):
-        (step,) = block.steps
-        if step.rot_gates.size:
-            squares[:2, step.rot_gates] += _pair_squares(step, a0, b0, workspace)
-            squares[2:, step.rot_gates] += _pair_squares(step, a1, b1, workspace)
-
-    # the layering dies with the walk, before the trace's lists are built
-    phi, _, moves = ledger_walk(
-        algorithm, layer(algorithm, width=panel_width(algorithm.n)), P, Q, measure
+    walk = ledger_walk(algorithm, P, Q)
+    values = np.cumsum(np.concatenate([[walk.phi_identity], walk.moves]))
+    bounds = np.where(
+        algorithm.arrays.rotation, change_bound(2, walk.start_products, walk.end_products), 0.0
     )
-    values = np.cumsum(np.concatenate([[phi], moves]))
-    before = norm_products(squares[0], squares[1])
-    bounds = change_bound(2, before, norm_products(squares[2], squares[3]))
     check_finite(bounds, lambda g: f"the change bound of step {g + 1}")
     gate_i, gate_j = algorithm.arrays.i.tolist(), algorithm.arrays.j.tolist()
     return PotentialTrace(
         values=values.tolist(),
         per_step_delta=[0.0] + np.abs(np.diff(values)).tolist(),
-        per_step_bound=[0.0] + bounds.tolist(),  # 0 for constants: no squares
+        per_step_bound=[0.0] + bounds.tolist(),
         touched_sets=[()] + [(i,) if j < 0 else (i, j) for i, j in zip(gate_i, gate_j)],
     )
 

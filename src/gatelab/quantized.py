@@ -222,6 +222,10 @@ class UncertaintyCheck:
     status: str  # "ok" | "mismatch" | "inconclusive"
 
 
+# The fewest samples a bin of ``empirical_uncertainty_check`` needs to count.
+MIN_BIN = 30
+
+
 def empirical_uncertainty_check(
     algorithm: LinearAlgorithm,
     epsilon: float,
@@ -231,7 +235,6 @@ def empirical_uncertainty_check(
     sigma: float = 1.0,
     step: int | None = None,
     coord: int | None = None,
-    min_bin: int = 30,
 ) -> UncertaintyCheck:
     """Monte-Carlo check of the reconstruction width of g = direction . x.
 
@@ -242,7 +245,7 @@ def empirical_uncertainty_check(
     binned by the quantized word and the spread of the recoverable component
     is measured within each bin, so complement variation cancels exactly.
     Expected agreement with epsilon * |coefficient| is within a factor of two;
-    bins holding fewer than ``min_bin`` samples are ignored, and if none
+    bins holding fewer than ``MIN_BIN`` samples are ignored, and if none
     qualify the check is inconclusive rather than failed.
     """
     n = algorithm.n
@@ -281,7 +284,7 @@ def empirical_uncertainty_check(
     start = 0
     for end in range(1, samples + 1):
         if end == samples or keys_sorted[end] != keys_sorted[start]:
-            if end - start >= min_bin:
+            if end - start >= MIN_BIN:
                 block = recoverable[start:end]
                 spreads.append(float(block.max() - block.min()))
             start = end

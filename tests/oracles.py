@@ -324,13 +324,14 @@ def window_products_reference(algorithm, P, Q, R):
 
 
 def trace_bounds_reference(algorithm, P=None, Q=None):
-    """Per-step change bounds, each gate's rows measured in its (i, j) order."""
+    """Per-step change bounds, each gate's rows measured in ascending order,
+    as every window's are, whatever the gate's (i, j) order."""
     bounds = [0.0]
     A, B = start_pair(algorithm.n, P, Q)
     steps = replay(algorithm, A, B)
     next(steps)
     for gate in algorithm.gates:
-        rows = touched(gate)
+        rows = tuple(sorted(touched(gate)))
         before = _block_product(A, B, rows)
         next(steps)
         bounds.append(change_bound(len(rows), before, _block_product(A, B, rows)))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from dataclasses import fields
@@ -435,8 +436,26 @@ def test_trace_scan_and_chain_run_the_one_walk(monkeypatch):
     scan_bottlenecks(algorithm, R=2)
     verify_bottleneck_chain(algorithm, R=2)
     assert calls == [True, False, True]  # the scan runs without the ledger
-    for name in ("row_contribs", "swap_contribs", "DRIFT_TOL"):
+    for name in ("row_contribs", "swap_contribs", "DRIFT_TOL", "_window_squares", "_windows"):
         assert not hasattr(bottleneck, name)
+    assert not hasattr(potential, "_pair_squares")
+    assert "measure" not in inspect.signature(real).parameters
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_wht(64), lambda: build_dft_real(64), lambda: build_random(12, 400, seed=8)],
+    ids=["wht", "dft", "random"],
+)
+def test_trace_bounds_are_the_gate_chain_window_bounds(build):
+    # the R = 1 window of a rotation is its two rows, ascending in both
+    algorithm = build()
+    trace = trace_potential(algorithm)
+    chain = verify_bottleneck_chain(algorithm, R=1)
+    rotations = np.flatnonzero(algorithm.arrays.rotation)
+    assert rotations.size
+    for g in rotations.tolist():
+        assert trace.per_step_bound[g + 1] == chain.windows[g].bound
 
 
 # Row 0 of M overflows to inf at step 2 and the rotation spreads it: the

@@ -449,6 +449,28 @@ def test_walks_over_numbers_that_are_not_finite_exit_two_without_output(
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("options", [[], ["--no-target-check"]])
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ("n 2 m 3\nC 0 1e200\nC 0 1e200\nR 0 1 0.5\n",
+         "the trajectory overflowed: M(m) or M(m)^{-T} is not finite"),
+        ("n 2 m 2\nC 0 1e200\nR 0 1 0.5\n", "the squared norm of row 0 of M(1) is not finite"),
+    ],
+)
+def test_extraction_over_numbers_that_are_not_finite_exits_two_without_output(
+    options, program, message, tmp_path, capsys
+):
+    alg = tmp_path / "overflow.alg"
+    alg.write_text(program)
+    out = tmp_path / "extract.json"
+    assert run(["extract", alg, *options, "-o", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["trace", "scan", "chain"])
 @pytest.mark.parametrize(
     "option, spec, reason",

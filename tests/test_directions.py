@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from gatelab import (
+    Constant,
     DirectionSystem,
+    LinearAlgorithm,
+    Rotation,
     directions,
     build_inverse_scaled_fixture,
     build_random,
@@ -206,10 +209,10 @@ def test_one_extraction_walks_the_matrices_once(monkeypatch):
 @given(panel_instances())
 def test_multi_panel_norm_walk_matches_the_one_panel_walk(instance):
     algorithm, _, width, _, _ = instance
-    one = directions._squared_row_norms(algorithm, False, 1e-8)
+    one = directions._squared_row_norms(algorithm, False)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gates, "PANEL_ELEMENTS", algorithm.n * width)
-        panels = directions._squared_row_norms(algorithm, False, 1e-8)
+        panels = directions._squared_row_norms(algorithm, False)
     for got, want in zip(panels, one):
         assert within_drift(got, want)
 
@@ -417,3 +420,26 @@ def test_volume_log_cross_checked_against_dense_script():
     oracle_sum = sum(math.log2(g) for g in gammas)
     package_sum = sum(math.log2(g) for g in basis.gammas)
     assert abs(oracle_sum - package_sum) < 1e-9
+
+
+@pytest.mark.filterwarnings("error")  # numpy's overflow warnings would only repeat the error
+@pytest.mark.parametrize("require_wht_target", [True, False])
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        # row 0 of M overflows to inf at step 2 and the rotation spreads it
+        (
+            (Constant(0, 1e200), Constant(0, 1e200), Rotation(0, 1, 0.5)),
+            "the trajectory overflowed: M(m) or M(m)^{-T} is not finite",
+        ),
+        # M stays finite, but |row 0 of M(1)|^2 = 1e400 overflows
+        (
+            (Constant(0, 1e200), Rotation(0, 1, 0.5)),
+            "the squared norm of row 0 of M(1) is not finite",
+        ),
+    ],
+)
+def test_extraction_rejects_numbers_that_are_not_finite(program, message, require_wht_target):
+    with pytest.raises(ArithmeticError) as caught:
+        extract_directions(LinearAlgorithm(2, program), require_wht_target=require_wht_target)
+    assert str(caught.value) == message

@@ -13,6 +13,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+# imported before any measurement: the first ``simulate`` in a process
+# would otherwise count the lazy import of ``numpy.random`` in its peak
+import gatelab._seeds  # noqa: F401
 from gatelab import (
     build_wht,
     extract_directions,
