@@ -1,17 +1,16 @@
-"""Generators of spawned ``SeedSequence`` children, seeded in bulk.
+"""Normal draws of spawned ``SeedSequence`` children, seeded in bulk.
 
-``spawned_generators(seed, lo, hi)`` yields, for k in [lo, hi), a generator
-that draws exactly what ``default_rng(SeedSequence(seed).spawn(hi)[k])``
-draws.  The children's PCG64 seeding words are computed for the whole range
-at once with SeedSequence's own hash (``numpy.random.bit_generator``), rather
-than by building one SeedSequence per child; numpy still seeds PCG64 from
-those words.  Spawn indices must be below 2**32, where an index is one
-entropy word.
+``spawned_normals(X, seed, lo, sigma)`` fills column c of an (n, count)
+array X with exactly what ``default_rng(SeedSequence(seed).spawn(k + 1)[k])
+.normal(0, sigma, n)`` draws, k = lo + c.  The children's PCG64 seeding
+words are computed for a block of children at once with SeedSequence's own
+hash (``numpy.random.bit_generator``), rather than by building one
+SeedSequence per child; numpy still seeds PCG64 from those words and still
+draws each child's normals.  Spawn indices must be below 2**32, where an
+index is one entropy word.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -62,15 +61,18 @@ def child_state_words(seed: int, lo: int, hi: int) -> np.ndarray:
 
 
 class _ChildWords(ISeedSequence):
-    """A seed sequence that hands PCG64 one child's precomputed state words."""
+    """A seed sequence that hands PCG64 one child's precomputed state words.
+
+    PCG64 reads them once, in its constructor, so one holder serves every
+    child of a block: assign ``words`` before each constructor call.
+    """
 
     __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the np.uint64 type itself; the identity test spares
+        # each child a dtype conversion
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("only PCG64's four uint64 state words are precomputed")
         return self.words
 
@@ -79,9 +81,29 @@ class _ChildWords(ISeedSequence):
 # temporaries, so a slice of this many stays far below the sample arrays.
 _WORDS_SLICE = 1024
 
+# Floats in the row buffer the draws go through: at most 256 kB, whatever
+# the size of the sample array.
+_BUFFER_FLOATS = 1 << 15
 
-def spawned_generators(seed: int, lo: int, hi: int) -> Iterator[Generator]:
-    """The generators of children lo..hi-1 of ``SeedSequence(seed)``."""
-    for start in range(lo, hi, _WORDS_SLICE):
-        for words in child_state_words(seed, start, min(start + _WORDS_SLICE, hi)):
-            yield Generator(PCG64(_ChildWords(words)))
+
+def spawned_normals(X: np.ndarray, seed: int, lo: int, sigma: float) -> None:
+    """Fill column c of the (n, count) array X with child lo + c's
+    ``normal(0, sigma, n)``.
+
+    Each child draws its standard normals into one row of a C-contiguous
+    (rows, n) buffer; a full buffer is then scaled and shifted as
+    ``normal``'s loc + scale * z, with loc = 0.0 (so sigma = 0 gives +0.0,
+    not -0.0), and copied into X's columns with one transposed copy.
+    """
+    n, count = X.shape
+    rows = max(1, min(_WORDS_SLICE, _BUFFER_FLOATS // n, count))
+    buffer = np.empty((rows, n))
+    holder = _ChildWords()
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        block = buffer[: stop - start]
+        for row, holder.words in zip(block, child_state_words(seed, lo + start, lo + stop)):
+            Generator(PCG64(holder)).standard_normal(out=row)
+        np.multiply(block, sigma, out=block)
+        np.add(block, 0.0, out=block)
+        X[:, start:stop] = block.T

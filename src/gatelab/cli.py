@@ -452,17 +452,25 @@ def _simulate_csv(stats: quantized.QuantizedRunStats) -> Iterator[str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from . import quantized
 
     algorithm = _load(args.algorithm)
-    stats = quantized.simulate(
-        algorithm,
-        epsilon=args.eps,
-        sigma=args.sigma,
-        samples=args.samples,
-        seed=args.seed,
-        word_budget=args.W,
-    )
+    # an overflowing program leaves inf and NaN cells, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = quantized.simulate(
+            algorithm,
+            epsilon=args.eps,
+            sigma=args.sigma,
+            samples=args.samples,
+            seed=args.seed,
+            word_budget=args.W,
+        )
+    bad = np.flatnonzero(~(np.isfinite(stats.mean_bits) & np.isfinite(stats.max_abs)))
+    if bad.size:
+        t, i = divmod(int(bad[0]), algorithm.n)
+        raise ArithmeticError(f"the simulated cell (t, i) = ({t}, {i}) is not finite")
     _emit(_simulate_csv(stats), args.output)
     if args.summary is not None:
         flagged = stats.flagged_cells()

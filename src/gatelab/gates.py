@@ -121,9 +121,10 @@ def rotate_rows(
     """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place.
 
     Row i becomes cos*A[i] + sin*A[j] and row j (-sin)*A[i] + cos*A[j].  The
-    two temporaries go to ``scratch``, two rows of at most a row's columns:
-    rows with more columns than it are rotated a slice of that many columns
-    at a time, so rotating long sample rows allocates nothing.
+    two cross products go to ``scratch``, two rows of at most a row's
+    columns, and the rows are then updated in place: rows with more columns
+    than it are rotated a slice of that many columns at a time, so rotating
+    long sample rows allocates nothing.
     """
     xi, xj = A[i, ...], A[j, ...]  # views, also of a vector's entries
     if xi.ndim and len(xi) > scratch.shape[1]:
@@ -132,12 +133,11 @@ def rotate_rows(
             part = A[:, lo : lo + width]
             rotate_rows(part, i, j, cos_t, sin_t, scratch[:, : part.shape[1]])
         return
-    ri, tmp = scratch[0, ...], scratch[1, ...]
-    np.multiply(cos_t, xi, out=ri)
-    np.add(ri, np.multiply(sin_t, xj, out=tmp), out=ri)
-    np.multiply(-sin_t, xi, out=tmp)
-    np.add(tmp, np.multiply(cos_t, xj, out=xj), out=xj)
-    xi[...] = ri
+    sin_xj, neg_sin_xi = scratch[0, ...], scratch[1, ...]
+    np.multiply(sin_t, xj, out=sin_xj)
+    np.multiply(-sin_t, xi, out=neg_sin_xi)
+    np.add(np.multiply(cos_t, xi, out=xi), sin_xj, out=xi)
+    np.add(neg_sin_xi, np.multiply(cos_t, xj, out=xj), out=xj)
 
 
 def apply_to_vector(

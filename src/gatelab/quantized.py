@@ -62,14 +62,15 @@ def _check_draws(seed: int, samples: int) -> int:
 
 
 def _draw_inputs(seed: int, lo: int, hi: int, sigma: float, n: int) -> np.ndarray:
-    """Inputs of samples lo..hi-1 as the columns of an (n, hi - lo) array."""
+    """Inputs of samples lo..hi-1 as the columns of an (n, hi - lo) array,
+    drawn by ``_seeds.spawned_normals`` through one row buffer of at most
+    2**15 floats, the bytes of one spawned generator per sample."""
     # Imported here: loading numpy.random would add about 15 ms to every
     # CLI start, and only the draws need it.
-    from ._seeds import spawned_generators
+    from ._seeds import spawned_normals
 
     X = np.empty((n, hi - lo))
-    for col, rng in enumerate(spawned_generators(seed, lo, hi)):
-        X[:, col] = rng.normal(0.0, sigma, n)
+    spawned_normals(X, seed, lo, sigma)
     return X
 
 

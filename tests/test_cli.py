@@ -424,6 +424,20 @@ def test_validate_of_an_overflowed_trajectory_exits_two_without_output(tmp_path,
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("to_file", [False, True])
+def test_simulate_of_an_overflowing_program_exits_two_without_output(to_file, tmp_path, capsys):
+    # row 0 overflows to inf at step 2 and the rotation spreads inf and NaN
+    alg = tmp_path / "overflow.alg"
+    alg.write_text("n 2 m 3\nC 0 1e200\nC 0 1e200\nR 0 1 0.5\n")
+    out, summary = tmp_path / "sim.csv", tmp_path / "sim.json"
+    args = ["simulate", alg, "--eps", "2^-10", "--samples", 20, "--summary", summary]
+    assert run(args + (["-o", out] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists() and not summary.exists()
+    assert captured.err == "error: the simulated cell (t, i) = (2, 0) is not finite\n"
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command, program, message",
     [

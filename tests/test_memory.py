@@ -5,7 +5,8 @@ call is the most the call held at once beyond what existed before it.  A
 walk holds one column panel of A and of B (2nw floats, w = ``panel_width(n)``)
 plus one fixed workspace; an extraction holds its two n x n bases and
 nothing else of that size; ``validate`` holds M and M^{-T} plus a few rows;
-``simulate`` holds one n x chunk sample array plus small accumulators.
+``simulate`` holds one n x chunk sample array plus small accumulators, and
+its draws one row buffer of at most 2**15 floats beside that array.
 """
 
 import tracemalloc
@@ -27,7 +28,7 @@ from gatelab import (
 )
 from gatelab.gates import panel_width
 from gatelab.potential import row_contribs
-from gatelab.quantized import simulate
+from gatelab.quantized import _draw_inputs, simulate
 
 MB = 1 << 20
 
@@ -86,3 +87,11 @@ def test_simulate_holds_one_sample_array():
     samples = 50_000
     one_array = algorithm.n * samples * 8
     assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + 1 * MB
+
+
+def test_draws_hold_the_sample_array_and_one_row_buffer():
+    # at n = 1024 the 256 kB buffer holds 32 rows, so 600 samples refill it
+    # 19 times; the seeding words of a block of children take a few kB more
+    n, samples = 1024, 600
+    one_array = n * samples * 8
+    assert _peak(lambda: _draw_inputs(7, 0, samples, 1.0, n)) <= one_array + 512 * 1024

@@ -97,19 +97,29 @@ def test_simulation_rejects_bad_parameters():
     seed=st.integers(min_value=0, max_value=2**130),
     lo=st.integers(min_value=0, max_value=150),
     count=st.integers(min_value=1, max_value=60),
-    n=st.integers(min_value=2, max_value=64),
-    sigma=st.sampled_from([1.0, 2.0, 0.125, 3.7]),
+    n=st.integers(min_value=2, max_value=1100),
+    sigma=st.sampled_from([1.0, 2.0, 0.125, 3.7, 0.0]),
 )
 @example(seed=0, lo=0, count=5, n=2, sigma=1.0)
 @example(seed=2**32 + 5, lo=3, count=4, n=3, sigma=2.0)
 @example(seed=2**128 + 1, lo=0, count=3, n=64, sigma=0.125)
+# more children than one slice of seeding words, and more than one buffer
+# of rows (2**15 floats hold 512 rows of 64)
+@example(seed=5, lo=1000, count=1100, n=3, sigma=3.7)
+@example(seed=2**64 + 3, lo=7, count=600, n=64, sigma=2.0)
+@example(seed=9, lo=0, count=2100, n=2, sigma=1.0)
+# sigma = 0 draws +0.0, never -0.0
+@example(seed=4, lo=1, count=30, n=5, sigma=0.0)
+# a row longer than the buffer: one child per fill
+@example(seed=1, lo=2, count=3, n=40_000, sigma=1.0)
 def test_draw_inputs_match_spawned_reference(seed, lo, count, n, sigma):
     # seeds above 2**128 take five entropy words, one more than the pool holds;
     # a uint32 overflow warning from the bulk hash would be an error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = quantized._draw_inputs(seed, lo, lo + count, sigma, n)
-    assert np.array_equal(got, spawned_normal_draws(seed, lo, lo + count, sigma, n))
+    # bytes, so that -0.0 against 0.0 counts as a difference
+    assert got.tobytes() == spawned_normal_draws(seed, lo, lo + count, sigma, n).tobytes()
 
 
 def test_results_do_not_depend_on_chunking(monkeypatch):
