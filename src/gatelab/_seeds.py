@@ -4,10 +4,10 @@
 array X with exactly what ``default_rng(SeedSequence(seed).spawn(k + 1)[k])
 .normal(0, sigma, n)`` draws, k = lo + c.  The children's PCG64 seeding
 words are computed for a block of children at once with SeedSequence's own
-hash (``numpy.random.bit_generator``), rather than by building one
-SeedSequence per child; numpy still seeds PCG64 from those words and still
-draws each child's normals.  Spawn indices must be below 2**32, where an
-index is one entropy word.
+hash (its constants and the parent's pool come from ``_rng``), rather than
+by building one SeedSequence per child; numpy still seeds PCG64 from those
+words and still draws each child's normals.  Spawn indices must be below
+2**32, where an index is one entropy word.
 """
 
 from __future__ import annotations
@@ -16,15 +16,8 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _xorshift(words: np.ndarray) -> np.ndarray:
-    return words ^ (words >> np.uint32(16))
+from ._rng import INIT_B, MASK32, MIX_MULT_L, MIX_MULT_R, MULT_A, MULT_B, POOL_SIZE
+from ._rng import seed_pool, xorshift
 
 
 def child_state_words(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -32,30 +25,26 @@ def child_state_words(seed: int, lo: int, hi: int) -> np.ndarray:
 
     A child's entropy is the parent's, zero-padded to the pool size, followed
     by its spawn index, so its pool is the parent's pool with that index mixed
-    into every word.  The hash constant depends only on how many words were
-    hashed before, so it is advanced past the parent's rounds.  Products of
-    Python ints are masked before they become uint32 scalars; array
-    arithmetic wraps modulo 2**32 without a warning.
+    into every word, with the hash constant where the parent's hash left it.
+    Products of Python ints are masked before they become uint32 scalars;
+    array arithmetic wraps modulo 2**32 without a warning.
     """
-    parent = np.random.SeedSequence(seed)
-    entropy_words = max(1, -(-seed.bit_length() // 32))
-    hashed = _POOL_SIZE * (_POOL_SIZE + max(0, entropy_words - _POOL_SIZE))
-    hash_const = _INIT_A * pow(_MULT_A, hashed, _MASK32 + 1) & _MASK32
+    parent_pool, hash_const = seed_pool(seed)
     index = np.arange(lo, hi, dtype=np.uint32)
     pool = []
-    for word in parent.pool.tolist():
-        next_const = hash_const * _MULT_A & _MASK32
-        mixed = _xorshift((index ^ np.uint32(hash_const)) * np.uint32(next_const))
+    for word in parent_pool:
+        next_const = hash_const * MULT_A & MASK32
+        mixed = xorshift((index ^ np.uint32(hash_const)) * np.uint32(next_const))
         hash_const = next_const
-        scaled = np.uint32(word * _MIX_MULT_L & _MASK32)
-        pool.append(_xorshift(scaled - np.uint32(_MIX_MULT_R) * mixed))
+        scaled = np.uint32(word * MIX_MULT_L & MASK32)
+        pool.append(xorshift(scaled - np.uint32(MIX_MULT_R) * mixed))
 
-    hash_const = _INIT_B
-    state = np.empty((hi - lo, 2 * _POOL_SIZE), dtype=np.uint32)
-    for col in range(2 * _POOL_SIZE):
-        next_const = hash_const * _MULT_B & _MASK32
-        source = pool[col % _POOL_SIZE] ^ np.uint32(hash_const)
-        state[:, col] = _xorshift(source * np.uint32(next_const))
+    hash_const = INIT_B
+    state = np.empty((hi - lo, 2 * POOL_SIZE), dtype=np.uint32)
+    for col in range(2 * POOL_SIZE):
+        next_const = hash_const * MULT_B & MASK32
+        source = pool[col % POOL_SIZE] ^ np.uint32(hash_const)
+        state[:, col] = xorshift(source * np.uint32(next_const))
         hash_const = next_const
     return state.astype("<u4").view("<u8").astype(np.uint64)
 

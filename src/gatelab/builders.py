@@ -12,17 +12,16 @@ factors are single rotation gates.  Bit-reversal is paid for explicitly: one
 swap is a half-turn rotation plus a reflection, two gates per real pair.
 
 The builders make gate objects of ``model`` in plain Python, so building and
-writing a gate file never loads numpy.  Only the dense closed forms
-(``wht_matrix`` and its blocks ``wht_entries``, ``dft_real_matrix``) and
-``build_random``, which draws from numpy's generator, import it, when they
-are called.
+writing a gate file never loads numpy; ``build_random`` draws from ``_rng``,
+numpy's generator reproduced without numpy.  Only the dense closed forms
+(``wht_matrix`` and its blocks ``wht_entries``, ``dft_real_matrix``) import
+numpy, when they are called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import Constant, Gate, LinearAlgorithm, Rotation
 
@@ -155,6 +154,11 @@ def build_random(n: int, m: int, seed: int, angle_only: bool = False) -> LinearA
     each gate is a constant with probability 1/4, with log2|c| uniform on
     [-3, 3] and a random sign; the bounded magnitude keeps inverse-consistency
     residuals benign.
+
+    The draws are ``numpy.random.default_rng(seed)``'s, reproduced without
+    numpy by ``_rng.DefaultRng``, so the gates do not change with the
+    installed numpy (NEP 19 lets ``Generator`` streams change between
+    releases).
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got n={n}")
@@ -162,23 +166,23 @@ def build_random(n: int, m: int, seed: int, angle_only: bool = False) -> LinearA
         raise ValueError(f"need at least one gate, got m={m}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    import numpy as np
+    from ._rng import DefaultRng  # compiled only for the builds that draw
 
-    rng = np.random.default_rng(seed)
+    rng = DefaultRng(seed)
     gates: list[Gate] = []
     for _ in range(m):
         if not angle_only and rng.random() < 0.25:
-            i = int(rng.integers(n))
+            i = rng.integers(n)
             c = 2.0 ** rng.uniform(-3.0, 3.0)
             if rng.random() < 0.5:
                 c = -c
             gates.append(Constant(i, c))
         else:
-            i = int(rng.integers(n))
-            j = int(rng.integers(n - 1))
+            i = rng.integers(n)
+            j = rng.integers(n - 1)
             if j >= i:
                 j += 1
-            gates.append(Rotation(i, j, float(rng.uniform(0.0, 2.0 * math.pi))))
+            gates.append(Rotation(i, j, rng.uniform(0.0, 2.0 * math.pi)))
     return LinearAlgorithm(n=n, gates=tuple(gates), label=f"random{n}x{m}s{seed}")
 
 
@@ -212,13 +216,20 @@ def build_inverse_scaled_fixture(n: int, c: float, k: int) -> LinearAlgorithm:
     return LinearAlgorithm(n=n, gates=tuple(gates), label=f"invscaled{n}c{c:g}k{k}")
 
 
-@dataclass(frozen=True)
-class FixtureSpec:
-    """CLI-facing description of a builder invocation."""
-
+class _FixtureFields(NamedTuple):
     kind: str
     n: int
-    params: dict = field(default_factory=dict)
+    params: dict
+
+
+class FixtureSpec(_FixtureFields):
+    """CLI-facing description of a builder invocation; each gets its own
+    ``params`` dict when none is given."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int, params: dict | None = None) -> FixtureSpec:
+        return super().__new__(cls, kind, n, {} if params is None else params)
 
     KINDS = ("wht", "dft_real", "random", "scaled", "inverse_scaled")
 

@@ -16,11 +16,9 @@ when M(m) or a squared row norm overflows).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
 from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
@@ -30,7 +28,8 @@ if TYPE_CHECKING:
 
 # Each subcommand imports the modules it runs, and numpy only with them, so
 # that a process loads no more than its subcommand needs: ``build`` never
-# loads numpy.  Library functions are called through module attributes.
+# loads numpy, ``dataclasses`` or ``json``.  Library functions are called
+# through module attributes.
 
 SCHEMA_VERSION = 1
 SLACK_TOL = 1e-7
@@ -151,6 +150,8 @@ def _emit(pieces: Iterable[str], path: str | None) -> None:
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
+    import json
+
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], path)
 
@@ -337,6 +338,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import bottleneck, potential
 
     unit = potential.sweep_unit_pair_bound(trials=args.pair_trials, seed=args.seed)

@@ -16,47 +16,57 @@ Coordinates are 0-based everywhere, including the text file format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 if TYPE_CHECKING:
     from .gates import GateArrays
 
+# The gate objects and LinearAlgorithm are tuples of their fields: immutable,
+# equal and hashed by value, and checked in ``__new__``.
 
-@dataclass(frozen=True)
-class Rotation:
+
+class _RotationFields(NamedTuple):
+    i: int
+    j: int
+    theta: float
+
+
+class Rotation(_RotationFields):
     """Planar rotation by ``theta`` radians acting on coordinates ``i`` and ``j``.
 
     Acting on the state it maps (x_i, x_j) to
     (cos(theta)*x_i + sin(theta)*x_j, -sin(theta)*x_i + cos(theta)*x_j).
     """
 
-    i: int
-    j: int
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError(f"rotation needs two distinct coordinates, got {self.i} twice")
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"negative coordinate in rotation ({self.i}, {self.j})")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"non-finite rotation angle {self.theta!r}")
+    def __new__(cls, i: int, j: int, theta: float) -> Rotation:
+        if i == j:
+            raise ValueError(f"rotation needs two distinct coordinates, got {i} twice")
+        if i < 0 or j < 0:
+            raise ValueError(f"negative coordinate in rotation ({i}, {j})")
+        if not math.isfinite(theta):
+            raise ValueError(f"non-finite rotation angle {theta!r}")
+        return super().__new__(cls, i, j, theta)
 
 
-@dataclass(frozen=True)
-class Constant:
-    """Multiplication of coordinate ``i`` by the nonzero scalar ``c``."""
-
+class _ConstantFields(NamedTuple):
     i: int
     c: float
 
-    def __post_init__(self) -> None:
-        if self.i < 0:
-            raise ValueError(f"negative coordinate in constant gate ({self.i})")
-        if not math.isfinite(self.c) or self.c == 0.0:
-            raise ValueError(f"constant gate scalar must be finite and nonzero, got {self.c!r}")
+
+class Constant(_ConstantFields):
+    """Multiplication of coordinate ``i`` by the nonzero scalar ``c``."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, c: float) -> Constant:
+        if i < 0:
+            raise ValueError(f"negative coordinate in constant gate ({i})")
+        if not math.isfinite(c) or c == 0.0:
+            raise ValueError(f"constant gate scalar must be finite and nonzero, got {c!r}")
+        return super().__new__(cls, i, c)
 
 
 Gate = Union[Rotation, Constant]
@@ -74,24 +84,30 @@ def touched(gate: Gate) -> tuple[int, ...]:
     return (gate.i,)
 
 
-@dataclass(frozen=True)
-class LinearAlgorithm:
-    """Dimension n plus an ordered gate list; the composed map is M(m)."""
-
+class _AlgorithmFields(NamedTuple):
     n: int
     gates: tuple[Gate, ...]
-    label: str = ""
+    label: str
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.n}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for pos, gate in enumerate(self.gates):
+
+class LinearAlgorithm(_AlgorithmFields):
+    """Dimension n plus an ordered gate list; the composed map is M(m)."""
+
+    def __new__(cls, n: int, gates: tuple[Gate, ...], label: str = "") -> LinearAlgorithm:
+        if n < 2:
+            raise ValueError(f"dimension must be at least 2, got {n}")
+        gates = tuple(gates)
+        for pos, gate in enumerate(gates):
             for idx in touched(gate):
-                if idx >= self.n:
+                if idx >= n:
                     raise ValueError(
-                        f"gate {pos} touches coordinate {idx}, out of range for n={self.n}"
+                        f"gate {pos} touches coordinate {idx}, out of range for n={n}"
                     )
+        return super().__new__(cls, n, gates, label)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # the instance dict exists only for the cached ``arrays``
+        raise AttributeError(f"cannot assign to {name!r} of a LinearAlgorithm")
 
     @property
     def m(self) -> int:

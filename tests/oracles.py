@@ -4,6 +4,8 @@ The dense oracles are computed from first principles with plain numpy:
 closed forms for the reference transforms, dense gate matrices composed with
 @, and brute-force potential evaluation.  They reuse none of the package's
 replay paths, so an agreement between the two is a genuine dual-route check.
+``build_random_reference`` is ``build_random`` drawing from numpy's own
+``default_rng(seed)``, the judge of the numpy-free stream it draws from.
 ``spawned_normal_draws`` is the per-sample seeding that ``quantized`` derives
 in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
 ``simulate`` CSV that the CLI streams from the cells that changed, and
@@ -243,6 +245,26 @@ def trace_csv_reference(trace) -> str:
         tj = str(rows[1]) if len(rows) > 1 else ""
         lines.append(f"{t},{float(phi)!r},{float(delta)!r},{float(bound)!r},{ti},{tj}")
     return "\n".join(lines) + "\n"
+
+
+def build_random_reference(n: int, m: int, seed: int, angle_only: bool = False):
+    """``build_random``'s gates, drawn from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(m):
+        if not angle_only and rng.random() < 0.25:
+            i = int(rng.integers(n))
+            c = 2.0 ** rng.uniform(-3.0, 3.0)
+            if rng.random() < 0.5:
+                c = -c
+            gates.append(Constant(i, c))
+        else:
+            i = int(rng.integers(n))
+            j = int(rng.integers(n - 1))
+            if j >= i:
+                j += 1
+            gates.append(Rotation(i, j, float(rng.uniform(0.0, 2.0 * math.pi))))
+    return LinearAlgorithm(n=n, gates=tuple(gates), label=f"random{n}x{m}s{seed}")
 
 
 def spawned_normal_draws(seed: int, lo: int, hi: int, sigma: float, n: int) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gatelab import (
     Constant,
@@ -17,10 +19,12 @@ from gatelab import (
     is_reflection,
     matrices_at,
     quasi_entropy,
+    render_algorithm,
     validate,
 )
+from gatelab._rng import DefaultRng
 
-from oracles import dft_embedding_matrix, wht_sign_matrix
+from oracles import build_random_reference, dft_embedding_matrix, wht_sign_matrix
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
@@ -100,6 +104,58 @@ def test_random_builder_is_deterministic():
     assert c.gates != a.gates
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 2**34),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**130 - 1),
+    angle_only=st.booleans(),
+)
+# the largest n whose coordinates come from 32-bit draws, and the smallest
+# that takes 64-bit draws for i (j still takes 32-bit ones)
+@example(n=2**32, m=300, seed=7, angle_only=False)
+@example(n=2**32 + 1, m=300, seed=7, angle_only=False)
+def test_random_builder_matches_the_default_rng_reference(n, m, seed, angle_only):
+    got = render_algorithm(build_random(n, m, seed, angle_only))
+    assert got == render_algorithm(build_random_reference(n, m, seed, angle_only))
+
+
+_BOUNDS = (1, 2, 5, 2**31 + 3, 2**32, 2**32 + 1, 2**33, 2**63 - 1)
+_ENDS = st.floats(-1e6, 1e6, allow_nan=False)
+_CALLS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("integers"), st.sampled_from(_BOUNDS) | st.integers(1, 2**63)),
+    st.tuples(st.just("uniform"), _ENDS, _ENDS).map(lambda c: (c[0], *sorted(c[1:]))),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**200), calls=st.lists(_CALLS, max_size=60))
+# two 32-bit draws share one 64-bit word; a 64-bit draw in between skips the
+# buffered half
+@example(
+    seed=7,
+    calls=[("integers", k) for k in (5, 5, 2**33, 2**32, 2**32 + 1, 2**31 + 3, 1, 2)]
+    + [("random",), ("integers", 2), ("uniform", -3.0, 3.0), ("integers", 2**63 - 1)],
+)
+def test_numpy_free_stream_matches_default_rng_call_for_call(seed, calls):
+    ours, numpy_rng = DefaultRng(seed), np.random.default_rng(seed)
+    for name, *args in calls:
+        got, want = getattr(ours, name)(*args), getattr(numpy_rng, name)(*args)
+        if name == "integers":
+            assert got == int(want)
+        else:  # hex, so that the float bits are compared
+            assert got.hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("k", [0, -3, 2**63 + 1])
+def test_numpy_free_stream_rejects_the_bounds_numpy_rejects(k):
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(1).integers(k)
+    with pytest.raises(ValueError, match=f"^{want.value}$"):
+        DefaultRng(1).integers(k)
+
+
 def test_random_angle_only_is_orthogonal():
     diag = validate(build_random(5, 40, seed=3, angle_only=True))
     assert max(abs(k - 1.0) for k in diag.kappas) < 1e-9
@@ -154,6 +210,16 @@ def test_inverse_fixture_mirrors_scaling():
 )
 def test_all_builders_replay_cleanly(builder):
     assert validate(builder()).max_residual <= 1e-9
+
+
+def test_fixture_spec_is_frozen_and_has_its_own_params():
+    a, b = FixtureSpec("wht", 8), FixtureSpec("wht", 8)
+    assert a == b and a.params == {} and a.params is not b.params
+    assert FixtureSpec("random", 4, {"m": 3}) == FixtureSpec(kind="random", n=4, params={"m": 3})
+    assert a != FixtureSpec("dft_real", 8) and a != FixtureSpec("wht", 16)
+    for name in ("kind", "n", "params", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 4)
 
 
 def test_fixture_spec_dispatch():

@@ -523,32 +523,41 @@ def test_help_exits_zero(capsys):
 
 _ANALYSES = {"gatelab.potential", "gatelab.bottleneck", "gatelab.directions", "gatelab.quantized"}
 
-# Calls ``cli.main`` with the given arguments, then prints the loaded modules
-# as the last line of stdout.
+# Calls ``cli.main`` with the given arguments, then prints the modules it
+# loaded as the last line of stdout; ``json`` is imported only after they are
+# listed.
 _FOOTPRINT_SCRIPT = """
-import json, sys
+import sys
 from gatelab import cli
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "modules": modules}))
 """
+
+# No ``build`` kind, nor ``--help``, loads numpy, the analyses, dataclasses
+# (and through it inspect) or json.
+_BUILD_ABSENT = {"numpy", "dataclasses", "inspect", "json", *_ANALYSES}
 
 
 @pytest.mark.parametrize(
     "args, absent",
     [
-        (["build", "--wht", "8", "-o", "OUT"], {"numpy", *_ANALYSES}),
-        (["build", "--dft", "8", "-o", "OUT"], {"numpy", *_ANALYSES}),
-        (["build", "--scaled", "8,4,2", "-o", "OUT"], {"numpy", *_ANALYSES}),
-        (["build", "--inverse-scaled", "8,4,2", "-o", "OUT"], {"numpy", *_ANALYSES}),
-        (["--help"], {"numpy", *_ANALYSES}),
+        (["build", "--wht", "8", "-o", "OUT"], _BUILD_ABSENT),
+        (["build", "--dft", "8", "-o", "OUT"], _BUILD_ABSENT),
+        (["build", "--random", "8,50,7", "-o", "OUT"], _BUILD_ABSENT),
+        (["build", "--random", "8,50,7,angle_only", "-o", "OUT"], _BUILD_ABSENT),
+        (["build", "--scaled", "8,4,2", "-o", "OUT"], _BUILD_ABSENT),
+        (["build", "--inverse-scaled", "8,4,2", "-o", "OUT"], _BUILD_ABSENT),
+        (["--help"], _BUILD_ABSENT),
         (["validate", "ALG"], _ANALYSES),
         (["simulate", "ALG", "--eps", "2^-10", "--samples", "10"], {"gatelab.bottleneck"}),
     ],
-    ids=["build-wht", "build-dft", "build-scaled", "build-inverse-scaled", "help", "validate",
-         "simulate"],
+    ids=["build-wht", "build-dft", "build-random", "build-random-angle-only", "build-scaled",
+         "build-inverse-scaled", "help", "validate", "simulate"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(args, absent, tmp_path):
     alg = tmp_path / "wht4.alg"

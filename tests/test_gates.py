@@ -463,21 +463,47 @@ def test_row_locality_untouched_rows_bit_identical():
 
 
 def test_gate_invariants():
-    with pytest.raises(ValueError):
-        Rotation(1, 1, 0.3)
-    with pytest.raises(ValueError):
-        Rotation(-1, 2, 0.3)
-    with pytest.raises(ValueError):
-        Constant(0, 0.0)
-    with pytest.raises(ValueError):
-        Constant(0, math.inf)
-    with pytest.raises(ValueError):
-        LinearAlgorithm(2, (Rotation(0, 5, 0.1),))
-    with pytest.raises(ValueError):
-        LinearAlgorithm(1, ())
+    rejected = [
+        (lambda: Rotation(1, 1, 0.3), "rotation needs two distinct coordinates, got 1 twice"),
+        (lambda: Rotation(-1, 2, 0.3), "negative coordinate in rotation (-1, 2)"),
+        (lambda: Rotation(0, 1, math.nan), "non-finite rotation angle nan"),
+        (lambda: Constant(-1, 2.0), "negative coordinate in constant gate (-1)"),
+        (lambda: Constant(0, 0.0), "constant gate scalar must be finite and nonzero, got 0.0"),
+        (lambda: Constant(0, math.inf), "constant gate scalar must be finite and nonzero, got inf"),
+        (lambda: LinearAlgorithm(2, (Rotation(0, 5, 0.1),)),
+         "gate 0 touches coordinate 5, out of range for n=2"),
+        (lambda: LinearAlgorithm(1, ()), "dimension must be at least 2, got 1"),
+    ]
+    for make, message in rejected:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
     assert is_reflection(Constant(3, -1.0))
     assert not is_reflection(Constant(3, -2.0))
     assert not is_reflection(Rotation(0, 1, 0.1))
+
+
+def test_gate_model_is_frozen_and_compared_by_value():
+    rot, const = Rotation(0, 1, 0.5), Constant(1, 2.0)
+    algorithm = LinearAlgorithm(2, [rot, const], label="x")
+    assert algorithm.gates == (rot, const)  # stored as a tuple
+    twins = [
+        (rot, Rotation(0, 1, 0.5)),
+        (const, Constant(1, 2.0)),
+        (algorithm, LinearAlgorithm(n=2, gates=(Rotation(0, 1, 0.5), Constant(1, 2.0)), label="x")),
+    ]
+    for a, b in twins:
+        assert a == b and hash(a) == hash(b) and a is not b
+    assert rot != Rotation(1, 0, 0.5) and const != Constant(1, -2.0)
+    assert algorithm != LinearAlgorithm(2, (rot, const))  # the label counts
+    # a rotation never equals a constant, whatever their fields
+    assert Rotation(0, 1, 2.0) != Constant(0, 1.0) and Constant(0, 1.0) != Rotation(0, 1, 2.0)
+    assert len({rot, Rotation(0, 1, 0.5), const, Constant(1, 2.0)}) == 2
+    algorithm.arrays  # the cached arrays do not unfreeze the algorithm
+    for obj, name in [(rot, "i"), (rot, "theta"), (const, "c"), (rot, "other"),
+                      (algorithm, "n"), (algorithm, "gates"), (algorithm, "other")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
 
 
 @settings(max_examples=60, deadline=None)
