@@ -423,33 +423,17 @@ def cmd_volume(args: argparse.Namespace) -> int:
 
 
 def _simulate_csv(stats: quantized.QuantizedRunStats) -> Iterator[str]:
-    """The ``simulate`` CSV: the two header lines, then one block of rows per step.
+    """The ``simulate`` CSV: the two header lines, then one block of n rows per step.
 
-    A gate rewrites at most two coordinates, so row t of the statistics
-    repeats row t-1 in all but a few cells.  Each cell's text is kept and
-    formatted again only where its value bits (so ``-0.0`` against ``0.0``
-    counts as a change and NaN against NaN does not) or its flag changed.
+    Each row's text is kept from block to block and formatted again only at
+    the row's touch events: at t = 0, and where step t's gate rewrote it.
     """
-    import numpy as np
-
     yield f"# schema_version={SCHEMA_VERSION}\n"
     yield "t,i,mean_bits,max_abs,overflow_flag\n"
-    bits, max_abs, flags = stats.mean_bits, stats.max_abs, stats.overflow_flags
-    bits_key, max_key = bits.view(np.int64), max_abs.view(np.int64)
-    m1, n = bits.shape
-    cells = [""] * n
-    changed = np.arange(n)
-    for t in range(m1):
-        if t:
-            changed = np.flatnonzero(
-                (bits_key[t] != bits_key[t - 1])
-                | (max_key[t] != max_key[t - 1])
-                | (flags[t] != flags[t - 1])
-            )
-        rows = zip(changed.tolist(), bits[t, changed].tolist(),
-                   max_abs[t, changed].tolist(), flags[t, changed].tolist())
-        for i, b, a, flag in rows:
-            cells[i] = f"{i},{b!r},{a!r},{int(flag)}\n"
+    cells = [""] * stats.shape[1]
+    for t, events in enumerate(stats.by_step()):
+        for i, bits, max_abs, flag in events:
+            cells[i] = f"{i},{bits!r},{max_abs!r},{int(flag)}\n"
         prefix = f"{t},"
         yield prefix + prefix.join(cells)
 
@@ -470,9 +454,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
             word_budget=args.W,
         )
-    bad = np.flatnonzero(~(np.isfinite(stats.mean_bits) & np.isfinite(stats.max_abs)))
-    if bad.size:
-        t, i = divmod(int(bad[0]), algorithm.n)
+    # a bad cell's latest event is bad, and the event's own cell comes first
+    bad = ~(np.isfinite(stats.event_bits) & np.isfinite(stats.event_max))
+    if bad.any():
+        t, i = min(zip(stats.steps[bad].tolist(), stats.rows[bad].tolist()))
         raise ArithmeticError(f"the simulated cell (t, i) = ({t}, {i}) is not finite")
     _emit(_simulate_csv(stats), args.output)
     if args.summary is not None:
@@ -488,8 +473,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "m": algorithm.m,
                 "overflow_count": len(flagged),
                 "flagged": [[t, i] for t, i in flagged],
-                "max_mean_bits": float(stats.mean_bits.max()),
-                "input_row_max_mean_bits": float(stats.mean_bits[0].max()),
+                # every cell holds an event's value, and the n inputs come first
+                "max_mean_bits": float(stats.event_bits.max()),
+                "input_row_max_mean_bits": float(stats.event_bits[: algorithm.n].max()),
             },
             args.summary,
         )

@@ -2,15 +2,19 @@
 
 The simulator replays an algorithm on Gaussian inputs, rounding every written
 coordinate to the nearest multiple of epsilon (ties to even) after each gate,
-and scores each (step, coordinate) cell by the expected word length
+and scores each touch event by the expected word length
 
     bits(v) = log2(1 + |v| / epsilon) + 1,
 
 a smooth surrogate for the length of the base-2 integer representation of
-v / epsilon plus a sign bit.  Cells whose mean exceeds the word budget are
-flagged as overflow.  Rotations preserve the standard Gaussian law, so an
-all-rotation network keeps the bit usage flat across all cells; planted row
-scalings shift it by exactly their log2 magnitude.
+v / epsilon plus a sign bit.  The touch events are the n input coordinates at
+t = 0, then each coordinate that gate t rewrites, in step order: at most
+n + 2m.  A coordinate keeps its score until its next event, so the (step,
+coordinate) cell takes the score of the coordinate's latest event.  Cells
+whose mean exceeds the word budget are flagged as overflow.  Rotations
+preserve the standard Gaussian law, so an all-rotation network keeps the bit
+usage flat across all cells; planted row scalings shift it by exactly their
+log2 magnitude.
 
 The underflow side is delegated to direction extraction: each extracted
 direction can only be pinned down to a width of epsilon times its magnitude,
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,28 +98,67 @@ def _score_rows(
     max_abs: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
-    """Each row's largest magnitude and its summed bits(v) = log2(1 + |v| /
-    epsilon) + 1, one row at a time through a row-sized scratch array."""
-    for r in rows:
+    """The e-th row's largest magnitude and its summed bits(v) = log2(1 + |v| /
+    epsilon) + 1, into max_abs[e] and bits[e], one row at a time through a
+    row-sized scratch array."""
+    for e, r in enumerate(rows):
         np.abs(X[r], out=scratch)
-        max_abs[r] = scratch.max()
+        max_abs[e] = scratch.max()
         np.divide(scratch, epsilon, out=scratch)
         np.log2(np.add(scratch, 1.0, out=scratch), out=scratch)
-        bits[r] = np.add(scratch, 1.0, out=scratch).sum()
+        bits[e] = np.add(scratch, 1.0, out=scratch).sum()
 
 
 @dataclass
 class QuantizedRunStats:
+    """Bit usage per touch event: event k scores row ``rows[k]`` as step
+    ``steps[k]`` left it, by the mean of bits(v) over the samples
+    (``event_bits[k]``) and the largest |v| (``event_max[k]``).  The (m+1, n)
+    cell grids ``mean_bits``, ``max_abs`` and ``overflow_flags`` are filled
+    from the events anew on every access; no other member needs them.
+    """
+
     epsilon: float
     sigma: float
     samples: int
     word_budget: float
-    mean_bits: np.ndarray  # (m+1, n)
-    max_abs: np.ndarray  # (m+1, n)
-    overflow_flags: np.ndarray  # bool (m+1, n)
+    steps: np.ndarray  # int (E,), non-decreasing
+    rows: np.ndarray  # int (E,)
+    event_bits: np.ndarray  # (E,)
+    event_max: np.ndarray  # (E,)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(m+1, n): one past the last event's step, and the events at t = 0."""
+        return int(self.steps[-1]) + 1, int(np.searchsorted(self.steps, 1))
+
+    def by_step(self) -> Iterator[list[tuple[int, float, float, bool]]]:
+        """For t = 0..m, step t's events as (row, mean bits, max |v|, flag)."""
+        cuts = np.searchsorted(self.steps, np.arange(self.shape[0] + 1)).tolist()
+        fields = (self.rows, self.event_bits, self.event_max, self.event_flags)
+        events = list(zip(*(field.tolist() for field in fields)))
+        return (events[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+
+    def _filled(self, values: np.ndarray) -> np.ndarray:
+        latest = np.zeros(self.shape, dtype=np.intp)
+        latest[self.steps, self.rows] = np.arange(self.steps.size)
+        # events run in step order, so a row's latest event has the largest index
+        return values[np.maximum.accumulate(latest, axis=0, out=latest)]
+
+    event_flags = property(lambda self: self.event_bits > self.word_budget)
+    mean_bits = property(lambda self: self._filled(self.event_bits))
+    max_abs = property(lambda self: self._filled(self.event_max))
+    overflow_flags = property(lambda self: self._filled(self.event_flags))
 
     def flagged_cells(self) -> list[tuple[int, int]]:
-        return [(int(t), int(i)) for t, i in np.argwhere(self.overflow_flags)]
+        """The (t, i) of every cell over the word budget, in (t, i) order."""
+        flagged: set[int] = set()
+        cells = []
+        for t, events in enumerate(self.by_step()):
+            for i, _, _, flag in events:
+                (flagged.add if flag else flagged.discard)(i)
+            cells += ((t, i) for i in sorted(flagged))
+        return cells
 
 
 def simulate(
@@ -140,35 +183,28 @@ def simulate(
     seed = _check_draws(seed, samples)
     n, m = algorithm.n, algorithm.m
     chunk = _chunk_size(n, samples)
-    bits_sum = np.zeros((m + 1, n))
-    max_abs = np.zeros((m + 1, n))
-
-    cur_bits = np.empty(n)
-    cur_max = np.empty(n)
+    events = n + m + int(np.count_nonzero(algorithm.arrays.rotation))
+    steps, rows = np.empty(events, dtype=np.int64), np.empty(events, dtype=np.int64)
+    bits_sum, max_abs = np.zeros(events), np.zeros(events)
+    cur_bits, cur_max = np.empty(events), np.empty(events)
     for lo in range(0, samples, chunk):
         # the drawn chunk is the only n x chunk array: rounded and scored in
         # place, row by row, as each step rounds and scores its rows
         X = _draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n)
         scratch = np.empty(X.shape[1])
-        _quantize_rows(X, range(n), epsilon)
-        _score_rows(X, range(n), epsilon, cur_bits, cur_max, scratch)
-        for t, rows in replay(algorithm, X):
-            _quantize_rows(X, rows, epsilon)
-            _score_rows(X, rows, epsilon, cur_bits, cur_max, scratch)
-            bits_sum[t] += cur_bits
-            np.maximum(max_abs[t], cur_max, out=max_abs[t])
+        k = 0
+        for t, touched in replay(algorithm, X):
+            touched = touched or range(n)  # t = 0 rewrites no row: the inputs
+            hi = k + len(touched)
+            _quantize_rows(X, touched, epsilon)
+            _score_rows(X, touched, epsilon, cur_bits[k:hi], cur_max[k:hi], scratch)
+            steps[k:hi], rows[k:hi] = t, touched
+            k = hi
+        bits_sum += cur_bits
+        np.maximum(max_abs, cur_max, out=max_abs)
 
-    mean_bits = bits_sum
-    mean_bits /= samples
-    return QuantizedRunStats(
-        epsilon=epsilon,
-        sigma=sigma,
-        samples=samples,
-        word_budget=word_budget,
-        mean_bits=mean_bits,
-        max_abs=max_abs,
-        overflow_flags=mean_bits > word_budget,
-    )
+    bits_sum /= samples
+    return QuantizedRunStats(epsilon, sigma, samples, word_budget, steps, rows, bits_sum, max_abs)
 
 
 @dataclass
@@ -279,42 +315,19 @@ def empirical_uncertainty_check(
 
     keys = np.rint(words / epsilon).astype(np.int64)
     order = np.argsort(keys, kind="stable")
-    keys_sorted = keys[order]
     recoverable = coefficient * exact[order]
-    spreads = []
-    start = 0
-    for end in range(1, samples + 1):
-        if end == samples or keys_sorted[end] != keys_sorted[start]:
-            if end - start >= MIN_BIN:
-                block = recoverable[start:end]
-                spreads.append(float(block.max() - block.min()))
-            start = end
-
-    if not spreads:
-        return UncertaintyCheck(
-            step=step,
-            coord=coord,
-            coefficient=coefficient,
-            row_norm=row_norm,
-            predicted_width=predicted,
-            measured_spread=None,
-            ratio=None,
-            bins_used=0,
-            status="inconclusive",
-        )
-    measured = float(np.median(spreads))
-    ratio = measured / predicted if predicted > 0 else math.inf
-    status = "ok" if 0.5 <= ratio <= 2.0 else "mismatch"
+    _, starts, counts = np.unique(keys[order], return_index=True, return_counts=True)
+    bins = zip(starts.tolist(), counts.tolist())
+    spreads = [float(np.ptp(recoverable[lo : lo + c])) for lo, c in bins if c >= MIN_BIN]
+    if spreads:
+        measured = float(np.median(spreads))
+        ratio = measured / predicted if predicted > 0 else math.inf
+        status = "ok" if 0.5 <= ratio <= 2.0 else "mismatch"
+    else:
+        measured = ratio = None
+        status = "inconclusive"
     return UncertaintyCheck(
-        step=step,
-        coord=coord,
-        coefficient=coefficient,
-        row_norm=row_norm,
-        predicted_width=predicted,
-        measured_spread=measured,
-        ratio=ratio,
-        bins_used=len(spreads),
-        status=status,
+        step, coord, coefficient, row_norm, predicted, measured, ratio, len(spreads), status
     )
 
 

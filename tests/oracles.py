@@ -8,7 +8,7 @@ replay paths, so an agreement between the two is a genuine dual-route check.
 ``default_rng(seed)``, the judge of the numpy-free stream it draws from.
 ``spawned_normal_draws`` is the per-sample seeding that ``quantized`` derives
 in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
-``simulate`` CSV that the CLI streams from the cells that changed, and
+``simulate`` CSV that the CLI streams from the touch events, and
 ``trace_csv_reference`` the joined ``trace`` CSV that it streams line by line.
 ``row_contribs_reference`` is the one-pass row contribution formula that the
 row-blocked ``row_contribs`` must reproduce bit for bit.
@@ -18,7 +18,8 @@ contract the README documents.
 ``apply_gate_reference`` applies one gate object to the rows of an array,
 the judge of the compiled kernels (``gatelab.replay``, the layered walks
 and ``VectorWalk``), and ``simulate_reference`` is ``simulate`` as a loop
-over the gate objects, the judge of its replay bit for bit.
+over the gate objects with dense (m+1, n) accumulators, the judge of its
+replay and of its filled cell grids bit for bit.
 
 The per-step references at the end walk the trajectory one gate at a time
 through ``gatelab.replay`` from ``start_pair`` (the replay itself checked
@@ -45,6 +46,7 @@ of the same program within ``DRIFT_TOL`` (``within_drift``).
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -62,6 +64,35 @@ from gatelab.gates import (
 )
 from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound
 from gatelab.quantized import QuantizedRunStats
+
+
+# Repeats are common in a small pool; the signed zeros, NaNs of either sign,
+# infinities, subnormals and 1e308 each print in their own way, and 32.0 and
+# the next float up sit either side of the default word budget.
+CELL_VALUES = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.5e-310,
+     1e308, 1.0, 0.1, 32.0, 32.000000000000004]
+)
+
+
+@st.composite
+def run_stats_events(draw, word_budget=st.just(32.0)):
+    """``QuantizedRunStats`` of up to 40 steps on 1..16 rows: the n input
+    rows, then one row or two distinct rows per step, each event with a mean
+    and a maximum from ``CELL_VALUES``."""
+    n = draw(st.integers(1, 16))
+    steps, rows = [0] * n, list(range(n))
+    for t in range(1, draw(st.integers(0, 40)) + 1):
+        size = draw(st.integers(1, min(2, n)))
+        touched = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True))
+        steps += [t] * size
+        rows += touched
+    values = st.lists(CELL_VALUES, min_size=len(rows), max_size=len(rows))
+    return QuantizedRunStats(
+        epsilon=2.0**-10, sigma=1.0, samples=1, word_budget=draw(word_budget),
+        steps=np.array(steps), rows=np.array(rows),
+        event_bits=np.array(draw(values)), event_max=np.array(draw(values)),
+    )
 
 
 @st.composite
@@ -176,6 +207,14 @@ def apply_gate_reference(A: np.ndarray, gate, inverse_transpose: bool = False) -
         A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
 
 
+class DenseRunStats(NamedTuple):
+    """``simulate``'s statistics as (m+1, n) cell grids."""
+
+    mean_bits: np.ndarray
+    max_abs: np.ndarray
+    overflow_flags: np.ndarray
+
+
 def simulate_reference(
     algorithm, epsilon, sigma=1.0, samples=1000, seed=0, word_budget=32.0, chunk=None
 ):
@@ -204,15 +243,7 @@ def simulate_reference(
             bits_sum[t] += bits
             np.maximum(max_abs[t], top, out=max_abs[t])
     mean_bits = bits_sum / samples
-    return QuantizedRunStats(
-        epsilon=epsilon,
-        sigma=sigma,
-        samples=samples,
-        word_budget=word_budget,
-        mean_bits=mean_bits,
-        max_abs=max_abs,
-        overflow_flags=mean_bits > word_budget,
-    )
+    return DenseRunStats(mean_bits, max_abs, mean_bits > word_budget)
 
 
 def potential_brute(A: np.ndarray, B: np.ndarray) -> float:

@@ -15,7 +15,12 @@ from gatelab.potential import trace_potential
 from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
 from gatelab.gates import read_algorithm, touched
 
-from oracles import assert_lemma_contract, simulate_csv_reference, trace_csv_reference
+from oracles import (
+    assert_lemma_contract,
+    run_stats_events,
+    simulate_csv_reference,
+    trace_csv_reference,
+)
 
 
 def run(args):
@@ -98,44 +103,8 @@ def test_simulate_cli_no_overflow(tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-# Repeats are common in a small pool; the signed zeros, NaNs of either sign,
-# infinities, subnormals and 1e308 each print in their own way.
-_CELL_VALUES = st.sampled_from(
-    [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.5e-310,
-     1e308, 1.0, 0.1, 32.0, 32.000000000000004]
-)
-
-
-@st.composite
-def _run_stats(draw):
-    """Statistics whose rows repeat the previous row apart from a few edits.
-
-    An edit sets any of a cell's value, maximum and flag, so a flag can flip
-    while both values stay the same.
-    """
-    n = draw(st.integers(1, 16))
-    m = draw(st.integers(0, 40))
-    mean_bits, max_abs = np.empty((m + 1, n)), np.empty((m + 1, n))
-    flags = np.empty((m + 1, n), dtype=bool)
-    mean_bits[0] = draw(st.lists(_CELL_VALUES, min_size=n, max_size=n))
-    max_abs[0] = draw(st.lists(_CELL_VALUES, min_size=n, max_size=n))
-    flags[0] = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    edit = st.tuples(st.integers(0, n - 1), st.none() | _CELL_VALUES,
-                     st.none() | _CELL_VALUES, st.none() | st.booleans())
-    for t in range(1, m + 1):
-        mean_bits[t], max_abs[t], flags[t] = mean_bits[t - 1], max_abs[t - 1], flags[t - 1]
-        for i, bits, top, flag in draw(st.lists(edit, max_size=4)):
-            for row, value in ((mean_bits[t], bits), (max_abs[t], top), (flags[t], flag)):
-                if value is not None:
-                    row[i] = value
-    return quantized.QuantizedRunStats(
-        epsilon=2.0**-10, sigma=1.0, samples=1, word_budget=32.0,
-        mean_bits=mean_bits, max_abs=max_abs, overflow_flags=flags,
-    )
-
-
 @settings(max_examples=300, deadline=None)
-@given(stats=_run_stats())
+@given(stats=run_stats_events())
 def test_simulate_csv_matches_the_cell_by_cell_reference(stats):
     assert "".join(_simulate_csv(stats)) == simulate_csv_reference(stats)
 
@@ -435,6 +404,47 @@ def test_simulate_of_an_overflowing_program_exits_two_without_output(to_file, tm
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists() and not summary.exists()
     assert captured.err == "error: the simulated cell (t, i) = (2, 0) is not finite\n"
+
+
+def test_simulate_names_the_first_bad_cell_in_step_then_row_order(tmp_path, monkeypatch, capsys):
+    # step 1 rewrites rows 3 and 1, in that order, and leaves both bad; a
+    # later bad event on row 0 comes after them
+    alg = tmp_path / "wht4.alg"
+    run(["build", "--wht", 4, "-o", alg])
+    capsys.readouterr()
+    bits = np.ones(8)
+    bits[[4, 5, 7]] = math.nan
+    crafted = quantized.QuantizedRunStats(
+        epsilon=2.0**-10, sigma=1.0, samples=1, word_budget=32.0,
+        steps=np.array([0, 0, 0, 0, 1, 1, 2, 3]), rows=np.array([0, 1, 2, 3, 3, 1, 2, 0]),
+        event_bits=bits, event_max=np.ones(8),
+    )
+    monkeypatch.setattr(quantized, "simulate", lambda *args, **kwargs: crafted)
+    assert run(["simulate", alg, "--eps", "2^-10"]) == 2
+    assert capsys.readouterr() == ("", "error: the simulated cell (t, i) = (1, 1) is not finite\n")
+    crafted.event_bits[[4, 5, 7]] = 1.0
+    crafted.event_max[6] = math.inf
+    assert run(["simulate", alg, "--eps", "2^-10"]) == 2
+    assert capsys.readouterr() == ("", "error: the simulated cell (t, i) = (2, 2) is not finite\n")
+
+
+def test_simulate_never_fills_the_cell_grids(tmp_path, monkeypatch):
+    alg = tmp_path / "scaled8.alg"
+    run(["build", "--scaled", "8,2^8,4", "-o", alg])
+    stats = quantized.simulate(read_algorithm(str(alg)), epsilon=2.0**-10, samples=500,
+                               seed=3, word_budget=16.0)
+    want = simulate_csv_reference(stats)
+
+    def refuse(stats):
+        raise AssertionError("the CLI filled a cell grid")
+
+    for name in ("mean_bits", "max_abs", "overflow_flags"):
+        monkeypatch.setattr(quantized.QuantizedRunStats, name, property(refuse))
+    csv_path, summary = tmp_path / "sim.csv", tmp_path / "sim.json"
+    assert run(["simulate", alg, "--eps", "2^-10", "--samples", 500, "--seed", 3, "--W", 16,
+                "-o", csv_path, "--summary", summary]) == 0
+    assert csv_path.read_text() == want
+    assert json.loads(summary.read_text())["overflow_count"] == 16
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,8 +5,9 @@ call is the most the call held at once beyond what existed before it.  A
 walk holds one column panel of A and of B (2nw floats, w = ``panel_width(n)``)
 plus one fixed workspace; an extraction holds its two n x n bases and
 nothing else of that size; ``validate`` holds M and M^{-T} plus a few rows;
-``simulate`` holds one n x chunk sample array plus small accumulators, and
-its draws one row buffer of at most 2**15 floats beside that array.
+``simulate`` holds one n x chunk sample array plus its touch events (at most
+n + 2m), and its draws one row buffer of at most 2**15 floats beside that
+array.
 """
 
 import tracemalloc
@@ -87,6 +88,15 @@ def test_simulate_holds_one_sample_array():
     samples = 50_000
     one_array = algorithm.n * samples * 8
     assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + 1 * MB
+
+
+def test_simulate_keeps_its_statistics_per_touch_event():
+    # 21,504 events, not two 10,241 x 1,024 cell grids (168 MB)
+    algorithm = build_wht(1024)
+    algorithm.arrays  # compiled before the measurement
+    samples = 1000
+    one_array = algorithm.n * samples * 8
+    assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + 2 * MB
 
 
 def test_draws_hold_the_sample_array_and_one_row_buffer():

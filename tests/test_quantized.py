@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gatelab import quantized
 from gatelab.builders import build_dft_real, build_random
+from gatelab.gates import touched
 from gatelab import (
     Constant,
     LinearAlgorithm,
@@ -23,7 +24,12 @@ from gatelab import (
     underflow_widths,
 )
 
-from oracles import most_informative_cell_reference, simulate_reference, spawned_normal_draws
+from oracles import (
+    most_informative_cell_reference,
+    run_stats_events,
+    simulate_reference,
+    spawned_normal_draws,
+)
 
 EPS = 2.0**-10
 
@@ -150,6 +156,7 @@ _SIMULATED = {
     "dft16": build_dft_real(16),
     "scaled16": build_scaled_bottleneck_fixture(16, 2.0**40, 4),
     "random12": build_random(12, 80, 3),
+    "empty": LinearAlgorithm(4, ()),
     # overflows to inf and then nan: those cells must match too
     "overflow": LinearAlgorithm(
         2, (Constant(0, 1e200), Constant(0, 1e200), Rotation(0, 1, 0.5))
@@ -171,6 +178,44 @@ def test_simulate_matches_the_gate_object_reference_bit_for_bit(name, chunk, mon
     assert got.mean_bits.tobytes() == want.mean_bits.tobytes()
     assert got.max_abs.tobytes() == want.max_abs.tobytes()
     assert np.array_equal(got.overflow_flags, want.overflow_flags)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats=run_stats_events(word_budget=st.sampled_from([0.0, 1.0, 32.0, 1e308])))
+@example(  # m = 0: the input rows are the only events
+    stats=quantized.QuantizedRunStats(
+        epsilon=EPS, sigma=1.0, samples=1, word_budget=1.0, steps=np.zeros(3, dtype=int),
+        rows=np.arange(3), event_bits=np.array([2.0, 1.0, 3.0]), event_max=np.ones(3),
+    )
+)
+def test_flagged_cells_are_the_flagged_cells_of_the_filled_grid(stats):
+    want = [(int(t), int(i)) for t, i in np.argwhere(stats.overflow_flags)]
+    assert stats.flagged_cells() == want
+
+
+def test_filled_grids_carry_each_row_to_its_next_event():
+    # row 2 is flagged at t = 0 and never touched again; row 0 is flagged on
+    # the last step only
+    stats = quantized.QuantizedRunStats(
+        epsilon=EPS, sigma=1.0, samples=1, word_budget=2.0,
+        steps=np.array([0, 0, 0, 1, 1, 2]), rows=np.array([0, 1, 2, 1, 0, 0]),
+        event_bits=np.array([1.0, 1.5, 3.0, 2.5, 1.0, 4.0]),
+        event_max=np.arange(6.0),
+    )
+    assert stats.shape == (3, 3)
+    assert stats.mean_bits.tolist() == [[1.0, 1.5, 3.0], [1.0, 2.5, 3.0], [4.0, 2.5, 3.0]]
+    assert stats.max_abs.tolist() == [[0.0, 1.0, 2.0], [4.0, 3.0, 2.0], [5.0, 3.0, 2.0]]
+    assert stats.flagged_cells() == [(0, 2), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+    assert stats.flagged_cells() == [(t, i) for t, i in np.argwhere(stats.overflow_flags)]
+
+
+def test_simulate_events_are_the_rows_each_step_rewrites():
+    algorithm = build_scaled_bottleneck_fixture(8, 2.0**8, 4)
+    stats = simulate(algorithm, epsilon=EPS, samples=10, seed=1)
+    want = [(0, i) for i in range(8)]
+    for t, gate in enumerate(algorithm.gates, start=1):
+        want += [(t, r) for r in touched(gate)]
+    assert list(zip(stats.steps.tolist(), stats.rows.tolist())) == want
 
 
 @pytest.mark.parametrize("chunk, calls", [(None, 1), (1, 100), (37, 3)])
@@ -274,7 +319,7 @@ def test_uncertainty_check_inconclusive_with_few_samples():
     z = Minv_T[0] / np.linalg.norm(Minv_T[0])
     r = empirical_uncertainty_check(a, 2.0**-6, z, samples=40, seed=5, step=1, coord=0)
     assert r.status == "inconclusive"
-    assert r.measured_spread is None
+    assert r.measured_spread is None and r.ratio is None and r.bins_used == 0
 
 
 def test_uncertainty_check_validates_direction():
