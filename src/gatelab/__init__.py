@@ -49,9 +49,11 @@ _EXPORTS = {
     "bottleneck": (
         "BottleneckReport",
         "ChainReport",
-        "FourierProjectionReport",
         "scan_bottlenecks",
         "verify_bottleneck_chain",
+    ),
+    "lemma": (
+        "FourierProjectionReport",
         "verify_fourier_projection_bound",
     ),
     "directions": (

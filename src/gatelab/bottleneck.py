@@ -44,9 +44,8 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .builders import wht_matrix
 from .gates import LinearAlgorithm, check_finite
-from .potential import WindowWalk, change_bound, ledger_walk, quasi_entropy
+from .potential import WindowWalk, change_bound, ledger_walk
 
 
 def _padded_length(m: int, R: int) -> int:
@@ -216,140 +215,23 @@ def verify_bottleneck_chain(
     )
 
 
-# Explicit constants for the potential of the transform after row operators.
-# Lower direction: applying P, Q against the Walsh-Hadamard pair costs at most
-# the deficiency traces times log2 n plus a squared-deficiency term with slope
-# 30 and offset 147.  Upper direction (PSD contractions only): the identity
-# pair's potential is at most the deficiency traces, plus the squared
-# Frobenius deficiencies for the diagonal part, plus the squared deficiencies
-# times log2 n for the off-diagonal part.
-LOWER_SLOPE = 30.0
-LOWER_OFFSET = 147.0
+# The projection bounds of ``gatelab lemma`` live in ``lemma``; these names
+# load it on first access (PEP 562), so that ``scan`` and ``chain`` do not.
+_LEMMA_NAMES = {
+    "LOWER_OFFSET",
+    "LOWER_SLOPE",
+    "PROJ_SLACK_TOL",
+    "FourierProjectionReport",
+    "ProjectionSweepReport",
+    "random_projection",
+    "sweep_fourier_projection_bound",
+    "verify_fourier_projection_bound",
+}
 
 
-@dataclass
-class FourierProjectionReport:
-    n: int
-    tr_p_hat: float
-    tr_q_hat: float
-    alpha2: float
-    beta2: float
-    lower_lhs: float
-    lower_rhs: float
-    lower_slack: float
-    upper_lhs: float | None
-    upper_rhs: float | None
-    upper_slack: float | None
+def __getattr__(name: str):
+    if name not in _LEMMA_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import lemma
 
-
-def _check_psd_contraction(name: str, X: np.ndarray, tol: float = 1e-8) -> None:
-    if float(np.abs(X - X.T).max()) > tol:
-        raise ValueError(f"{name} is not symmetric within {tol}")
-    eigs = np.linalg.eigvalsh(X)
-    if eigs[0] < -tol or eigs[-1] > 1.0 + tol:
-        raise ValueError(
-            f"{name} is not a PSD contraction: eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-        )
-
-
-def verify_fourier_projection_bound(
-    n: int,
-    P: np.ndarray,
-    Q: np.ndarray,
-    check_upper: bool = True,
-) -> FourierProjectionReport:
-    """Evaluate both explicit-constant potential bounds for row operators P, Q.
-
-    The lower bound (potential of the Walsh-Hadamard pair after applying P
-    and Q) holds for arbitrary P, Q; the upper bound (potential of the pair
-    (P, Q) itself) additionally requires both to be PSD contractions.
-    """
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if P.shape != (n, n) or Q.shape != (n, n):
-        raise ValueError(f"P and Q must be {n}x{n}")
-    F = wht_matrix(n)
-    log_n = math.log2(n)
-    p_hat = np.eye(n) - P
-    q_hat = np.eye(n) - Q
-    tr_p_hat = float(np.trace(p_hat))
-    tr_q_hat = float(np.trace(q_hat))
-    alpha2 = float(np.linalg.norm(p_hat) ** 2)
-    beta2 = float(np.linalg.norm(q_hat) ** 2)
-
-    lower_lhs = quasi_entropy(F @ P, F @ Q)
-    lower_rhs = (
-        n * log_n
-        - (tr_p_hat + tr_q_hat) * log_n
-        - (alpha2 + beta2) * (LOWER_OFFSET + LOWER_SLOPE * log_n)
-    )
-
-    upper_lhs = upper_rhs = upper_slack = None
-    if check_upper:
-        _check_psd_contraction("P", P)
-        _check_psd_contraction("Q", Q)
-        upper_lhs = quasi_entropy(P, Q)
-        upper_rhs = tr_p_hat + tr_q_hat + alpha2 + beta2 + (alpha2 + beta2) * log_n
-        upper_slack = upper_rhs - upper_lhs
-
-    return FourierProjectionReport(
-        n=n,
-        tr_p_hat=tr_p_hat,
-        tr_q_hat=tr_q_hat,
-        alpha2=alpha2,
-        beta2=beta2,
-        lower_lhs=lower_lhs,
-        lower_rhs=lower_rhs,
-        lower_slack=lower_lhs - lower_rhs,
-        upper_lhs=upper_lhs,
-        upper_rhs=upper_rhs,
-        upper_slack=upper_slack,
-    )
-
-
-def random_projection(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
-    """Random orthogonal projection of the given rank."""
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    V = basis[:, :rank]
-    return V @ V.T
-
-
-@dataclass
-class ProjectionSweepReport:
-    n: int
-    trials: int
-    worst_lower_slack: float
-    worst_upper_slack: float
-    violations: int
-
-
-# A trial of ``sweep_fourier_projection_bound`` violates a bound when its
-# slack is below -PROJ_SLACK_TOL.
-PROJ_SLACK_TOL = 1e-6
-
-
-def sweep_fourier_projection_bound(
-    n: int, trials: int = 100, seed: int = 0
-) -> ProjectionSweepReport:
-    """Both bounds on random orthogonal-projection pairs of rank n - r, r <= n/2."""
-    rng = np.random.default_rng(seed)
-    worst_lower = math.inf
-    worst_upper = math.inf
-    violations = 0
-    for _ in range(trials):
-        r_p = int(rng.integers(1, n // 2 + 1))
-        r_q = int(rng.integers(1, n // 2 + 1))
-        P = random_projection(rng, n, n - r_p)
-        Q = random_projection(rng, n, n - r_q)
-        report = verify_fourier_projection_bound(n, P, Q)
-        worst_lower = min(worst_lower, report.lower_slack)
-        worst_upper = min(worst_upper, report.upper_slack)
-        if report.lower_slack < -PROJ_SLACK_TOL or report.upper_slack < -PROJ_SLACK_TOL:
-            violations += 1
-    return ProjectionSweepReport(
-        n=n,
-        trials=trials,
-        worst_lower_slack=worst_lower,
-        worst_upper_slack=worst_upper,
-        violations=violations,
-    )
+    return getattr(lemma, name)

@@ -163,7 +163,9 @@ def _load(path: str) -> gates.LinearAlgorithm:
 
 
 def _vectors_payload(vecs) -> list[list[float]]:
-    return [[float(x) for x in v] for v in vecs]
+    """The vectors as lists of Python floats: ``tolist`` gives each float64
+    exactly, as ``float(x)`` does, so the JSON is the same."""
+    return [v.tolist() for v in vecs]
 
 
 def _int_field(option: str, field: str, text: str) -> int:
@@ -559,11 +561,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("lemma", help="randomized sweep of the potential inequalities")
-    p.add_argument("--pair-trials", type=_count, default=10_000)
-    p.add_argument("--trials", type=_count, default=1000)
-    p.add_argument("--proj-trials", type=_count, default=100)
-    p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_dims)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--pair-trials", type=_count, default=10_000,
+                   help="trials of the unit-pair sweep (default 10000)")
+    p.add_argument("--trials", type=_count, default=1000,
+                   help="trials of the orthogonal-change and the nonsingular-change "
+                        "sweeps, each (default 1000)")
+    p.add_argument("--proj-trials", type=_count, default=100,
+                   help="trials of the projection-bound sweep, per n (default 100)")
+    p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_dims,
+                   help="dimensions n of the projection-bound sweep, powers of two "
+                        "(default 8,16,32)")
+    p.add_argument("--seed", type=_seed, default=0,
+                   help="seed of every sweep's generator (default 0)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_lemma)
 

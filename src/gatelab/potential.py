@@ -141,10 +141,10 @@ def complex_quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def squared_row_norms(X: np.ndarray) -> np.ndarray:
-    """The squared 2-norm of every row of a 2-D array, whose square root is
-    ``np.linalg.norm(row)``; a row holding the raveled rows of a block gives
-    that block's |A_I|_F^2."""
-    return np.matmul(X[:, None, :], X[:, :, None])[:, 0, 0]
+    """The squared 2-norm of every row (last axis) of an array, whose square
+    root is ``np.linalg.norm(row)``; a row holding the raveled rows of a
+    block gives that block's |A_I|_F^2."""
+    return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
 
 
 def norm_products(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -353,136 +353,22 @@ def trace_potential(
     )
 
 
-def random_orthogonal(rng: np.random.Generator, a: int) -> np.ndarray:
-    """Haar-ish orthogonal matrix: QR of a Gaussian with sign-fixed diagonal."""
-    q, r = np.linalg.qr(rng.standard_normal((a, a)))
-    return q * np.sign(np.diag(r))
+# The sweeps of ``gatelab lemma`` live in ``lemma``; these names load it on
+# first access (PEP 562), so that ``trace``, ``scan`` and ``chain`` do not.
+_LEMMA_NAMES = {
+    "UNIT_PAIR_SHARP_DIM2",
+    "BoundSweepReport",
+    "random_orthogonal",
+    "sweep_nonsingular_change_bound",
+    "sweep_orthogonal_change_bound",
+    "sweep_unit_pair_bound",
+    "unit_pair_sharp_bound",
+}
 
 
-# Sharp two-row unit-pair value: maximizing -2u*log2(u) over entry products
-# u with u + u <= 1 peaks at u = 1/e, which beats the uniform pair's log2(2).
-# For three or more rows the uniform value log2(a) is the true supremum.
-UNIT_PAIR_SHARP_DIM2 = (2.0 / math.e) * math.log2(math.e)
+def __getattr__(name: str):
+    if name not in _LEMMA_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import lemma
 
-
-def unit_pair_sharp_bound(a: int) -> float:
-    """Sharp bound on |potential| of two unit vectors in R^a."""
-    return max(math.log2(a), UNIT_PAIR_SHARP_DIM2)
-
-
-@dataclass
-class BoundSweepReport:
-    """Worst slack over a randomized sweep of one potential inequality.
-
-    ``worst_slack``/``violations`` rate instances against the nominal
-    constant; where the nominal constant is known to be beatable at two rows,
-    the ``corrected_*`` fields rate them against the sharp constant instead.
-    """
-
-    trials: int
-    worst_slack: float
-    violations: int
-    worst_dim: int | None = None
-    corrected_worst_slack: float | None = None
-    corrected_violations: int | None = None
-
-
-def _tally(
-    dims: list[int], slacks: list[float], tol: float, corrected: list[float] | None = None
-) -> BoundSweepReport:
-    """Report over per-trial slacks: the first minimum, its dimension, and the
-    slacks below -tol; ``corrected`` slacks, if given, are rated the same way."""
-    worst = min(slacks, default=math.inf)
-    return BoundSweepReport(
-        trials=len(slacks),
-        worst_slack=worst,
-        violations=sum(1 for s in slacks if s < -tol),
-        worst_dim=dims[slacks.index(worst)] if slacks else None,
-        corrected_worst_slack=None if corrected is None else min(corrected, default=math.inf),
-        corrected_violations=None if corrected is None else sum(1 for s in corrected if s < -tol),
-    )
-
-
-def sweep_unit_pair_bound(trials: int = 10_000, max_dim: int = 64, seed: int = 0) -> BoundSweepReport:
-    """|potential of two unit vectors in R^a| against the nominal log2(a).
-
-    The nominal constant is falsifiable at a = 2 (entry products of 1/e each
-    give (2/e)*log2(e), about 1.0615); the corrected fields use the sharp
-    two-row value and stay clean.
-    """
-    rng = np.random.default_rng(seed)
-    dims: list[int] = []
-    slacks: list[float] = []
-    corrected: list[float] = []
-    for _ in range(trials):
-        a = int(rng.integers(2, max_dim + 1))
-        x = rng.standard_normal(a)
-        y = rng.standard_normal(a)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        value = abs(quasi_entropy(x[:, None], y[:, None]))
-        dims.append(a)
-        slacks.append(math.log2(a) - value)
-        corrected.append(unit_pair_sharp_bound(a) - value)
-    return _tally(dims, slacks, 1e-9, corrected)
-
-
-def sweep_orthogonal_change_bound(
-    trials: int = 1000, max_rows: int = 16, max_cols: int = 16, seed: int = 0
-) -> BoundSweepReport:
-    """Potential move under a shared orthogonal row map vs |A|_F |B|_F log2(a).
-
-    The nominal constant is falsifiable at a = 2.  Per column the move equals
-    the column-norm product times a difference of two unit-pair potentials, so
-    twice the sharp unit-pair constant times |A|_F |B|_F always holds; the
-    corrected fields rate instances against that provable constant.
-    """
-    rng = np.random.default_rng(seed)
-    dims: list[int] = []
-    slacks: list[float] = []
-    corrected: list[float] = []
-    for _ in range(trials):
-        a = int(rng.integers(2, max_rows + 1))
-        n = int(rng.integers(1, max_cols + 1))
-        A = rng.standard_normal((a, n))
-        B = rng.standard_normal((a, n))
-        U = random_orthogonal(rng, a)
-        move = abs(quasi_entropy(A, B) - quasi_entropy(U @ A, U @ B))
-        norms = np.linalg.norm(A) * np.linalg.norm(B)
-        dims.append(a)
-        slacks.append(norms * math.log2(a) - move)
-        corrected.append(norms * 2.0 * unit_pair_sharp_bound(a) - move)
-    return _tally(dims, slacks, 1e-7, corrected)
-
-
-def sweep_nonsingular_change_bound(
-    trials: int = 1000, max_rows: int = 16, max_cols: int = 16, seed: int = 0
-) -> BoundSweepReport:
-    """Potential move under paired maps (D, D^{-T}) vs the two-endpoint bound.
-
-    This is the bound the tracing and scanning modules rely on; it has held
-    under both randomized and adversarial search (it is tight but clean).
-    """
-    rng = np.random.default_rng(seed)
-    dims: list[int] = []
-    slacks: list[float] = []
-    while len(slacks) < trials:
-        a = int(rng.integers(2, max_rows + 1))
-        n = int(rng.integers(1, max_cols + 1))
-        D = rng.standard_normal((a, a))
-        svals = np.linalg.svd(D, compute_uv=False)
-        if svals[-1] < 1e-6 * svals[0]:
-            continue
-        A = rng.standard_normal((a, n))
-        B = rng.standard_normal((a, n))
-        DA = D @ A
-        DinvTB = np.linalg.inv(D).T @ B
-        move = abs(quasi_entropy(A, B) - quasi_entropy(DA, DinvTB))
-        bound = change_bound(
-            a,
-            np.linalg.norm(A) * np.linalg.norm(B),
-            np.linalg.norm(DA) * np.linalg.norm(DinvTB),
-        )
-        dims.append(a)
-        slacks.append(bound - move)
-    return _tally(dims, slacks, 1e-7)
+    return getattr(lemma, name)

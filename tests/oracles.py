@@ -13,7 +13,10 @@ in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
 ``row_contribs_reference`` is the one-pass row contribution formula that the
 row-blocked ``row_contribs`` must reproduce bit for bit.
 ``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
-contract the README documents.
+contract the README documents.  The ``*_sweep_reference`` functions are the
+lemma sweeps as per-trial loops, one trial drawn and rated at a time, and
+``verify_fourier_projection_bound_reference`` the projection bounds of one
+pair (P, Q): the judges of the stacked, chunked sweeps bit for bit.
 
 ``apply_gate_reference`` applies one gate object to the rows of an array,
 the judge of the compiled kernels (``gatelab.replay``, the layered walks
@@ -62,7 +65,8 @@ from gatelab.gates import (
     replay,
     touched,
 )
-from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound
+from gatelab import lemma
+from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound, quasi_entropy
 from gatelab.quantized import QuantizedRunStats
 
 
@@ -335,6 +339,150 @@ def assert_lemma_contract(code: int, payload: dict) -> None:
     assert all(r["violations"] == 0 for r in payload["fourier_projection_bound"])
     nominal = unit["violations"] + orth["violations"]
     assert code == (2 if nominal else 0), f"exit {code} with {nominal} nominal violations"
+
+
+def tally_reference(dims, slacks, tol, corrected=None) -> lemma.BoundSweepReport:
+    """The sweep report over per-trial lists: the first minimum, its
+    dimension and the slacks below -tol."""
+    worst = min(slacks, default=math.inf)
+    return lemma.BoundSweepReport(
+        trials=len(slacks),
+        worst_slack=worst,
+        violations=sum(1 for s in slacks if s < -tol),
+        worst_dim=dims[slacks.index(worst)] if slacks else None,
+        corrected_worst_slack=None if corrected is None else min(corrected, default=math.inf),
+        corrected_violations=None if corrected is None else sum(1 for s in corrected if s < -tol),
+    )
+
+
+def unit_pair_sweep_reference(trials, max_dim=64, seed=0):
+    rng = np.random.default_rng(seed)
+    dims, slacks, corrected = [], [], []
+    for _ in range(trials):
+        a = int(rng.integers(2, max_dim + 1))
+        x = rng.standard_normal(a)
+        y = rng.standard_normal(a)
+        x /= np.linalg.norm(x)
+        y /= np.linalg.norm(y)
+        value = abs(quasi_entropy(x[:, None], y[:, None]))
+        dims.append(a)
+        slacks.append(math.log2(a) - value)
+        corrected.append(lemma.unit_pair_sharp_bound(a) - value)
+    return tally_reference(dims, slacks, 1e-9, corrected)
+
+
+def orthogonal_sweep_reference(trials, max_rows=16, max_cols=16, seed=0):
+    rng = np.random.default_rng(seed)
+    dims, slacks, corrected = [], [], []
+    for _ in range(trials):
+        a = int(rng.integers(2, max_rows + 1))
+        n = int(rng.integers(1, max_cols + 1))
+        A = rng.standard_normal((a, n))
+        B = rng.standard_normal((a, n))
+        q, r = np.linalg.qr(rng.standard_normal((a, a)))
+        U = q * np.sign(np.diag(r))
+        move = abs(quasi_entropy(A, B) - quasi_entropy(U @ A, U @ B))
+        norms = np.linalg.norm(A) * np.linalg.norm(B)
+        dims.append(a)
+        slacks.append(norms * math.log2(a) - move)
+        corrected.append(norms * 2.0 * lemma.unit_pair_sharp_bound(a) - move)
+    return tally_reference(dims, slacks, 1e-7, corrected)
+
+
+def nonsingular_sweep_reference(trials, max_rows=16, max_cols=16, seed=0):
+    """Skips D as ``lemma.MIN_SINGULAR_RATIO`` says at the time of the call."""
+    rng = np.random.default_rng(seed)
+    dims, slacks = [], []
+    while len(slacks) < trials:
+        a = int(rng.integers(2, max_rows + 1))
+        n = int(rng.integers(1, max_cols + 1))
+        D = rng.standard_normal((a, a))
+        svals = np.linalg.svd(D, compute_uv=False)
+        if svals[-1] < lemma.MIN_SINGULAR_RATIO * svals[0]:
+            continue
+        A = rng.standard_normal((a, n))
+        B = rng.standard_normal((a, n))
+        DA = D @ A
+        DinvTB = np.linalg.inv(D).T @ B
+        move = abs(quasi_entropy(A, B) - quasi_entropy(DA, DinvTB))
+        bound = change_bound(
+            a,
+            np.linalg.norm(A) * np.linalg.norm(B),
+            np.linalg.norm(DA) * np.linalg.norm(DinvTB),
+        )
+        dims.append(a)
+        slacks.append(bound - move)
+    return tally_reference(dims, slacks, 1e-7)
+
+
+def _check_psd_contraction_reference(name, X, tol=1e-8):
+    if float(np.abs(X - X.T).max()) > tol:
+        raise ValueError(f"{name} is not symmetric within {tol}")
+    eigs = np.linalg.eigvalsh(X)
+    if eigs[0] < -tol or eigs[-1] > 1.0 + tol:
+        raise ValueError(
+            f"{name} is not a PSD contraction: eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
+        )
+
+
+def verify_fourier_projection_bound_reference(n, P, Q, check_upper=True):
+    """Both projection bounds of one pair, each number from its own call."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if P.shape != (n, n) or Q.shape != (n, n):
+        raise ValueError(f"P and Q must be {n}x{n}")
+    F = wht_matrix(n)
+    log_n = math.log2(n)
+    p_hat = np.eye(n) - P
+    q_hat = np.eye(n) - Q
+    tr_p_hat = float(np.trace(p_hat))
+    tr_q_hat = float(np.trace(q_hat))
+    alpha2 = float(np.linalg.norm(p_hat) ** 2)
+    beta2 = float(np.linalg.norm(q_hat) ** 2)
+    lower_lhs = quasi_entropy(F @ P, F @ Q)
+    lower_rhs = (
+        n * log_n
+        - (tr_p_hat + tr_q_hat) * log_n
+        - (alpha2 + beta2) * (lemma.LOWER_OFFSET + lemma.LOWER_SLOPE * log_n)
+    )
+    upper_lhs = upper_rhs = upper_slack = None
+    if check_upper:
+        _check_psd_contraction_reference("P", P)
+        _check_psd_contraction_reference("Q", Q)
+        upper_lhs = quasi_entropy(P, Q)
+        upper_rhs = tr_p_hat + tr_q_hat + alpha2 + beta2 + (alpha2 + beta2) * log_n
+        upper_slack = upper_rhs - upper_lhs
+    return lemma.FourierProjectionReport(
+        n=n, tr_p_hat=tr_p_hat, tr_q_hat=tr_q_hat, alpha2=alpha2, beta2=beta2,
+        lower_lhs=lower_lhs, lower_rhs=lower_rhs, lower_slack=lower_lhs - lower_rhs,
+        upper_lhs=upper_lhs, upper_rhs=upper_rhs, upper_slack=upper_slack,
+    )
+
+
+def random_projection_reference(rng, n, rank):
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V = basis[:, :rank]
+    return V @ V.T
+
+
+def projection_sweep_reference(n, trials, seed=0):
+    rng = np.random.default_rng(seed)
+    worst_lower = worst_upper = math.inf
+    violations = 0
+    for _ in range(trials):
+        r_p = int(rng.integers(1, n // 2 + 1))
+        r_q = int(rng.integers(1, n // 2 + 1))
+        P = random_projection_reference(rng, n, n - r_p)
+        Q = random_projection_reference(rng, n, n - r_q)
+        report = verify_fourier_projection_bound_reference(n, P, Q)
+        worst_lower = min(worst_lower, report.lower_slack)
+        worst_upper = min(worst_upper, report.upper_slack)
+        if report.lower_slack < -lemma.PROJ_SLACK_TOL or report.upper_slack < -lemma.PROJ_SLACK_TOL:
+            violations += 1
+    return lemma.ProjectionSweepReport(
+        n=n, trials=trials, worst_lower_slack=worst_lower, worst_upper_slack=worst_upper,
+        violations=violations,
+    )
 
 
 def best_candidate_reference(algorithm, P, Q, tau, unrestricted):

@@ -551,6 +551,10 @@ print(json.dumps({"code": code, "modules": modules}))
 # No ``build`` kind, nor ``--help``, loads numpy, the analyses, dataclasses
 # (and through it inspect) or json.
 _BUILD_ABSENT = {"numpy", "dataclasses", "inspect", "json", *_ANALYSES}
+# The window walks draw nothing, build no fixture and extract nothing; only
+# ``lemma`` compiles the sweeps.
+_WALK_ABSENT = {"numpy.random", "gatelab.builders", "gatelab.directions", "gatelab.quantized",
+                "gatelab.lemma"}
 
 
 @pytest.mark.parametrize(
@@ -565,9 +569,18 @@ _BUILD_ABSENT = {"numpy", "dataclasses", "inspect", "json", *_ANALYSES}
         (["--help"], _BUILD_ABSENT),
         (["validate", "ALG"], _ANALYSES),
         (["simulate", "ALG", "--eps", "2^-10", "--samples", "10"], {"gatelab.bottleneck"}),
+        (["trace", "ALG", "-o", "OUT"], _WALK_ABSENT),
+        (["scan", "ALG"], _WALK_ABSENT),
+        (["chain", "ALG"], _WALK_ABSENT),
+        (["lemma", "--pair-trials", "50", "--trials", "5", "--proj-trials", "1", "--n-list", "4"],
+         {"gatelab.directions", "gatelab.quantized"}),
+        (["extract", "ALG"],
+         {"numpy.random", "gatelab.potential", "gatelab.bottleneck", "gatelab.lemma",
+          "gatelab.quantized"}),
     ],
     ids=["build-wht", "build-dft", "build-random", "build-random-angle-only", "build-scaled",
-         "build-inverse-scaled", "help", "validate", "simulate"],
+         "build-inverse-scaled", "help", "validate", "simulate", "trace", "scan", "chain",
+         "lemma", "extract"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(args, absent, tmp_path):
     alg = tmp_path / "wht4.alg"

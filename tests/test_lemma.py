@@ -1,0 +1,260 @@
+"""The stacked lemma sweeps against their per-trial loops, bit for bit.
+
+Every report field is compared by ``float.hex``, so a sweep that draws,
+factors, multiplies or sums in another order than the per-trial loop of
+``tests/oracles.py`` fails here even when its numbers agree to rounding.
+"""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gatelab import lemma, potential
+from gatelab.cli import main
+
+from oracles import (
+    tally_reference,
+    nonsingular_sweep_reference,
+    orthogonal_sweep_reference,
+    projection_sweep_reference,
+    unit_pair_sweep_reference,
+    verify_fourier_projection_bound_reference,
+)
+
+SEEDS = st.one_of(st.integers(0, 200), st.just(2**40))
+# small budgets break chunks by their draws, and one trial of a few may
+# overflow the buffer; None keeps SWEEP_ELEMENTS
+BUDGETS = st.sampled_from([None, 7, 64, 300, 2048])
+
+
+def hexed(report) -> dict:
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in dataclasses.asdict(report).items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(trials=st.integers(1, 120), max_dim=st.integers(2, 80), seed=SEEDS, budget=BUDGETS)
+@example(trials=1, max_dim=2, seed=0, budget=None)
+def test_unit_pair_sweep_is_the_per_trial_loop(trials, max_dim, seed, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(lemma, "SWEEP_ELEMENTS", budget)
+        got = lemma.sweep_unit_pair_bound(trials, max_dim, seed)
+    assert hexed(got) == hexed(unit_pair_sweep_reference(trials, max_dim, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trials=st.integers(1, 60),
+    max_rows=st.integers(2, 18),
+    max_cols=st.integers(1, 18),
+    seed=SEEDS,
+    budget=BUDGETS,
+)
+def test_orthogonal_sweep_is_the_per_trial_loop(trials, max_rows, max_cols, seed, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(lemma, "SWEEP_ELEMENTS", budget)
+        got = lemma.sweep_orthogonal_change_bound(trials, max_rows, max_cols, seed)
+    want = orthogonal_sweep_reference(trials, max_rows, max_cols, seed)
+    assert hexed(got) == hexed(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trials=st.integers(1, 60),
+    max_rows=st.integers(2, 18),
+    max_cols=st.integers(1, 18),
+    seed=SEEDS,
+    budget=BUDGETS,
+    ratio=st.sampled_from([lemma.MIN_SINGULAR_RATIO, 0.02, 0.1]),
+)
+def test_nonsingular_sweep_is_the_per_trial_loop(trials, max_rows, max_cols, seed, budget, ratio):
+    # at ratios of a few percent many draws of D are skipped, and each skip
+    # must leave A and B undrawn, as the per-trial loop leaves them
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemma, "MIN_SINGULAR_RATIO", ratio)
+        if budget is not None:
+            mp.setattr(lemma, "SWEEP_ELEMENTS", budget)
+        got = lemma.sweep_nonsingular_change_bound(trials, max_rows, max_cols, seed)
+        want = nonsingular_sweep_reference(trials, max_rows, max_cols, seed)
+    assert hexed(got) == hexed(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 8, 16, 32]),
+    trials=st.integers(1, 40),
+    seed=SEEDS,
+    budget=BUDGETS,
+)
+def test_projection_sweep_is_the_per_trial_loop(n, trials, seed, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(lemma, "SWEEP_ELEMENTS", budget)
+        got = lemma.sweep_fourier_projection_bound(n, trials, seed)
+    assert hexed(got) == hexed(projection_sweep_reference(n, trials, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_default_sizes_give_the_per_trial_reports(seed):
+    assert hexed(lemma.sweep_unit_pair_bound(seed=seed)) == hexed(
+        unit_pair_sweep_reference(10_000, seed=seed)
+    )
+    assert hexed(lemma.sweep_orthogonal_change_bound(seed=seed)) == hexed(
+        orthogonal_sweep_reference(1000, seed=seed)
+    )
+    assert hexed(lemma.sweep_nonsingular_change_bound(seed=seed)) == hexed(
+        nonsingular_sweep_reference(1000, seed=seed)
+    )
+    for n in (8, 16, 32):
+        assert hexed(lemma.sweep_fourier_projection_bound(n, seed=seed)) == hexed(
+            projection_sweep_reference(n, 100, seed=seed)
+        )
+
+
+def test_lemma_json_is_the_per_trial_loops_report(tmp_path, capsys):
+    # the criterion-10 sizes, through the CLI: stdout, -o file and exit code
+    args = ["lemma", "--pair-trials", "200", "--trials", "50", "--proj-trials", "5",
+            "--n-list", "8", "--seed", "3"]
+    want = {
+        "schema_version": 1,
+        "unit_pair_bound": dataclasses.asdict(unit_pair_sweep_reference(200, seed=3)),
+        "orthogonal_change_bound": dataclasses.asdict(orthogonal_sweep_reference(50, seed=3)),
+        "nonsingular_change_bound": dataclasses.asdict(nonsingular_sweep_reference(50, seed=3)),
+        "fourier_projection_bound": [dataclasses.asdict(projection_sweep_reference(8, 5, seed=3))],
+    }
+    want_text = json.dumps(want, sort_keys=True, indent=2) + "\n"
+    want_code = 2 if want["unit_pair_bound"]["violations"] or want["orthogonal_change_bound"][
+        "violations"] else 0
+    assert main(args) == want_code
+    assert capsys.readouterr().out == want_text
+    assert main([*args, "-o", str(tmp_path / "lemma.json")]) == want_code
+    assert (tmp_path / "lemma.json").read_text() == want_text
+
+
+def _pairs(stack, rows, cols, rng):
+    A = rng.standard_normal((*stack, rows, cols))
+    B = rng.standard_normal((*stack, rows, cols))
+    return A, B
+
+
+@pytest.mark.parametrize("special", [0.0, -0.0, 1e-301, -1e-310, math.nan, math.inf, -math.inf])
+def test_stacked_potentials_take_rows_under_zero_product_as_quasi_entropy(special):
+    # a product below ZERO_PRODUCT (or NaN) drops out of the one-pass sum,
+    # which then sums fewer terms in another order; an infinite one stays
+    rng = np.random.default_rng(11)
+    A, B = _pairs((6,), 5, 7, rng)
+    A[1, 2, 3] = special
+    A[4, 0, 0] = special
+    A[4, 4, 6] = special
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = lemma.stacked_quasi_entropy(A, B)
+        want = [potential.quasi_entropy(a, b) for a, b in zip(A, B)]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_stacked_potentials_keep_the_zero_sign():
+    # the identity pair's terms are all 0.0, so its potential is -0.0; a
+    # pair without a kept product gives 0.0
+    stack = np.stack([np.eye(3), np.zeros((3, 3))])
+    got = lemma.stacked_quasi_entropy(stack, stack)
+    assert [v.hex() for v in got.tolist()] == [(-0.0).hex(), (0.0).hex()]
+
+
+def test_stacked_potentials_sum_large_pairs_in_row_blocks(monkeypatch):
+    # pairs over BLOCK_ELEMENTS entries are summed as quasi_entropy sums them
+    monkeypatch.setattr(lemma, "BLOCK_ELEMENTS", 30)
+    monkeypatch.setattr(potential, "BLOCK_ELEMENTS", 30)
+    A, B = _pairs((2, 3), 6, 7, np.random.default_rng(12))
+    got = lemma.stacked_quasi_entropy(A, B)
+    want = [[potential.quasi_entropy(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    assert got.shape == (2, 3)
+    assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for row in want for v in row]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 4, 8, 16]), seed=st.integers(0, 10_000), upper=st.booleans())
+def test_projection_bound_of_one_pair_is_the_per_pair_formula(n, seed, upper):
+    rng = np.random.default_rng(seed)
+    P = lemma.random_projection(rng, n, int(rng.integers(1, n + 1)))
+    Q = rng.standard_normal((n, n)) if not upper else lemma.random_projection(rng, n, n // 2)
+    got = lemma.verify_fourier_projection_bound(n, P, Q, check_upper=upper)
+    want = verify_fourier_projection_bound_reference(n, P, Q, check_upper=upper)
+    assert hexed(got) == hexed(want)
+
+
+def test_squared_deficiency_is_squared_by_pow():
+    # |I - P|_F is exactly x here, and x ** 2 (pow, as np.linalg.norm(.) ** 2
+    # squares it) rounds up where x * x rounds down
+    x = 3.992689444895776
+    assert x**2 != x * x
+    P = np.eye(4)
+    P[0, 0] -= x
+    got = lemma.verify_fourier_projection_bound(4, P, np.eye(4), check_upper=False)
+    want = verify_fourier_projection_bound_reference(4, P, np.eye(4), check_upper=False)
+    assert got.alpha2.hex() == want.alpha2.hex() == (x**2).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    slacks=st.lists(st.sampled_from([-1e-7, -2e-7, -0.0, 0.0, 0.5, -1.0, math.inf]), max_size=30),
+    cuts=st.lists(st.integers(0, 30), max_size=4),
+)
+def test_chunked_rating_is_the_whole_list_rating(slacks, cuts):
+    # ties, signed zeros and slacks of exactly -tol: the first minimum and
+    # its dimension, and the count strictly below -tol, whatever the chunks
+    dims = list(range(2, 2 + len(slacks)))
+    nominal = lemma._Rating(1e-7)
+    bounds = sorted({0, len(slacks), *(c for c in cuts if c <= len(slacks))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        nominal.add(np.array(slacks[lo:hi]), dims[lo:hi])
+    got = lemma._report(len(slacks), nominal)
+    want = tally_reference(dims, slacks, 1e-7)
+    assert hexed(got) == hexed(want)
+
+
+SKEW = np.eye(4) + np.diag([0.5, 0.0, 0.0], 1)
+
+
+@pytest.mark.parametrize(
+    "P, Q",
+    [
+        (2.0 * np.eye(4), np.eye(4)),
+        (SKEW, np.eye(4)),
+        (np.eye(4), SKEW),
+        (np.eye(4), -np.eye(4)),
+        (SKEW, 2.0 * np.eye(4)),
+    ],
+    ids=["P-too-large", "P-not-symmetric", "Q-not-symmetric", "Q-negative", "P-first"],
+)
+def test_projection_bound_rejects_as_the_per_pair_formula(P, Q):
+    with pytest.raises(ValueError) as want:
+        verify_fourier_projection_bound_reference(4, P, Q)
+    with pytest.raises(ValueError) as got:
+        lemma.verify_fourier_projection_bound(4, P, Q)
+    assert str(got.value) == str(want.value)
+
+
+def test_sweep_names_stay_in_potential_and_bottleneck():
+    from gatelab import bottleneck
+
+    for name in ("sweep_unit_pair_bound", "sweep_orthogonal_change_bound",
+                 "sweep_nonsingular_change_bound", "random_orthogonal", "BoundSweepReport",
+                 "UNIT_PAIR_SHARP_DIM2", "unit_pair_sharp_bound"):
+        assert getattr(potential, name) is getattr(lemma, name)
+    for name in ("sweep_fourier_projection_bound", "verify_fourier_projection_bound",
+                 "random_projection", "FourierProjectionReport", "ProjectionSweepReport",
+                 "LOWER_SLOPE", "LOWER_OFFSET", "PROJ_SLACK_TOL"):
+        assert getattr(bottleneck, name) is getattr(lemma, name)
+    with pytest.raises(AttributeError):
+        potential.no_such_name
+    with pytest.raises(AttributeError):
+        bottleneck.no_such_name

@@ -7,7 +7,8 @@ plus one fixed workspace; an extraction holds its two n x n bases and
 nothing else of that size; ``validate`` holds M and M^{-T} plus a few rows;
 ``simulate`` holds one n x chunk sample array plus its touch events (at most
 n + 2m), and its draws one row buffer of at most 2**15 floats beside that
-array.
+array; a lemma sweep holds one chunk of draws (``lemma.SWEEP_ELEMENTS``
+floats) and what it evaluates, whatever its number of trials.
 """
 
 import tracemalloc
@@ -27,6 +28,7 @@ from gatelab import (
     validate,
     verify_bottleneck_chain,
 )
+from gatelab import lemma
 from gatelab.gates import panel_width
 from gatelab.potential import row_contribs
 from gatelab.quantized import _draw_inputs, simulate
@@ -105,3 +107,22 @@ def test_draws_hold_the_sample_array_and_one_row_buffer():
     n, samples = 1024, 600
     one_array = n * samples * 8
     assert _peak(lambda: _draw_inputs(7, 0, samples, 1.0, n)) <= one_array + 512 * 1024
+
+
+@pytest.mark.parametrize(
+    "sweep, trials",
+    [
+        (lemma.sweep_unit_pair_bound, 2000),
+        (lemma.sweep_orthogonal_change_bound, 200),
+        (lemma.sweep_nonsingular_change_bound, 200),
+        (lambda trials: lemma.sweep_fourier_projection_bound(32, trials), 20),
+    ],
+    ids=["unit-pair", "orthogonal", "nonsingular", "projection"],
+)
+def test_lemma_sweeps_hold_one_chunk_whatever_their_trials(sweep, trials):
+    # ten times the trials: ten times the chunks, each evaluated and freed
+    # before the next, and no per-trial lists
+    one_chunk = lemma.SWEEP_ELEMENTS * 8
+    sweep(5)  # loads lemma and builds numpy's caches before the measurement
+    assert _peak(lambda: sweep(10 * trials)) <= _peak(lambda: sweep(trials)) + one_chunk
+    assert _peak(lambda: sweep(10 * trials)) <= 3 * one_chunk
