@@ -74,9 +74,9 @@ The selection rule, which rounding noise cannot flip:
   by less than rho.  Ties go to the smallest step, then the smallest
   coordinate, and then, when the two factors are equal within rho, to the
   overflow side.
-- The winner's side must still reach tau - 1e-12 once materialised
-  exactly; if rounding beyond the bound made it qualify, the extraction
-  raises instead of recording it.
+- The winner's side must still reach tau - ``MAGNITUDE_SLACK`` once
+  materialised exactly; if rounding beyond the bound made it qualify, the
+  extraction raises instead of recording it.
 
 So where two scores are equal in exact arithmetic the rule, not the noise,
 picks.  On the inverse-scaled fixtures at the default tau (n >= 8), the
@@ -112,6 +112,11 @@ from .gates import (
 # the final matrix the transform by TARGET_TOL (``extract_directions``).
 ORTHO_TOL = 1e-8
 TARGET_TOL = 1e-8
+
+# A direction's magnitude, its materialised row's norm, may fall short of the
+# threshold by MAGNITUDE_SLACK: the least a recorded magnitude may be is
+# tau - MAGNITUDE_SLACK, both when it is extracted and when ``check`` reads it.
+MAGNITUDE_SLACK = 1e-12
 
 
 def speedup_factor(algorithm: LinearAlgorithm) -> float:
@@ -166,7 +171,7 @@ class DirectionSystem:
         if self.gram_residual() > ORTHO_TOL:
             raise RuntimeError(f"direction system not orthonormal within {ORTHO_TOL}")
         for mag in self.magnitudes:
-            if mag < self.threshold - 1e-12:
+            if mag < self.threshold - MAGNITUDE_SLACK:
                 raise RuntimeError(f"magnitude {mag} below threshold {self.threshold}")
         pairs = list(zip(self.steps, self.coords))
         if len(set(pairs)) != len(pairs):
@@ -305,7 +310,7 @@ def extract_directions(
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)
         magnitude = float(np.linalg.norm(w))
-        if magnitude < tau - 1e-12:
+        if magnitude < tau - MAGNITUDE_SLACK:
             raise RuntimeError(
                 f"{system.kind} candidate ({t}, {i}) rated {factors[side, k]!r} but its row "
                 f"gives {magnitude!r} < tau: rounding beyond the ledger's bound"
@@ -352,24 +357,19 @@ def extend_basis(underflow: DirectionSystem, n: int) -> ExtendedBasis:
     n_prime = underflow.size
     if n_prime > n:
         raise ValueError(f"system of size {n_prime} cannot extend to dimension {n}")
-    u_vectors = [np.asarray(u, dtype=float).copy() for u in underflow.vectors]
+    basis = np.empty((n, n))  # row j is u_j
+    for j, u in enumerate(underflow.vectors):
+        basis[j] = u
     gammas = list(underflow.magnitudes)
-    z_vectors = [g * u for g, u in zip(gammas, u_vectors)]
+    z_vectors = [g * u for g, u in zip(gammas, basis)]
 
     for j in range(n_prime, n):
-        if u_vectors:
-            U = np.array(u_vectors)
-            explained = (U**2).sum(axis=0)
-        else:
-            explained = np.zeros(n)
-        i0 = int(np.argmin(explained))
+        U = basis[:j]  # no rows at j = 0: nothing explained, nothing projected away
+        i0 = int(np.argmin((U**2).sum(axis=0)))
         z = np.zeros(n)
         z[i0] = 1.0
-        w = z.copy()
-        if u_vectors:
-            U = np.array(u_vectors)
-            w = w - U.T @ (U @ w)
-            w = w - U.T @ (U @ w)
+        w = z - U.T @ (U @ z)
+        w = w - U.T @ (U @ w)
         gamma = float(np.linalg.norm(w))
         if gamma < 1e-12:
             raise RuntimeError(f"degenerate projection while extending at slot {j}")
@@ -379,11 +379,11 @@ def extend_basis(underflow: DirectionSystem, n: int) -> ExtendedBasis:
                 f"extension norm {gamma} below pigeonhole guarantee {guarantee} at slot {j}"
             )
         z_vectors.append(z)
-        u_vectors.append(w / gamma)
+        np.divide(w, gamma, out=basis[j])
         gammas.append(gamma)
 
     return ExtendedBasis(
-        z_vectors=z_vectors, u_vectors=u_vectors, gammas=gammas, n_extracted=n_prime
+        z_vectors=z_vectors, u_vectors=list(basis), gammas=gammas, n_extracted=n_prime
     )
 
 

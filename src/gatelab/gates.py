@@ -22,15 +22,17 @@ one of two kernels:
 - ``replay_layers`` applies the gates in as-soon-as-possible layers
   (``layer``): the gates of one layer touch disjoint rows, gates that share
   a row keep their order, and each layer is split into blocks of at most
-  ``BLOCK_ELEMENTS`` matrix elements per side.  A block's rows are gathered
-  into a ``Workspace`` that the walk reuses, and the block is applied there
-  with fancy indexing, so the walk allocates nothing per block.
-  ``potential.ledger_walk`` (the one walk of ``trace_potential``,
+  ``BLOCK_ELEMENTS`` matrix elements per side.  Each run of a block's gates
+  that share a step and a kind rewrites its rows of the matrices in place,
+  all gates at once, with fancy indexing on the gates' own rows and scratch
+  in a ``Workspace`` that the walk reuses, so the walk allocates nothing per
+  block.  ``potential.ledger_walk`` (the one walk of ``trace_potential``,
   ``scan_bottlenecks`` and ``verify_bottleneck_chain``, which layers
   windows of R gates as units, R = 1 for the trace) and
-  ``extract_directions`` (once, for its row norms) use it: a block holds
-  every row of its units from the unit's start to its end, sorted within
-  each unit, so a walk rates a whole block in a few numpy calls.
+  ``extract_directions`` (once, for its row norms) use it: the walk hands
+  over every row of a block's units, gathered before and after the block
+  and sorted within each unit, so a walk rates a whole block in a few numpy
+  calls.
 
 Gates act on rows, so each column of (M(t) P, M(t)^{-T} Q) evolves alone, and
 the potential and every squared row or window norm is a sum over columns.
@@ -325,46 +327,6 @@ def gather_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return x.take(rows, 0, out, "clip")
 
 
-class LayerStep(NamedTuple):
-    """Gates on disjoint rows, applied together to a block's gathered rows.
-
-    ``rot_i``/``rot_j`` and ``const_i`` are positions in the block's rows;
-    the scalars are (k, 1) columns that broadcast along the rows.
-    """
-
-    rot_gates: np.ndarray
-    rot_i: np.ndarray
-    rot_j: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-    neg_sin: np.ndarray
-    const_gates: np.ndarray
-    const_i: np.ndarray
-    c: np.ndarray
-    inv_c: np.ndarray
-
-    def apply(self, a: np.ndarray, b: np.ndarray, workspace: Workspace) -> None:
-        """``rotate_rows`` and the row scalings of ``replay``, all gates at
-        once: the same multiplications and additions, into the workspace."""
-        k, n = self.rot_gates.size, a.shape[1]
-        if k:
-            rot_i, rot_j = self.rot_i, self.rot_j
-            xi, xj, ri, tmp = workspace.take("scratch", (4, k, n))
-            for x in (a, b):
-                gather_rows(x, rot_i, xi)
-                gather_rows(x, rot_j, xj)
-                np.multiply(self.cos, xi, out=ri)
-                np.add(ri, np.multiply(self.sin, xj, out=tmp), out=ri)
-                x[rot_i] = ri
-                np.multiply(self.neg_sin, xi, out=xi)
-                np.add(xi, np.multiply(self.cos, xj, out=tmp), out=xi)
-                x[rot_j] = xi
-        if self.const_gates.size:
-            (rows,) = workspace.take("scratch", (1, self.const_gates.size, n))
-            for x, scale in ((a, self.c), (b, self.inv_c)):
-                x[self.const_i] = np.multiply(gather_rows(x, self.const_i, rows), scale, out=rows)
-
-
 class Block(NamedTuple):
     """Units of one layer (gates, or windows of R gates) on disjoint rows.
 
@@ -372,14 +334,13 @@ class Block(NamedTuple):
     ascending order; unit ``units[u]`` starts at ``unit_starts[u]``.  Units
     are sorted by row count, then by index, and ``groups`` lists each run of
     equal-sized units as (rows per unit, first position, end position) in
-    ``units``.  ``steps[k]`` applies the k-th gate of every unit that has one.
+    ``units``.  ``gates`` counts the block's gates.
     """
 
     units: np.ndarray
     rows: np.ndarray
     unit_starts: np.ndarray
     groups: tuple[tuple[int, int, int], ...]
-    steps: tuple[LayerStep, ...]
     gates: int
 
 
@@ -405,10 +366,10 @@ class Blocks(Sequence):
     ``rows[row_cuts[b]:row_cuts[b + 1]]`` (``row_units`` names each row's
     unit); its gates are sorted by step, then rotations before constants,
     then by unit, and ``gate_cuts`` bounds each (block, step, kind) run.
-    ``gate_rows`` holds each gate's rows i and j as positions in its block,
-    ``first`` its cos (or c) and ``second`` its sin (or 1/c).  Indexing
-    makes a ``Block`` of views, so the layering keeps a dozen arrays in all
-    rather than a dozen per block.
+    ``gate_rows`` holds each gate's rows i and j of the matrix (j = i for a
+    constant), ``first`` its cos (or c), ``second`` its sin (or 1/c) and
+    ``neg_sin`` its -sin.  Indexing makes a ``Block`` of views, so the
+    layering keeps a dozen arrays in all rather than a dozen per block.
     """
 
     def __init__(self, R, units, rows, unit_starts, row_units, cuts, row_cuts, groups,
@@ -433,29 +394,11 @@ class Blocks(Sequence):
             raise IndexError(b)
         us, ue = self.cuts[b], self.cuts[b + 1]
         rs, re = self.row_cuts[b], self.row_cuts[b + 1]
-        steps = []
-        for s in range(2 * self.R * b, 2 * self.R * (b + 1), 2):
-            r0, r1, r2 = self.gate_cuts[s : s + 3]
-            steps.append(
-                LayerStep(
-                    rot_gates=self.gates[r0:r1],
-                    rot_i=self.gate_rows[0, r0:r1],
-                    rot_j=self.gate_rows[1, r0:r1],
-                    cos=self.first[r0:r1, None],
-                    sin=self.second[r0:r1, None],
-                    neg_sin=self.neg_sin[r0:r1, None],
-                    const_gates=self.gates[r1:r2],
-                    const_i=self.gate_rows[0, r1:r2],
-                    c=self.first[r1:r2, None],
-                    inv_c=self.second[r1:r2, None],
-                )
-            )
         return Block(
             units=self.units[us:ue],
             rows=self.rows[rs:re],
             unit_starts=self.unit_starts[us:ue],
             groups=self.groups[b],
-            steps=tuple(steps),
             gates=self.gate_counts[b],
         )
 
@@ -539,25 +482,13 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> L
         b = int(block_of[first])
         groups[b].append((int(sizes_o[first]), first - cuts[b], end - cuts[b]))
 
-    # gates by block, step, kind (rotations first) and unit position; each
-    # gate's rows as positions in its block's rows
-    w = np.arange(m) // R
+    # gates by block, step, kind (rotations first) and unit position
     position = np.empty(W, dtype=np.int64)
     position[order] = np.arange(W)
-    position = position[w]
-    block = block_of[position]
+    position = position[np.arange(m) // R]
     constant = ~arrays.rotation
-    segment = (block * R + np.arange(m) % R) * 2 + constant
+    segment = (block_of[position] * R + np.arange(m) % R) * 2 + constant
     gates = np.lexsort((position, segment))
-    keys = np.repeat(np.arange(W), sizes) * n + flat
-    base = offsets[position] - row_cuts[block] - starts[w]
-    gate_rows = np.stack(
-        (
-            np.searchsorted(keys, w * n + arrays.i),
-            np.searchsorted(keys, w * n + np.where(constant, arrays.i, arrays.j)),
-        )
-    )
-    gate_rows += base
     rotation = arrays.rotation[gates]
     blocks = Blocks(
         R,
@@ -570,7 +501,7 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> L
         groups=[tuple(g) for g in groups],
         gates=gates,
         gate_cuts=np.searchsorted(segment[gates], np.arange(2 * R * len(groups) + 1)).tolist(),
-        gate_rows=gate_rows[:, gates],
+        gate_rows=np.stack((arrays.i[gates], np.where(constant, arrays.i, arrays.j)[gates])),
         first=np.where(rotation, arrays.cos[gates], arrays.c[gates]),
         second=np.where(rotation, arrays.sin[gates], arrays.inv_c[gates]),
         neg_sin=-arrays.sin[gates],
@@ -580,32 +511,54 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> L
 
 
 def replay_layers(
-    blocks: Iterable[Block], A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None
+    blocks: Blocks, A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None
 ) -> Iterator[tuple[Block, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Apply the blocks of a ``Layering`` to A and B in place, in order.
 
-    Yields ``(block, a0, b0, a1, b1)`` after each block: the block's rows of
-    A and B, in ``block.rows`` order, before and after it.  They, and every
-    temporary of the walk, live in ``workspace`` (a fresh one if None),
-    which grows to the largest block and is then reused: they are
-    overwritten by the next block, so copy what must outlive it.  Every
-    element of A and B ends bit-identical to ``replay``'s, and right after a
-    block the rows of each of its units are those ``replay`` shows right
-    after the unit's last gate.
+    Each (step, kind) run of a block's gates rewrites its rows of A and B
+    in place, all gates at once: ``rotate_rows`` and the row scalings of
+    ``replay``, with the same multiplications and additions, on rows
+    gathered into the workspace and written back.  Yields ``(block, a0,
+    b0, a1, b1)`` after each block: the block's rows of A and B, in
+    ``block.rows`` order, before and after it.  They, and every temporary
+    of the walk, live in ``workspace`` (a fresh one if None), which grows
+    to the largest block and is then reused: they are overwritten by the
+    next block, so copy what must outlive it.  Every element of A and B
+    ends bit-identical to ``replay``'s, and right after a block the rows of
+    each of its units are those ``replay`` shows right after the unit's
+    last gate.
     """
     if workspace is None:
         workspace = Workspace()
     n = A.shape[1]
-    for block in blocks:
+    rows_i, rows_j = blocks.gate_rows
+    first, second, neg_sin = blocks.first[:, None], blocks.second[:, None], blocks.neg_sin[:, None]
+    cuts, runs = blocks.gate_cuts, 2 * blocks.R
+    for b, block in enumerate(blocks):
         shape = (2, block.rows.size, n)
         before, after = workspace.take("before", shape), workspace.take("after", shape)
         a0, b0 = gather_rows(A, block.rows, before[0]), gather_rows(B, block.rows, before[1])
-        np.copyto(after, before)
-        a1, b1 = after
-        for step in block.steps:
-            step.apply(a1, b1, workspace)
-        A[block.rows] = a1
-        B[block.rows] = b1
+        for s in range(runs * b, runs * (b + 1), 2):
+            r0, r1, r2 = cuts[s : s + 3]
+            if r1 > r0:
+                i, j = rows_i[r0:r1], rows_j[r0:r1]
+                cos, sin, nsin = first[r0:r1], second[r0:r1], neg_sin[r0:r1]
+                xi, xj, ri, tmp = workspace.take("scratch", (4, r1 - r0, n))
+                for x in (A, B):
+                    gather_rows(x, i, xi)
+                    gather_rows(x, j, xj)
+                    np.multiply(cos, xi, out=ri)
+                    np.add(ri, np.multiply(sin, xj, out=tmp), out=ri)
+                    x[i] = ri
+                    np.multiply(nsin, xi, out=xi)
+                    np.add(xi, np.multiply(cos, xj, out=tmp), out=xi)
+                    x[j] = xi
+            if r2 > r1:
+                i = rows_i[r1:r2]
+                (scaled,) = workspace.take("scratch", (1, r2 - r1, n))
+                for x, scale in ((A, first[r1:r2]), (B, second[r1:r2])):
+                    x[i] = np.multiply(gather_rows(x, i, scaled), scale, out=scaled)
+        a1, b1 = gather_rows(A, block.rows, after[0]), gather_rows(B, block.rows, after[1])
         yield block, a0, b0, a1, b1
 
 
@@ -631,9 +584,7 @@ class VectorWalk:
         self._cuts = blocks.gate_cuts
         self._gates = blocks.gates
         run_block = np.repeat(np.arange(len(blocks)), np.diff(self._cuts[::2]))
-        base = np.asarray(self._row_cuts, dtype=np.int64)[run_block]
-        self._i = blocks.rows[blocks.gate_rows[0] + base]
-        self._j = blocks.rows[blocks.gate_rows[1] + base]
+        self._i, self._j = blocks.gate_rows
         self._first, self._second, self._neg_sin = blocks.first, blocks.second, blocks.neg_sin
         self._block_of = np.empty(algorithm.m, dtype=np.int64)
         self._block_of[blocks.gates] = run_block

@@ -37,7 +37,9 @@ full residual product and an SVD after each gate.
 ``extract_directions_reference`` is the extraction loop that formed the
 projections P and Q and rescanned every candidate in every round, and
 ``most_informative_cell_reference`` the quantized cell search that read
-M(t)^{-T} z from a replay of both matrices.
+M(t)^{-T} z from a replay of both matrices.  ``extend_basis_reference``
+completes an underflow system from a fresh stack of its vectors in every
+slot, the judge of ``extend_basis`` bit for bit.
 
 ``extract_directions_exact`` is the greedy extraction in exact rational
 arithmetic (standard library only), the judge of the selection rule.
@@ -55,7 +57,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from gatelab.builders import wht_matrix
-from gatelab.directions import DirectionSystem, speedup_factor
+from gatelab.directions import DirectionSystem, ExtendedBasis, speedup_factor
 from gatelab.gates import (
     Constant,
     LinearAlgorithm,
@@ -620,6 +622,46 @@ def extract_directions_reference(
     over.check(per_step=per_step)
     under.check(per_step=per_step)
     return over, under
+
+
+def extend_basis_reference(underflow, n):
+    """``extend_basis`` restacking the vectors so far in every slot."""
+    n_prime = underflow.size
+    if n_prime > n:
+        raise ValueError(f"system of size {n_prime} cannot extend to dimension {n}")
+    u_vectors = [np.asarray(u, dtype=float).copy() for u in underflow.vectors]
+    gammas = list(underflow.magnitudes)
+    z_vectors = [g * u for g, u in zip(gammas, u_vectors)]
+
+    for j in range(n_prime, n):
+        if u_vectors:
+            U = np.array(u_vectors)
+            explained = (U**2).sum(axis=0)
+        else:
+            explained = np.zeros(n)
+        i0 = int(np.argmin(explained))
+        z = np.zeros(n)
+        z[i0] = 1.0
+        w = z.copy()
+        if u_vectors:
+            U = np.array(u_vectors)
+            w = w - U.T @ (U @ w)
+            w = w - U.T @ (U @ w)
+        gamma = float(np.linalg.norm(w))
+        if gamma < 1e-12:
+            raise RuntimeError(f"degenerate projection while extending at slot {j}")
+        guarantee = math.sqrt(max(1.0 - j / n, 0.0))
+        if gamma < guarantee - 1e-9:
+            raise RuntimeError(
+                f"extension norm {gamma} below pigeonhole guarantee {guarantee} at slot {j}"
+            )
+        z_vectors.append(z)
+        u_vectors.append(w / gamma)
+        gammas.append(gamma)
+
+    return ExtendedBasis(
+        z_vectors=z_vectors, u_vectors=u_vectors, gammas=gammas, n_extracted=n_prime
+    )
 
 
 def most_informative_cell_reference(algorithm, z):

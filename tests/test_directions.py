@@ -27,6 +27,7 @@ from gatelab.gates import touched
 from oracles import (
     apply_gate_reference,
     compose_dense,
+    extend_basis_reference,
     extract_directions_exact,
     extract_directions_reference,
     gate_matrix,
@@ -369,6 +370,28 @@ def test_extend_basis_pigeonhole_guarantee():
             assert np.abs(U @ U.T - np.eye(n)).max() < 1e-8
             for j in range(n_prime, n):
                 assert basis.gammas[j] >= math.sqrt(1 - j / n) - 1e-9
+
+
+@pytest.mark.parametrize(
+    "n, kind",
+    [(1, "empty"), (4, "empty"), (100, "empty"), (32, "partial"), (64, "partial"),
+     (32, "full"), (64, "full")],
+)
+def test_extend_basis_is_the_restacking_reference_bit_for_bit(n, kind):
+    # partial: 4 of n underflow directions at tau = 2; full: the default tau
+    # extracts all n
+    if kind == "empty":
+        under = DirectionSystem("underflow", [], [], [], [], threshold=1.0)
+    else:
+        tau = 2.0 if kind == "partial" else None
+        _, under = extract_directions(build_inverse_scaled_fixture(n, 4.0, 4), tau=tau)
+    assert under.size == {"empty": 0, "partial": 4, "full": n}[kind]
+    got, want = extend_basis(under, n), extend_basis_reference(under, n)
+    assert (got.n_extracted, got.gammas) == (want.n_extracted, want.gammas)
+    for name in ("u_vectors", "z_vectors"):
+        got_vectors, want_vectors = getattr(got, name), getattr(want, name)
+        assert len(got_vectors) == len(want_vectors) == n
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got_vectors, want_vectors))
 
 
 def test_volume_log_trivial_basis():

@@ -316,6 +316,33 @@ def test_layering_keeps_row_order_and_cuts_wide_layers_into_blocks():
             last[r] = g
 
 
+@pytest.mark.parametrize(
+    "algorithm, R, width",
+    [
+        (build_wht(64), 1, None),
+        (build_dft_real(16), 2, None),
+        (build_random(8, 60, 3), 3, 1),
+        (build_random(300, 400, 5), 1, 1),
+    ],
+    ids=["wht64", "dft16-R2", "random8-R3-width1", "random300-width1"],
+)
+def test_layered_gates_name_their_rows_of_the_matrix(algorithm, R, width):
+    # each gate's rows i and j (i again for a constant) as rows of A and B,
+    # in the layering's gate order, each row of the pair contiguous
+    blocks = layer(algorithm, R, width=width).blocks
+    arrays = algorithm.arrays
+    want = np.stack((arrays.i, np.where(arrays.rotation, arrays.j, arrays.i)))[:, blocks.gates]
+    assert np.array_equal(blocks.gate_rows, want)
+    assert all(rows.flags.c_contiguous for rows in blocks.gate_rows)
+
+
+def test_layered_walk_applies_gate_runs_in_place():
+    # one layered kernel: runs of gates act on A and B themselves, with no
+    # per-step objects and no block-relative row positions
+    assert not hasattr(gates, "LayerStep")
+    assert "steps" not in gates.Block._fields
+
+
 def test_full_wht4_matches_dense_gate_product():
     a = build_wht(4)
     M, _ = matrices_at(a, a.m)

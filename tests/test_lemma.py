@@ -203,6 +203,48 @@ def test_squared_deficiency_is_squared_by_pow():
     assert got.alpha2.hex() == want.alpha2.hex() == (x**2).hex()
 
 
+def _trace_only_form(report):
+    """n log2 n - (tr P^ + tr Q^) log2 n: the lower bound without its alpha^2 +
+    beta^2 term."""
+    log_n = math.log2(report.n)
+    return report.n * log_n - (report.tr_p_hat + report.tr_q_hat) * log_n
+
+
+def test_trace_term_of_the_projection_lower_bound_is_sharp():
+    # P = I - e0 e0^T and Q = I - e1 e1^T zero column 0 of F P and column 1
+    # of F Q, so those columns' entry products vanish, and the other n - 2
+    # columns keep n products 1/n each: the potential is (n - 2) log2 n, the
+    # trace-only form with tr P^ = tr Q^ = 1 exactly.  The log2 n coefficient
+    # of the trace term cannot be lowered.
+    for n in (8, 64, 256):
+        P, Q = np.eye(n), np.eye(n)
+        P[0, 0] = Q[1, 1] = 0.0
+        report = lemma.verify_fourier_projection_bound(n, P, Q, check_upper=False)
+        assert report.tr_p_hat == report.tr_q_hat == 1.0
+        assert abs(report.lower_lhs - _trace_only_form(report)) <= 1e-12 * n * math.log2(n)
+        assert report.lower_slack >= 0.0
+
+
+def test_projection_lower_bound_needs_its_alpha_term():
+    # P = diag(-1/e, 1, ..., 1) with Q = I: column 0's n entry products are
+    # -1/(e n), which add -(log2 n + log2 e)/e to the (n - 1) log2 n of the
+    # other columns, while tr P^ = 1 + 1/e.  So the potential falls
+    # (1/e) log2 e below the trace-only form at every n, with
+    # alpha^2 = (1 + 1/e)^2: the alpha^2 + beta^2 term is needed, with a
+    # coefficient of at least 0.28.  The same 1/e as criterion 3's unit pair.
+    gap = math.log2(math.e) / math.e
+    assert abs(gap - 0.530738) < 1e-6
+    for n in (8, 64, 256):
+        P = np.eye(n)
+        P[0, 0] = -1.0 / math.e
+        report = lemma.verify_fourier_projection_bound(n, P, np.eye(n), check_upper=False)
+        assert abs(report.alpha2 - (1.0 + 1.0 / math.e) ** 2) <= 1e-12
+        assert report.beta2 == 0.0
+        assert abs(_trace_only_form(report) - report.lower_lhs - gap) <= 1e-9
+        assert gap / report.alpha2 > 0.28
+        assert report.lower_slack >= 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     slacks=st.lists(st.sampled_from([-1e-7, -2e-7, -0.0, 0.0, 0.5, -1.0, math.inf]), max_size=30),
