@@ -10,8 +10,8 @@ file built from it neither loads numpy nor depends on the installed numpy
 version: NEP 19 gives ``Generator`` methods no guarantee that their streams
 stay the same across releases.
 
-``seed_pool`` is SeedSequence's entropy hash; ``_seeds`` derives spawned
-children's words from its pool and these constants.
+``seed_pool`` and ``state_halves`` are SeedSequence's entropy hash and its
+``generate_state``; ``_seeds`` derives spawned children's words with them.
 """
 
 from __future__ import annotations
@@ -70,15 +70,17 @@ def seed_pool(seed: int) -> tuple[list[int], int]:
     return pool, hash_const
 
 
-def _state_words(pool: list[int]) -> list[int]:
-    """``generate_state(4, uint64)`` of a SeedSequence with this pool."""
+def state_halves(pool: list) -> list:
+    """``generate_state(8, uint32)`` of a SeedSequence with this pool: PCG64's
+    four 64-bit seed words as 32-bit halves, low half first.  The pool words
+    are ints, or numpy uint32 arrays, whose arithmetic wraps as the masks do."""
     hash_const = INIT_B
     halves = []
-    for k in range(4 * 2):
+    for k in range(2 * POOL_SIZE):
         word = pool[k % POOL_SIZE] ^ hash_const
         hash_const = hash_const * MULT_B & MASK32
         halves.append(xorshift(word * hash_const & MASK32))
-    return [lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2])]
+    return halves
 
 
 class DefaultRng:
@@ -91,7 +93,8 @@ class DefaultRng:
     __slots__ = ("_state", "_inc", "_half")
 
     def __init__(self, seed: int) -> None:
-        w0, w1, w2, w3 = _state_words(seed_pool(seed)[0])
+        halves = state_halves(seed_pool(seed)[0])
+        w0, w1, w2, w3 = (lo | hi << 32 for lo, hi in zip(halves[0::2], halves[1::2]))
         self._inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         self._state = 0
         self._next64()

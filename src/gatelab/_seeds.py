@@ -4,10 +4,10 @@
 array X with exactly what ``default_rng(SeedSequence(seed).spawn(k + 1)[k])
 .normal(0, sigma, n)`` draws, k = lo + c.  The children's PCG64 seeding
 words are computed for a block of children at once with SeedSequence's own
-hash (its constants and the parent's pool come from ``_rng``), rather than
-by building one SeedSequence per child; numpy still seeds PCG64 from those
-words and still draws each child's normals.  Spawn indices must be below
-2**32, where an index is one entropy word.
+hash (its constants, the parent's pool and ``generate_state``'s loop come
+from ``_rng``), rather than by building one SeedSequence per child; numpy
+still seeds PCG64 from those words and still draws each child's normals.
+Spawn indices must be below 2**32, where an index is one entropy word.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from ._rng import INIT_B, MASK32, MIX_MULT_L, MIX_MULT_R, MULT_A, MULT_B, POOL_SIZE
-from ._rng import seed_pool, xorshift
+from ._rng import MASK32, MIX_MULT_L, MIX_MULT_R, MULT_A, seed_pool, state_halves, xorshift
 
 
 def child_state_words(seed: int, lo: int, hi: int) -> np.ndarray:
@@ -39,13 +38,7 @@ def child_state_words(seed: int, lo: int, hi: int) -> np.ndarray:
         scaled = np.uint32(word * MIX_MULT_L & MASK32)
         pool.append(xorshift(scaled - np.uint32(MIX_MULT_R) * mixed))
 
-    hash_const = INIT_B
-    state = np.empty((hi - lo, 2 * POOL_SIZE), dtype=np.uint32)
-    for col in range(2 * POOL_SIZE):
-        next_const = hash_const * MULT_B & MASK32
-        source = pool[col % POOL_SIZE] ^ np.uint32(hash_const)
-        state[:, col] = xorshift(source * np.uint32(next_const))
-        hash_const = next_const
+    state = np.stack(state_halves(pool), axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 

@@ -8,9 +8,9 @@ schema_version marker.  Numeric options accept a power literal ``B^E``
 Exit codes: 0 success, 1 usage, input, I/O or out-of-memory error, 2 a
 verification failed: an inequality beyond tolerance (regression signal), an
 extraction guarantee, the incremental-potential drift guard of trace and
-chain, a trajectory whose inverse-consistency residual is not finite, or a
-walk over numbers that are not finite (trace, scan and chain; extraction,
-when M(m) or a squared row norm overflows).
+chain, a trajectory whose inverse-consistency residual or condition number
+is not finite (validate), or a walk over numbers that are not finite (trace,
+scan and chain; extraction, when M(m) or a squared row norm overflows).
 """
 
 from __future__ import annotations

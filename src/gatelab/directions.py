@@ -105,6 +105,7 @@ from .gates import (
     layer,
     panel_width,
     replay_layers,
+    squared_row_norms,
 )
 
 
@@ -209,8 +210,8 @@ def _squared_row_norms(
         for lo, (A, B) in zip(range(0, n, width), column_panels(n)):
             for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
                 rows = slice(cuts[b], cuts[b + 1])
-                squares[0, rows] += np.einsum("ij,ij->i", a1, a1)
-                squares[1, rows] += np.einsum("ij,ij->i", b1, b1)
+                squares[0, rows] += squared_row_norms(a1)
+                squares[1, rows] += squared_row_norms(b1)
             # no gate makes an entry that is not finite finite again
             if not (np.isfinite(A).all() and np.isfinite(B).all()):
                 raise ArithmeticError("the trajectory overflowed: M(m) or M(m)^{-T} is not finite")

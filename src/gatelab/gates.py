@@ -172,8 +172,7 @@ def replay(
     that many columns at a time.  The arguments are checked when ``replay``
     is called.
     """
-    if stop is None:
-        stop = algorithm.m
+    stop = algorithm.m if stop is None else stop
     if not 0 <= stop <= algorithm.m:
         raise ValueError(f"step index {stop} out of range [0, {algorithm.m}]")
     shape = getattr(A, "shape", ())
@@ -327,6 +326,15 @@ def gather_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     return x.take(rows, 0, out, "clip")
 
 
+def squared_row_norms(X: np.ndarray) -> np.ndarray:
+    """The squared 2-norm of every row (last axis) of an array: the dot
+    product that ``np.matmul`` reaches through BLAS ``ddot``, the call
+    ``np.linalg.norm`` makes, so its square root is ``np.linalg.norm(row)``
+    bit for bit; a row holding the raveled rows of a block gives that
+    block's |A_I|_F^2.  Every row and block norm of the lab is this one."""
+    return (X[..., None, :] @ X[..., None])[..., 0, 0]
+
+
 class Block(NamedTuple):
     """Units of one layer (gates, or windows of R gates) on disjoint rows.
 
@@ -386,20 +394,14 @@ class Blocks(Sequence):
     def __len__(self) -> int:
         return len(self.groups)
 
-    def __iter__(self) -> Iterator[Block]:
-        return (self[b] for b in range(len(self)))
-
     def __getitem__(self, b: int) -> Block:
         if not 0 <= b < len(self):
             raise IndexError(b)
         us, ue = self.cuts[b], self.cuts[b + 1]
         rs, re = self.row_cuts[b], self.row_cuts[b + 1]
         return Block(
-            units=self.units[us:ue],
-            rows=self.rows[rs:re],
-            unit_starts=self.unit_starts[us:ue],
-            groups=self.groups[b],
-            gates=self.gate_counts[b],
+            self.units[us:ue], self.rows[rs:re], self.unit_starts[us:ue], self.groups[b],
+            self.gate_counts[b],
         )
 
 
@@ -410,7 +412,6 @@ class Layering(NamedTuple):
     ``unit_rows[w]`` (ascending).  ``layers`` counts the layers.
     """
 
-    R: int
     unit_rows: UnitRows
     blocks: Blocks
     layers: int
@@ -506,8 +507,7 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> L
         second=np.where(rotation, arrays.sin[gates], arrays.inv_c[gates]),
         neg_sin=-arrays.sin[gates],
     )
-    layers = max(levels, default=-1) + 1
-    return Layering(R=R, unit_rows=UnitRows(flat, starts), blocks=blocks, layers=layers)
+    return Layering(UnitRows(flat, starts), blocks, layers=max(levels, default=-1) + 1)
 
 
 def replay_layers(
@@ -677,7 +677,8 @@ def validate(algorithm: LinearAlgorithm) -> TrajectoryDiagnostics:
     with |c| != 1, and is repeated at every other step.  A residual above
     ``RESIDUAL_TOL`` flags the algorithm as numerically unstable (only
     pathological constants can cause this); a residual that is not finite
-    (an overflowed trajectory) raises ``ArithmeticError`` naming its step.
+    (an overflowed trajectory), or a condition number that is not finite,
+    raises ``ArithmeticError`` naming its first such step.
     """
     rescales = (np.abs(algorithm.arrays.c) != 1.0).tolist()
     max_residual = 0.0
@@ -702,12 +703,14 @@ def validate(algorithm: LinearAlgorithm) -> TrajectoryDiagnostics:
             if t == 0 or rescales[t - 1]:
                 svals = np.linalg.svd(M, compute_uv=False)
                 kappa = float(svals[0] / svals[-1])
+                if not math.isfinite(kappa):
+                    raise ArithmeticError(f"condition number is not finite at step {t}")
             kappas.append(kappa)
     return TrajectoryDiagnostics(
         n=algorithm.n,
         m=algorithm.m,
         max_residual=max_residual,
         kappas=kappas,
-        max_kappa=float(max(kappas)),
+        max_kappa=max(kappas),
         stable=max_residual <= RESIDUAL_TOL,
     )

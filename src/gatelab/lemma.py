@@ -18,7 +18,9 @@ equally shaped trials at a time.  Stacked LAPACK calls and matrix products
 factor and multiply one matrix at a time, and numpy sums each row of a 2-D
 array as it sums the same numbers raveled, so every report equals the
 per-trial loop's bit for bit; the tests judge them against such loops
-(``tests/oracles.py``).
+(``tests/oracles.py``).  A stack of pairs goes through ``potential``'s one
+entry-term kernel at once (``stacked_quasi_entropy``), and every squared
+norm is ``gates.squared_row_norms``, as in the walks.
 
 The names stay importable from ``potential`` and ``bottleneck``, which load
 this module on first access, so that only ``lemma`` compiles it.
@@ -35,40 +37,26 @@ import numpy as np
 
 from .builders import wht_matrix
 from .gates import BLOCK_ELEMENTS
-from .potential import (
-    ZERO_PRODUCT,
-    _neg_p_log_p,
-    norm_products,
-    quasi_entropy,
-    squared_row_norms,
-)
+from .potential import _entry_terms, norm_products, quasi_entropy, squared_row_norms
 
 
 def stacked_quasi_entropy(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``quasi_entropy`` of each pair of matrices in two equally shaped stacks
-    (shape (..., rows, cols)), bit for bit.
-
-    Each pair's entry products make one row, and numpy sums a row of a 2-D
-    array as it sums the same numbers raveled.  A row with a product below
-    ``ZERO_PRODUCT`` (or NaN), which the one-pass sum leaves out, is summed
-    as ``quasi_entropy`` sums it, and pairs of more than ``BLOCK_ELEMENTS``
-    entries go through ``quasi_entropy`` itself.
-    """
+    (shape (..., rows, cols)), bit for bit: a pair of at most ``BLOCK_ELEMENTS``
+    entries is one row block there, its terms (``potential._entry_terms``) make
+    one row here, and numpy sums a row of a 2-D array as it sums the same
+    numbers raveled.  Larger pairs go through ``quasi_entropy`` itself."""
     *stack, rows, cols = A.shape
     size = rows * cols
     if size > BLOCK_ELEMENTS:
         pairs = zip(A.reshape(-1, rows, cols), B.reshape(-1, rows, cols))
         return np.array([quasi_entropy(a, b) for a, b in pairs]).reshape(stack)
-    p = (A * B).reshape(-1, size)
-    terms = np.abs(p)
-    kept = terms >= ZERO_PRODUCT
-    np.log2(terms, out=terms, where=kept)
-    np.multiply(p, terms, out=terms)
+    terms = (A * B).reshape(-1, size)
+    keep = _entry_terms(terms)
     values = terms.sum(axis=1)
     values *= -1.0  # exact negation; the sums' signs flip as ``-`` flips them
-    if np.count_nonzero(kept) < kept.size:  # not on random draws
-        for k in np.flatnonzero(~kept.all(axis=1)):
-            values[k] = _neg_p_log_p(p[k])
+    if keep is not None:  # not on random draws; a pair without a kept product gives 0.0
+        values[~keep.any(axis=1)] = 0.0
     return values.reshape(stack)
 
 

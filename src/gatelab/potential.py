@@ -25,11 +25,13 @@ records both the per-step move and this bound; single-row (constant gate)
 steps have |I| = 1, bound 0, and indeed leave the potential unchanged because
 the scalings c and 1/c cancel in every entry product.
 
-``squared_row_norms`` takes each squared norm as the dot product that
-``np.matmul`` reaches through BLAS ``ddot``, the same one ``np.linalg.norm``
-calls on a raveled block, and ``norm_products`` multiplies the square roots,
-so a batch of blocks gives the products of one ``np.linalg.norm`` call per
-block bit for bit.  (``einsum`` sums in another order and does not.)
+One kernel, ``_entry_terms``, turns entry products (pair sums, for the
+complex variant) into terms p*log2|p|, dropping |p| < ``ZERO_PRODUCT``:
+``quasi_entropy``, ``complex_quasi_entropy``, ``row_contribs`` and
+``lemma.stacked_quasi_entropy`` sum what it leaves, a row block of at most
+``BLOCK_ELEMENTS`` entries at a time.  ``norm_products`` multiplies the
+square roots of ``gates.squared_row_norms``, so a batch of blocks gives the
+products of one ``np.linalg.norm`` call per block bit for bit.
 
 The potential, every row contribution and every squared norm is a sum over
 columns.  ``ledger_walk`` is the one walk of ``trace_potential`` (windows
@@ -48,6 +50,7 @@ number is the full-width walk's, bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +65,7 @@ from .gates import (
     layer,
     panel_width,
     replay_layers,
+    squared_row_norms,
 )
 
 # Entry products below this threshold are treated as exact zeros; keeps log2
@@ -69,82 +73,84 @@ from .gates import (
 ZERO_PRODUCT = 1e-300
 
 
-def _neg_p_log_p(p: np.ndarray) -> float:
-    p = p[np.abs(p) >= ZERO_PRODUCT]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(np.abs(p))).sum())
-
-
-def _entry_terms(
-    a: np.ndarray, b: np.ndarray, workspace: Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """p * log2|p| for every entry product p of (a, b), 0.0 where |p| <
-    ZERO_PRODUCT (or p is NaN), and the mask of the entries kept; both are
-    views into the workspace."""
-    p, log = workspace.take("scratch", (2, *a.shape))
-    keep, drop = workspace.take("masks", (2, *a.shape), bool)
-    np.multiply(a, b, out=p)
-    np.abs(p, out=log)
-    np.greater_equal(log, ZERO_PRODUCT, out=keep)
+def _entry_terms(p: np.ndarray, workspace: Workspace | None = None) -> np.ndarray | None:
+    """Turn the entry products ``p`` into their terms p*log2|p| in place,
+    0.0 where |p| < ZERO_PRODUCT (or p is NaN), and return the mask of the
+    products kept, or None when all were (as on random draws).  The
+    temporaries are fresh, or views into ``workspace``: the logarithms in the
+    second half of ``take("scratch", (2, *p.shape))``, whose first half
+    ``_block_products`` hands out as ``p``."""
+    log, keep = (None, None) if workspace is None else (
+        workspace.take("scratch", (2, *p.shape))[1], workspace.take("keep", p.shape, bool)
+    )
+    log = np.abs(p, out=log)
+    keep = np.greater_equal(log, ZERO_PRODUCT, out=keep)
     np.log2(log, out=log, where=keep)
-    np.multiply(p, log, out=p, where=keep)
-    np.copyto(p, 0.0, where=np.logical_not(keep, out=drop))
-    return p, keep
+    np.multiply(p, log, out=p)
+    if np.count_nonzero(keep) == keep.size:
+        return None
+    np.copyto(p, 0.0, where=~keep)
+    return keep
 
 
-def _row_blocks(A: np.ndarray) -> range:
-    """Starts of the row blocks of at most ``BLOCK_ELEMENTS`` elements (one
-    row when a row alone is wider); ``A[lo:lo + range.step]`` is a block."""
-    return range(0, len(A), max(1, BLOCK_ELEMENTS // max(1, A.shape[1])))
+def _block_products(
+    A: np.ndarray, B: np.ndarray, workspace: Workspace
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each row block of at most ``BLOCK_ELEMENTS`` entries (one row when a
+    row alone is wider) and its entry products, in the workspace."""
+    step = max(1, BLOCK_ELEMENTS // max(1, A.shape[1]))
+    for lo in range(0, len(A), step):
+        rows = slice(lo, lo + step)
+        a = A[rows]
+        yield rows, np.multiply(a, B[rows], out=workspace.take("scratch", (2, *a.shape))[0])
+
+
+def _negated_sum(blocks: Iterable[np.ndarray], workspace: Workspace) -> float:
+    """Minus the sum of the entry terms of each block of products.  A block
+    without a kept product adds nothing, and the sum starts at -0.0, the
+    additive identity, so a zero total keeps its sign: the identity pair
+    gives -0.0 (every term is 0.0) and a pair without a kept product 0.0."""
+    total = -0.0
+    for p in blocks:
+        keep = _entry_terms(p, workspace)
+        if keep is None or keep.any():
+            total += float(p.sum())
+    return -total
 
 
 def quasi_entropy(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None) -> float:
     """Potential of the pair (A, B); zero entry products contribute zero.
 
-    A pair of more than ``BLOCK_ELEMENTS`` entries is summed in row blocks,
-    through ``workspace`` (a fresh one if None), so it needs no full-size
-    temporaries; its value can differ from the one-pass sum in the last bits.
+    The pair is summed in row blocks (a small pair is one block) through
+    ``workspace`` (a fresh one if None), so it needs no full-size temporaries.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
-    if A.size <= BLOCK_ELEMENTS:
-        return _neg_p_log_p((A * B).ravel())
-    if workspace is None:
-        workspace = Workspace()
     A, B = A.reshape(len(A), -1), B.reshape(len(B), -1)
-    blocks = _row_blocks(A)
-    # Blocks without a kept entry add nothing, and the sum starts at -0.0,
-    # the additive identity, so zero totals keep the one-pass sign: the
-    # identity pair gives -0.0 and a pair with no kept entry 0.0.
-    total = -0.0
-    for lo in blocks:
-        rows = slice(lo, lo + blocks.step)
-        terms, keep = _entry_terms(A[rows], B[rows], workspace)
-        if keep.any():
-            total += float(terms.sum())
-    return -total
+    workspace = Workspace() if workspace is None else workspace
+    return _negated_sum((p for _, p in _block_products(A, B, workspace)), workspace)
 
 
 def complex_quasi_entropy(A: np.ndarray, B: np.ndarray) -> float:
-    """Column-paired potential matched to the interleaved real embedding."""
+    """Column-paired potential matched to the interleaved real embedding, in
+    row blocks: a block's products in the even columns plus those in the odd
+    columns are its pair sums."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch {A.shape} vs {B.shape}")
     if A.ndim != 2 or A.shape[1] % 2:
         raise ValueError(f"need an even number of columns, got shape {A.shape}")
-    p = A * B
-    return _neg_p_log_p((p[:, 0::2] + p[:, 1::2]).ravel())
+    workspace = Workspace()
 
+    def pair_sums():
+        for rows, p in _block_products(A[:, 0::2], B[:, 0::2], workspace):
+            odd = workspace.take("scratch", (2, *p.shape))[1]  # the other half of p's buffer
+            yield np.add(p, np.multiply(A[rows, 1::2], B[rows, 1::2], out=odd), out=p)
 
-def squared_row_norms(X: np.ndarray) -> np.ndarray:
-    """The squared 2-norm of every row (last axis) of an array, whose square
-    root is ``np.linalg.norm(row)``; a row holding the raveled rows of a
-    block gives that block's |A_I|_F^2."""
-    return np.matmul(X[..., None, :], X[..., :, None])[..., 0, 0]
+    return _negated_sum(pair_sums(), workspace)
 
 
 def norm_products(x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -164,10 +170,9 @@ def row_contribs(A: np.ndarray, B: np.ndarray, workspace: Workspace | None = Non
     out = np.empty(len(A)) if workspace is None else workspace.take("contribs", (len(A),))
     if workspace is None:
         workspace = Workspace()
-    blocks = _row_blocks(A)
-    for lo in blocks:
-        rows = slice(lo, lo + blocks.step)
-        np.sum(_entry_terms(A[rows], B[rows], workspace)[0], axis=1, out=out[rows])
+    for rows, p in _block_products(A, B, workspace):
+        _entry_terms(p, workspace)
+        np.sum(p, axis=1, out=out[rows])
     return np.negative(out, out=out)
 
 

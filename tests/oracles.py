@@ -11,7 +11,8 @@ in bulk, and ``simulate_csv_reference`` the cell-by-cell rendering of the
 ``simulate`` CSV that the CLI streams from the touch events, and
 ``trace_csv_reference`` the joined ``trace`` CSV that it streams line by line.
 ``row_contribs_reference`` is the one-pass row contribution formula that the
-row-blocked ``row_contribs`` must reproduce bit for bit.
+row-blocked ``row_contribs`` must reproduce bit for bit, and the negated sum
+of ``entry_terms_reference`` what ``quasi_entropy`` gives a one-block pair.
 ``assert_lemma_contract`` checks a ``lemma`` report against the exit-code
 contract the README documents.  The ``*_sweep_reference`` functions are the
 lemma sweeps as per-trial loops, one trial drawn and rated at a time, and
@@ -261,16 +262,22 @@ def potential_brute(A: np.ndarray, B: np.ndarray) -> float:
     return total
 
 
-def row_contribs_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Each row's share of the potential in one pass over the whole pair, with
-    full-size temporaries: ``row_contribs`` as it was before row blocks."""
+def entry_terms_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """p * log2|p| of every entry product p of the pair in one pass, with
+    full-size temporaries, 0.0 where |p| < ZERO_PRODUCT or p is NaN."""
     p = A * B
     log = np.abs(p)
     keep = log >= ZERO_PRODUCT
     np.log2(log, out=log, where=keep)
-    np.copyto(p, 0.0, where=~keep)
     p *= log
-    return -p.sum(axis=1)
+    np.copyto(p, 0.0, where=~keep)
+    return p
+
+
+def row_contribs_reference(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each row's share of the potential in one pass over the whole pair:
+    ``row_contribs`` as it was before row blocks."""
+    return -entry_terms_reference(A, B).sum(axis=1)
 
 
 def trace_csv_reference(trace) -> str:

@@ -245,6 +245,22 @@ def test_projection_lower_bound_needs_its_alpha_term():
         assert report.lower_slack >= 0.0
 
 
+def test_projection_lower_bound_is_vacuous_up_to_n_64():
+    # criterion 5 (and `gatelab lemma --n-list 8,16,32`) rates the lower
+    # bound on projections of rank n - r, r >= 1, for which tr P^ = alpha^2
+    # = r_p and tr Q^ = beta^2 = r_q: the right-hand side is
+    # n log2 n - (r_p + r_q)(147 + 31 log2 n), largest at r_p = r_q = 1,
+    # the coordinate pair here.  It is negative for every n <= 64, where
+    # the lower half of criterion 5 holds whatever the potential; n = 128
+    # is the first power of two where it says something.
+    for n, rhs in ((8, -456.0), (16, -478.0), (32, -444.0), (64, -282.0), (128, 168.0)):
+        P, Q = np.eye(n), np.eye(n)
+        P[0, 0] = Q[1, 1] = 0.0
+        report = lemma.verify_fourier_projection_bound(n, P, Q, check_upper=False)
+        assert report.tr_p_hat == report.alpha2 == report.tr_q_hat == report.beta2 == 1.0
+        assert report.lower_rhs == rhs == n * math.log2(n) - 2 * (147 + 31 * math.log2(n))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     slacks=st.lists(st.sampled_from([-1e-7, -2e-7, -0.0, 0.0, 0.5, -1.0, math.inf]), max_size=30),

@@ -21,6 +21,7 @@ import pytest
 import gatelab._seeds  # noqa: F401
 from gatelab import (
     build_wht,
+    complex_quasi_entropy,
     extract_directions,
     quasi_entropy,
     scan_bottlenecks,
@@ -46,7 +47,7 @@ def _peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("function", [quasi_entropy, row_contribs])
+@pytest.mark.parametrize("function", [quasi_entropy, row_contribs, complex_quasi_entropy])
 def test_dense_potentials_need_no_full_size_temporaries(function):
     rng = np.random.default_rng(0)
     A = rng.standard_normal((1024, 1024))

@@ -27,6 +27,7 @@ from gatelab.potential import (
 
 from oracles import (
     dft_embedding_matrix,
+    entry_terms_reference,
     panel_instances,
     potential_brute,
     row_contribs_reference,
@@ -116,20 +117,20 @@ def test_blocked_row_contribs_equal_the_one_pass_formula_bit_for_bit(instance):
     assert in_workspace.tobytes() == want.tobytes()
 
 
-def test_small_pairs_keep_the_one_pass_path(monkeypatch):
-    # at most BLOCK_ELEMENTS entries: no workspace, and the one-pass sum
-    # the lemma sweeps have always used
-    def no_workspace():
-        raise AssertionError("a small pair was summed in row blocks")
-
-    monkeypatch.setattr(potential, "Workspace", no_workspace)
+def test_small_pairs_are_the_negated_one_pass_masked_term_sum():
+    # a pair of at most BLOCK_ELEMENTS entries is one row block, so its
+    # potential is the one-pass sum of every masked term, dropped ones as 0.0
     A, B = _pair(np.random.default_rng(5), 181, 181)
     assert A.size <= BLOCK_ELEMENTS
-    p = (A * B).ravel()
-    p = p[np.abs(p) >= potential.ZERO_PRODUCT]
-    assert quasi_entropy(A, B) == float(-(p * np.log2(np.abs(p))).sum())
-    sweep_orthogonal_change_bound(trials=20, seed=1)
-    sweep_unit_pair_bound(trials=20, seed=1)
+    planted = {(0, 0): 0.0, (3, 7): -0.0, (90, 1): 1e-301, (180, 180): math.nan}
+    for (i, j), special in planted.items():
+        A[i, j], B[i, j] = special, 1.0
+    p = A * B
+    assert p[0, 0] == 0.0 and math.copysign(1.0, p[3, 7]) == -1.0
+    assert p[90, 1] == 1e-301 and math.isnan(p[180, 180])
+    want = -entry_terms_reference(A, B).sum()
+    assert quasi_entropy(A, B).hex() == float(want).hex()
+    assert quasi_entropy(A, B, potential.Workspace()).hex() == float(want).hex()
 
 
 @pytest.mark.parametrize("n", [8, 256], ids=["one-pass", "row-blocks"])
@@ -164,6 +165,46 @@ def test_complex_value_on_identity():
 def test_complex_single_pair_row():
     row = np.array([[1 / math.sqrt(2), 1 / math.sqrt(2)]])
     assert abs(complex_quasi_entropy(row, row)) < 1e-12
+
+
+@st.composite
+def column_paired_pairs(draw):
+    """A row-block budget (None: the pair is one block) and a pair with an
+    even number of columns, some of whose column-pair sums are exactly zero
+    or below ZERO_PRODUCT."""
+    rows = draw(st.integers(2, 30))
+    cols = 2 * draw(st.integers(1, 20))
+    # at most rows - 1 rows of pair sums per block: two blocks or more
+    budget = draw(st.none() | st.integers(1, (rows - 1) * cols // 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((rows, cols))
+    B = rng.standard_normal((rows, cols))
+    zero = rng.random((rows, cols // 2)) < 0.2
+    zero[0, 0] = True
+    A[:, 1::2][zero] = A[:, 0::2][zero]
+    B[:, 1::2][zero] = -B[:, 0::2][zero]  # x + (-x) is exactly 0.0
+    tiny = rng.random((rows, cols // 2)) < 0.2
+    tiny[-1, -1] = True
+    for X, scale in ((A, 1e-160), (B, 1e-150)):  # pair sums near 1e-310
+        X[:, 0::2][tiny] *= scale
+        X[:, 1::2][tiny] *= scale
+    return budget, (A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_paired_pairs())
+def test_complex_quasi_entropy_matches_the_column_paired_brute_force(instance):
+    budget, (A, B) = instance
+    p = A * B
+    pair_sums = p[:, 0::2] + p[:, 1::2]
+    assert pair_sums[0, 0] == 0.0 and abs(pair_sums[-1, -1]) < potential.ZERO_PRODUCT
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(potential, "BLOCK_ELEMENTS", budget)
+        got = complex_quasi_entropy(A, B)
+    ones = np.ones_like(pair_sums)
+    want = potential_brute(pair_sums, ones)
+    assert abs(got - want) <= 1e-10 * _brute_scale(pair_sums, ones)
 
 
 def test_projected_value_examples():
