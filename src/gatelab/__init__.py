@@ -25,7 +25,6 @@ _EXPORTS = {
     ),
     "gates": (
         "apply_to_vector",
-        "matrices_at",
         "replay",
         "validate",
     ),

@@ -190,7 +190,7 @@ def verify_bottleneck_chain(
             )
         )
 
-    triangle_lhs = sum(link.delta_abs for link in links)
+    triangle_lhs = sum((link.delta_abs for link in links), 0.0)
     triangle_rhs = abs(phi_final - phi_identity)
     max_endpoint = float(ends.max(initial=0.0))
     average_requirement = (

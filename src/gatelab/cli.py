@@ -162,12 +162,6 @@ def _load(path: str) -> gates.LinearAlgorithm:
     return gates.read_algorithm(path)
 
 
-def _vectors_payload(vecs) -> list[list[float]]:
-    """The vectors as lists of Python floats: ``tolist`` gives each float64
-    exactly, as ``float(x)`` does, so the JSON is the same."""
-    return [v.tolist() for v in vecs]
-
-
 def _int_field(option: str, field: str, text: str) -> int:
     """One integer field of a comma-separated ``build`` option, e.g. m of ``--random``."""
     try:
@@ -388,7 +382,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
             "steps": system.steps,
             "coords": system.coords,
             "magnitudes": system.magnitudes,
-            "vectors": _vectors_payload(system.vectors),
+            "vectors": system.vectors.tolist(),
         }
 
     _emit_json(
@@ -495,7 +489,7 @@ def cmd_underflow(args: argparse.Namespace) -> int:
             "tau": report.tau,
             "n_prime": report.system.size,
             "widths": [float(w) for w in report.widths],
-            "directions": _vectors_payload(report.directions),
+            "directions": report.basis.u_vectors.tolist(),
             "volume_log": report.volume_log,
             "closed_form": report.volume.closed_form,
         },

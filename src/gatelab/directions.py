@@ -129,10 +129,11 @@ def speedup_factor(algorithm: LinearAlgorithm) -> float:
 
 @dataclass
 class DirectionSystem:
-    """Ordered orthonormal directions with their extraction provenance."""
+    """Ordered orthonormal directions, one per row of ``vectors`` (from an
+    extraction, the (size, n) slice of its basis), with their provenance."""
 
     kind: str  # "overflow" | "underflow"
-    vectors: list[np.ndarray]
+    vectors: np.ndarray
     steps: list[int]
     coords: list[int]
     magnitudes: list[float]
@@ -145,19 +146,18 @@ class DirectionSystem:
     def gram_residual(self) -> float:
         """max |V V^T - I| over the system's vectors V: blocks of at most
         ``BLOCK_ELEMENTS`` entries of V against panels of ``panel_width(n)``
-        vectors, so that neither V nor V V^T is ever whole beyond n = 512."""
+        vectors, V read in place, so that V V^T is never whole beyond n = 512."""
         k = self.size
         if not k:
             return 0.0
-        n = len(self.vectors[0])
+        V = np.asarray(self.vectors, dtype=float)
+        n = V.shape[1]
         width, step = panel_width(n), max(1, BLOCK_ELEMENTS // n)
-        panels, blocks = np.empty((min(width, k), n)), np.empty((min(step, k), n))
         worst = []
         for col in range(0, k, width):
-            panel = np.stack(self.vectors[col : col + width], out=panels[: min(width, k - col)])
+            panel = V[col : col + width]
             for lo in range(0, k, step):
-                rows = np.stack(self.vectors[lo : lo + step], out=blocks[: min(step, k - lo)])
-                gram = rows @ panel.T
+                gram = V[lo : lo + step] @ panel.T
                 diagonal = np.arange(max(lo, col), min(lo + step, col + width, k))
                 gram[diagonal - lo, diagonal - col] -= 1.0
                 worst.append(np.abs(gram, out=gram).max())
@@ -281,11 +281,8 @@ def extract_directions(
     zeta = rounding_bound(n, algorithm.m)
     rho = 2.0 * math.sqrt(zeta)
 
-    systems = (
-        DirectionSystem("overflow", [], [], [], [], tau),
-        DirectionSystem("underflow", [], [], [], [], tau),
-    )
-    bases = (np.empty((n, n)), np.empty((n, n)))
+    bases, kinds = (np.empty((n, n)), np.empty((n, n))), ("overflow", "underflow")
+    systems = tuple(DirectionSystem(k, b[:0], [], [], [], tau) for k, b in zip(kinds, bases))
     squares = (r2, s2)
     residuals = (r2.copy(), s2.copy())
     factors = np.empty((2, steps.size))
@@ -306,7 +303,7 @@ def extract_directions(
         t, i = int(steps[k]), int(coords[k])
 
         system = systems[side]
-        V = bases[side][: system.size]
+        V = system.vectors
         w = walk.row(t, i, inverse_transpose=side == 1)
         w -= V.T @ (V @ w)
         w -= V.T @ (V @ w)
@@ -317,7 +314,7 @@ def extract_directions(
                 f"gives {magnitude!r} < tau: rounding beyond the ledger's bound"
             )
         v = np.divide(w, magnitude, out=bases[side][system.size])
-        system.vectors.append(v)  # a row of the system's basis array
+        system.vectors = bases[side][: system.size + 1]
         system.steps.append(t)
         system.coords.append(i)
         system.magnitudes.append(magnitude)
@@ -341,8 +338,8 @@ class ExtendedBasis:
     gamma_j * u_j; extension slots store the chosen standard basis vector.
     """
 
-    z_vectors: list[np.ndarray]
-    u_vectors: list[np.ndarray]
+    z_vectors: np.ndarray  # (n, n): row j is z_j
+    u_vectors: np.ndarray  # (n, n): row j is u_j
     gammas: list[float]
     n_extracted: int
 
@@ -359,16 +356,18 @@ def extend_basis(underflow: DirectionSystem, n: int) -> ExtendedBasis:
     if n_prime > n:
         raise ValueError(f"system of size {n_prime} cannot extend to dimension {n}")
     basis = np.empty((n, n))  # row j is u_j
-    for j, u in enumerate(underflow.vectors):
-        basis[j] = u
+    z_vectors = np.zeros((n, n))
     gammas = list(underflow.magnitudes)
-    z_vectors = [g * u for g, u in zip(gammas, basis)]
+    explained = np.zeros(n)  # each axis's running sum of u_j^2, row after row
+    basis[:n_prime] = np.reshape(underflow.vectors, (n_prime, n))
+    for u, gamma, z in zip(basis, gammas, z_vectors):  # the extracted rows
+        np.multiply(u, gamma, out=z)
+        explained += u * u
 
     for j in range(n_prime, n):
-        U = basis[:j]  # no rows at j = 0: nothing explained, nothing projected away
-        i0 = int(np.argmin((U**2).sum(axis=0)))
-        z = np.zeros(n)
-        z[i0] = 1.0
+        U = basis[:j]  # no rows at j = 0: nothing projected away
+        z = z_vectors[j]
+        z[int(np.argmin(explained))] = 1.0
         w = z - U.T @ (U @ z)
         w = w - U.T @ (U @ w)
         gamma = float(np.linalg.norm(w))
@@ -379,12 +378,12 @@ def extend_basis(underflow: DirectionSystem, n: int) -> ExtendedBasis:
             raise RuntimeError(
                 f"extension norm {gamma} below pigeonhole guarantee {guarantee} at slot {j}"
             )
-        z_vectors.append(z)
-        np.divide(w, gamma, out=basis[j])
+        u = np.divide(w, gamma, out=basis[j])
+        explained += u * u
         gammas.append(gamma)
 
     return ExtendedBasis(
-        z_vectors=z_vectors, u_vectors=list(basis), gammas=gammas, n_extracted=n_prime
+        z_vectors=z_vectors, u_vectors=basis, gammas=gammas, n_extracted=n_prime
     )
 
 

@@ -14,8 +14,8 @@ j, cos, sin, c and 1/c), and every walk applies gates from those arrays, in
 one of two kernels:
 
 - ``replay`` applies one gate per step to the caller's arrays in place:
-  ``apply_to_vector``'s vector, (Id, Id) for ``matrices_at`` and
-  ``validate``, or the sample columns that ``simulate`` rounds.
+  ``apply_to_vector``'s vector, (Id, Id) for ``validate``, or the sample
+  columns that ``simulate`` rounds.
   ``validate`` reads only the rows and columns of M(t) M(t)^{-T}.T that
   gate t rewrites, and runs an SVD only at t = 0 and after a constant with
   |c| != 1, the only gates that change singular values.
@@ -52,8 +52,9 @@ A single vector walks the same layering, cut for one column so that a
 layer is one block (``VectorWalk``): ``push`` takes x to M(m) x or
 M(m)^{-T} x and reports its entry at every touched (t, i) on the way, in
 O(m) numpy work and a few calls per layer; ``row`` walks e_i back through
-the transposed gates to give one row of M(t) or M(t)^{-T}.
-``extract_directions`` and the quantized cell search use them.
+the transposed gates to give one row of M(t) or M(t)^{-T}, the only way
+the lab reads a single row.  ``extract_directions`` and the quantized
+uncertainty check use them.
 
 Coordinates are 0-based everywhere, including the text file format.
 """
@@ -586,8 +587,12 @@ class VectorWalk:
         run_block = np.repeat(np.arange(len(blocks)), np.diff(self._cuts[::2]))
         self._i, self._j = blocks.gate_rows
         self._first, self._second, self._neg_sin = blocks.first, blocks.second, blocks.neg_sin
+        self._gate_i, self._gate_j = algorithm.arrays.i, algorithm.arrays.j
         self._block_of = np.empty(algorithm.m, dtype=np.int64)
         self._block_of[blocks.gates] = run_block
+        # the last block holding any of gates 0..g: a gate of an earlier
+        # step may sit in a later layer than gate g
+        self._last_block = np.maximum.accumulate(self._block_of)
 
     def push(
         self, x: np.ndarray, inverse_transpose: bool = False, out: np.ndarray | None = None
@@ -619,13 +624,17 @@ class VectorWalk:
         """Row i of M(t), or of M(t)^{-T} with ``inverse_transpose``, as a fresh vector.
 
         The transposed walk: e_i through the gates t-1, ..., 0 transposed
-        (M's rows) or inverted (M^{-T}'s), blocks in reverse order.  A block
-        may hold gates of later steps; they are left out.
+        (M's rows) or inverted (M^{-T}'s), blocks in reverse order from the
+        last block holding any of them, or from gate t's block if gate t
+        rewrites row i, which then needs only gates of earlier layers.  A
+        block may hold gates of later steps; they are left out.
         """
         x = np.zeros(self.n)
         x[i] = 1.0
+        touched = t and i in (self._gate_i[t - 1], self._gate_j[t - 1])
+        start = int((self._block_of if touched else self._last_block)[t - 1]) if t else -1
         cuts, first, second = self._cuts, self._first, self._second
-        for b in range(int(self._block_of[t - 1]) if t else -1, -1, -1):
+        for b in range(start, -1, -1):
             r0, r1, r2 = cuts[2 * b : 2 * b + 3]
             rot_end = r0 + int(np.searchsorted(self._gates[r0:r1], t))
             const_end = r1 + int(np.searchsorted(self._gates[r1:r2], t))
@@ -638,14 +647,6 @@ class VectorWalk:
                 x[ri] = cos * xi + self._neg_sin[r0:rot_end] * xj
                 x[rj] = sin * xi + cos * xj
         return x
-
-
-def matrices_at(algorithm: LinearAlgorithm, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (M(t), M(t)^{-T}) obtained by replaying gates from the identity."""
-    M, Minv_T = np.eye(algorithm.n), np.eye(algorithm.n)
-    for _ in replay(algorithm, M, Minv_T, stop=t):
-        pass
-    return M, Minv_T
 
 
 @dataclass

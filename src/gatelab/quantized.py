@@ -38,7 +38,7 @@ from .directions import (
     speedup_factor,
     uncertainty_volume_log,
 )
-from .gates import LinearAlgorithm, VectorWalk, matrices_at, replay
+from .gates import LinearAlgorithm, VectorWalk, replay
 
 # Fixed vectorization width so results are byte-identical regardless of
 # available memory; chunks degrade gracefully for very wide problems.
@@ -211,7 +211,6 @@ def simulate(
 class UnderflowReport:
     epsilon: float
     tau: float
-    directions: list[np.ndarray]
     widths: list[float]
     volume_log: float
     system: DirectionSystem
@@ -237,7 +236,6 @@ def underflow_widths(
     return UnderflowReport(
         epsilon=epsilon,
         tau=under.threshold,
-        directions=[u.copy() for u in basis.u_vectors],
         widths=widths,
         volume_log=volume.sum_log2_gamma,
         system=under,
@@ -281,9 +279,11 @@ def empirical_uncertainty_check(
     the rest of g is a function of the orthogonal complement.  Samples are
     binned by the quantized word and the spread of the recoverable component
     is measured within each bin, so complement variation cancels exactly.
-    Expected agreement with epsilon * |coefficient| is within a factor of two;
-    bins holding fewer than ``MIN_BIN`` samples are ignored, and if none
-    qualify the check is inconclusive rather than failed.
+    One ``VectorWalk`` gives the rows of M(t) and M(t)^{-T} and, when
+    ``step`` or ``coord`` is None, the cell.  Expected agreement with
+    epsilon * |coefficient| is within a factor of two; bins holding fewer
+    than ``MIN_BIN`` samples are ignored, and if none qualify the check is
+    inconclusive rather than failed.
     """
     n = algorithm.n
     seed = _check_draws(seed, samples)
@@ -293,12 +293,16 @@ def empirical_uncertainty_check(
     if abs(np.linalg.norm(z) - 1.0) > 1e-9:
         raise ValueError("direction must be unit norm")
 
+    walk = VectorWalk(algorithm)
     if step is None or coord is None:
-        step, coord = _most_informative_cell(algorithm, z)
+        step, coord = _most_informative_cell(walk, z)
+    if not 0 <= step <= algorithm.m:
+        raise ValueError(f"step index {step} out of range [0, {algorithm.m}]")
 
-    M, Minv_T = matrices_at(algorithm, step)
-    coefficient = float(Minv_T[coord] @ z)
-    row_norm = float(np.linalg.norm(Minv_T[coord]))
+    row_m = walk.row(step, coord)
+    row_q = walk.row(step, coord, inverse_transpose=True)
+    coefficient = float(row_q @ z)
+    row_norm = float(np.linalg.norm(row_q))
     predicted = epsilon * abs(coefficient)
 
     chunk = _chunk_size(n, samples)
@@ -311,7 +315,7 @@ def empirical_uncertainty_check(
         for _, rows in replay(algorithm, Xq, stop=step):
             _quantize_rows(Xq, rows, epsilon)
         words[lo:hi] = Xq[coord]
-        exact[lo:hi] = M[coord] @ X0
+        exact[lo:hi] = row_m @ X0
 
     keys = np.rint(words / epsilon).astype(np.int64)
     order = np.argsort(keys, kind="stable")
@@ -331,13 +335,13 @@ def empirical_uncertainty_check(
     )
 
 
-def _most_informative_cell(algorithm: LinearAlgorithm, z: np.ndarray) -> tuple[int, int]:
+def _most_informative_cell(walk: VectorWalk, z: np.ndarray) -> tuple[int, int]:
     """The (step, coordinate) whose word carries the largest component of z.
 
-    One push of z through M^{-T} gives (M(t)^{-T} z)_i at every touched
-    (t, i); the largest magnitude wins, the smallest (t, i) among equals.
+    One push of z through M^{-T} along the walk gives (M(t)^{-T} z)_i at
+    every touched (t, i); the largest magnitude wins, the smallest (t, i)
+    among equals.
     """
-    walk = VectorWalk(algorithm)
     weights = np.abs(walk.push(z.copy(), inverse_transpose=True))
     if not weights.size or weights.max() == 0.0:
         return 1, 0

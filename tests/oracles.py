@@ -25,6 +25,9 @@ and ``VectorWalk``), and ``simulate_reference`` is ``simulate`` as a loop
 over the gate objects with dense (m+1, n) accumulators, the judge of its
 replay and of its filled cell grids bit for bit.
 
+``matrices_at`` is the dense pair (M(t), M(t)^{-T}) replayed from the
+identity, the judge of ``VectorWalk.row`` and of the dense checks.
+
 The per-step references at the end walk the trajectory one gate at a time
 through ``gatelab.replay`` from ``start_pair`` (the replay itself checked
 against ``compose_dense``) and measure each row block with its own
@@ -64,7 +67,6 @@ from gatelab.gates import (
     LinearAlgorithm,
     Rotation,
     TrajectoryDiagnostics,
-    matrices_at,
     replay,
     touched,
 )
@@ -195,6 +197,15 @@ def start_pair(n: int, P=None, Q=None):
     A = np.eye(n) if P is None else np.array(P, dtype=float)
     B = np.eye(n) if Q is None else np.array(Q, dtype=float)
     return A, B
+
+
+def matrices_at(algorithm, t: int):
+    """Dense (M(t), M(t)^{-T}), replayed from the identity: the judge of
+    every single row that ``VectorWalk.row`` reads."""
+    M, Minv_T = start_pair(algorithm.n)
+    for _ in replay(algorithm, M, Minv_T, stop=t):
+        pass
+    return M, Minv_T
 
 
 def apply_gate_reference(A: np.ndarray, gate, inverse_transpose: bool = False) -> None:

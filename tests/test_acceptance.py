@@ -21,7 +21,6 @@ from gatelab import (
     complex_quasi_entropy,
     extend_basis,
     extract_directions,
-    matrices_at,
     quasi_entropy,
     scan_bottlenecks,
     simulate,
@@ -37,7 +36,13 @@ from gatelab.potential import (
     sweep_unit_pair_bound,
 )
 
-from oracles import assert_lemma_contract, compose_dense, dft_embedding_matrix, wht_sign_matrix
+from oracles import (
+    assert_lemma_contract,
+    compose_dense,
+    dft_embedding_matrix,
+    matrices_at,
+    wht_sign_matrix,
+)
 
 
 @contextmanager

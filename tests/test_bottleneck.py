@@ -19,7 +19,6 @@ from gatelab import (
     build_scaled_bottleneck_fixture,
     build_wht,
     gates,
-    matrices_at,
     potential,
     quasi_entropy,
     scan_bottlenecks,
@@ -37,6 +36,7 @@ from gatelab.potential import DRIFT_TOL, change_bound
 from oracles import (
     compose_dense,
     compose_dense_inverse_transpose,
+    matrices_at,
     panel_instances,
     window_products_reference,
     within_drift,

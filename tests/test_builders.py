@@ -17,14 +17,13 @@ from gatelab import (
     build_wht,
     complex_quasi_entropy,
     is_reflection,
-    matrices_at,
     quasi_entropy,
     render_algorithm,
     validate,
 )
 from gatelab._rng import DefaultRng
 
-from oracles import build_random_reference, dft_embedding_matrix, wht_sign_matrix
+from oracles import build_random_reference, dft_embedding_matrix, matrices_at, wht_sign_matrix
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])

@@ -183,6 +183,16 @@ def test_chain_validate_extract_underflow_lemma(tmp_path):
     assert_lemma_contract(code, json.loads((tmp_path / "lemma.json").read_text()))
 
 
+def test_chain_without_windows_writes_float_sums(tmp_path):
+    alg = tmp_path / "empty.alg"
+    alg.write_text("n 4 m 0\n")
+    out = tmp_path / "chain.json"
+    assert run(["chain", alg, "-o", out]) == 0
+    triangle = json.loads(out.read_text())["triangle"]
+    assert triangle == {"lhs": 0.0, "rhs": 0.0, "slack": 0.0}
+    assert all(type(value) is float for value in triangle.values())
+
+
 def test_volume_cli_exit_codes(tmp_path):
     alg = tmp_path / "inv8.alg"
     run(["build", "--inverse-scaled", "8,4,4", "-o", alg])

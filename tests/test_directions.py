@@ -17,7 +17,6 @@ from gatelab import (
     build_wht,
     extend_basis,
     extract_directions,
-    matrices_at,
     speedup_factor,
     uncertainty_volume_log,
 )
@@ -31,6 +30,7 @@ from oracles import (
     extract_directions_exact,
     extract_directions_reference,
     gate_matrix,
+    matrices_at,
     panel_instances,
     within_drift,
 )

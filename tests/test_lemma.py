@@ -148,8 +148,8 @@ def _pairs(stack, rows, cols, rng):
 
 @pytest.mark.parametrize("special", [0.0, -0.0, 1e-301, -1e-310, math.nan, math.inf, -math.inf])
 def test_stacked_potentials_take_rows_under_zero_product_as_quasi_entropy(special):
-    # a product below ZERO_PRODUCT (or NaN) drops out of the one-pass sum,
-    # which then sums fewer terms in another order; an infinite one stays
+    # a product below ZERO_PRODUCT (or NaN) is a 0.0 term, which the stacked
+    # kernel and quasi_entropy zero alike; an infinite one stays
     rng = np.random.default_rng(11)
     A, B = _pairs((6,), 5, 7, rng)
     A[1, 2, 3] = special

@@ -4,11 +4,12 @@
 call is the most the call held at once beyond what existed before it.  A
 walk holds one column panel of A and of B (2nw floats, w = ``panel_width(n)``)
 plus one fixed workspace; an extraction holds its two n x n bases and
-nothing else of that size; ``validate`` holds M and M^{-T} plus a few rows;
-``simulate`` holds one n x chunk sample array plus its touch events (at most
-n + 2m), and its draws one row buffer of at most 2**15 floats beside that
-array; a lemma sweep holds one chunk of draws (``lemma.SWEEP_ELEMENTS``
-floats) and what it evaluates, whatever its number of trials.
+nothing else of that size, and ``extend_basis`` its u and z bases;
+``validate`` holds M and M^{-T} plus a few rows; ``simulate`` holds one
+n x chunk sample array plus its touch events (at most n + 2m), and its
+draws one row buffer of at most 2**15 floats beside that array; a lemma
+sweep holds one chunk of draws (``lemma.SWEEP_ELEMENTS`` floats) and what
+it evaluates, whatever its number of trials.
 """
 
 import tracemalloc
@@ -22,6 +23,7 @@ import gatelab._seeds  # noqa: F401
 from gatelab import (
     build_wht,
     complex_quasi_entropy,
+    extend_basis,
     extract_directions,
     quasi_entropy,
     scan_bottlenecks,
@@ -70,6 +72,16 @@ def test_extraction_holds_its_two_bases_and_no_dense_target():
     algorithm = build_wht(1024)
     algorithm.arrays  # compiled before the measurement
     assert _peak(lambda: extract_directions(algorithm)) <= 3 * algorithm.n**2 * 8
+
+
+@pytest.mark.parametrize("tau", [2.0, None], ids=["empty", "full"])
+def test_extend_basis_holds_its_two_bases_and_no_full_size_temporary(tau):
+    # the u and z bases (2n^2 floats) and vectors: no squared copy of the
+    # basis to rate the axes, neither per slot nor for the extracted rows
+    algorithm = build_wht(256)
+    _, under = extract_directions(algorithm, tau=tau)
+    assert under.size == {2.0: 0, None: algorithm.n}[tau]
+    assert _peak(lambda: extend_basis(under, algorithm.n)) <= 2.2 * algorithm.n**2 * 8
 
 
 def test_validate_holds_the_two_matrices_and_no_full_size_product():

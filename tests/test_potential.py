@@ -11,7 +11,6 @@ from gatelab import (
     build_scaled_bottleneck_fixture,
     build_wht,
     complex_quasi_entropy,
-    matrices_at,
     quasi_entropy,
     trace_potential,
 )
@@ -28,6 +27,7 @@ from gatelab.potential import (
 from oracles import (
     dft_embedding_matrix,
     entry_terms_reference,
+    matrices_at,
     panel_instances,
     potential_brute,
     row_contribs_reference,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gatelab import quantized
 from gatelab.builders import build_dft_real, build_random
-from gatelab.gates import touched
+from gatelab.gates import VectorWalk, touched
 from gatelab import (
     Constant,
     LinearAlgorithm,
@@ -18,13 +18,13 @@ from gatelab import (
     build_wht,
     empirical_uncertainty_check,
     extract_directions,
-    matrices_at,
     quantize,
     simulate,
     underflow_widths,
 )
 
 from oracles import (
+    matrices_at,
     most_informative_cell_reference,
     run_stats_events,
     simulate_reference,
@@ -263,7 +263,7 @@ def test_underflow_widths_on_inverse_fixture():
     assert report.widths[:4] == [4.0 * EPS] * 4
     assert report.widths[4:] == [EPS] * 4
     assert abs(report.volume_log - 8.0) < 1e-9
-    assert len(report.directions) == 8
+    assert report.basis.u_vectors.shape == (8, 8)
 
 
 def test_underflow_widths_reject_a_non_positive_epsilon():
@@ -322,6 +322,15 @@ def test_uncertainty_check_inconclusive_with_few_samples():
     assert r.measured_spread is None and r.ratio is None and r.bins_used == 0
 
 
+def test_uncertainty_check_rejects_a_step_out_of_range():
+    a = build_wht(4)
+    z = np.zeros(4)
+    z[0] = 1.0
+    for step in (-1, a.m + 1):
+        with pytest.raises(ValueError, match=f"step index {step} out of range"):
+            empirical_uncertainty_check(a, EPS, z, step=step, coord=0)
+
+
 def test_uncertainty_check_validates_direction():
     a = build_wht(4)
     with pytest.raises(ValueError):
@@ -338,15 +347,16 @@ def test_uncertainty_check_validates_direction():
 )
 def test_most_informative_cell_matches_the_replay_loop(algorithm):
     rng = np.random.default_rng(algorithm.n)
+    walk = VectorWalk(algorithm)
     for _ in range(3):
         z = rng.standard_normal(algorithm.n)
         z /= np.linalg.norm(z)
-        assert quantized._most_informative_cell(algorithm, z) == most_informative_cell_reference(
+        assert quantized._most_informative_cell(walk, z) == most_informative_cell_reference(
             algorithm, z
         )
     # exact ties (a reflection repeats a row's weight) go to the smallest step
     z = np.zeros(algorithm.n)
     z[0] = 1.0
-    assert quantized._most_informative_cell(algorithm, z) == most_informative_cell_reference(
+    assert quantized._most_informative_cell(walk, z) == most_informative_cell_reference(
         algorithm, z
     )
