@@ -215,18 +215,10 @@ def verify_bottleneck_chain(
     )
 
 
-# The projection bounds of ``gatelab lemma`` live in ``lemma``; these names
-# load it on first access (PEP 562), so that ``scan`` and ``chain`` do not.
-_LEMMA_NAMES = {
-    "LOWER_OFFSET",
-    "LOWER_SLOPE",
-    "PROJ_SLACK_TOL",
-    "FourierProjectionReport",
-    "ProjectionSweepReport",
-    "random_projection",
-    "sweep_fourier_projection_bound",
-    "verify_fourier_projection_bound",
-}
+# The projection bounds of ``gatelab lemma`` live in ``lemma``; this name,
+# which ``cmd_lemma`` calls and the benchmark traces here, loads it on first
+# access (PEP 562), so that ``scan`` and ``chain`` do not.
+_LEMMA_NAMES = {"sweep_fourier_projection_bound"}
 
 
 def __getattr__(name: str):

@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract overflow/underflow direction systems")
     p.add_argument("algorithm")
-    p.add_argument("--tau", type=_number, default=None)
+    p.add_argument("--tau", type=_positive, default=None)
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--no-target-check", action="store_true")
     p.add_argument("-o", "--output", default=None)
@@ -580,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="uncertainty-volume lower bounds from the underflow basis")
     p.add_argument("algorithm")
-    p.add_argument("--tau", type=_number, default=None)
+    p.add_argument("--tau", type=_positive, default=None)
     p.add_argument("--b", type=_positive, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_volume)
@@ -599,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("underflow", help="per-direction uncertainty widths")
     p.add_argument("algorithm")
     p.add_argument("--eps", type=_number, required=True)
-    p.add_argument("--tau", type=_number, default=None)
+    p.add_argument("--tau", type=_positive, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_underflow)
 

@@ -44,7 +44,7 @@ beyond n = 512.  After that a round
 One round costs O(m + kn), not the O(mn) of replaying both matrices.
 
 Rounding.  Let u = 2^-53.  A rotation writes two entries (a, b) as
-fl(c a + s b) and fl(-s a + c b); with float c and s, c^2 + s^2 is within 2u
+fl(c a + s b) and fl(c b - s a); with float c and s, c^2 + s^2 is within 2u
 of 1, so the pair is off by at most 5u |(a, b)|.  Rotations and reflections
 preserve the 2-norm of what follows, so after t of them a pushed unit vector
 is off by at most 5tu, and a walked row of M(t) by at most 7tu |r|.  The
@@ -127,7 +127,7 @@ def speedup_factor(algorithm: LinearAlgorithm) -> float:
     return algorithm.n * math.log2(algorithm.n) / algorithm.m
 
 
-@dataclass
+@dataclass(eq=False)
 class DirectionSystem:
     """Ordered orthonormal directions, one per row of ``vectors`` (from an
     extraction, the (size, n) slice of its basis), with their provenance."""
@@ -201,7 +201,7 @@ def _squared_row_norms(
     ``ArithmeticError`` before that panel's target check."""
     n = algorithm.n
     width = panel_width(n)
-    blocks = layer(algorithm, width=width).blocks
+    blocks = layer(algorithm, width=width)
     cuts = blocks.row_cuts
     squares = np.zeros((2, blocks.rows.size))  # 0.0 + x is x for every x >= 0
     workspace = Workspace()
@@ -263,11 +263,11 @@ def extract_directions(
     and (t, i) never does: dropping it changes nothing.
     """
     n = algorithm.n
-    r2, s2 = _squared_row_norms(algorithm, require_wht_target)
     if tau is None:
         tau = math.sqrt(speedup_factor(algorithm) / 2.0)
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"threshold must be positive, got {tau}")
+    r2, s2 = _squared_row_norms(algorithm, require_wht_target)
 
     walk = VectorWalk(algorithm)
     steps, coords = walk.steps, walk.rows
@@ -330,7 +330,7 @@ def extract_directions(
     return over, under
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtendedBasis:
     """Underflow directions completed to a full orthonormal basis of R^n.
 

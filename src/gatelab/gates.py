@@ -1,9 +1,10 @@
 """The matrix trajectory of in-place linear algorithms: compiled gates and walks.
 
 The gate objects, ``LinearAlgorithm`` and the text format live in ``model``,
-which needs no numpy; their names are imported here too, so
-``gates.read_algorithm`` and the rest keep working.  Composing the first t
-gates gives the trajectory M(0)=Id, M(1), ..., M(m).  Alongside M we
+which needs no numpy; this module imports the three it uses, plus
+``read_algorithm`` and ``write_algorithm``, which callers reach as
+``gates.read_algorithm`` and ``gates.write_algorithm``.  Composing the
+first t gates gives the trajectory M(0)=Id, M(1), ..., M(m).  Alongside M we
 maintain the inverse transpose, which evolves under equally cheap row
 operations: a rotation applies to its rows unchanged (rotations are
 orthogonal), a scaling by c scales the matching row by 1/c.  Every gate
@@ -68,19 +69,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .model import (  # noqa: F401 -- the model's names stay importable from here
-    Constant,
-    Gate,
-    LinearAlgorithm,
-    ParseError,
-    Rotation,
-    is_reflection,
-    parse_algorithm,
-    read_algorithm,
-    render_algorithm,
-    touched,
-    write_algorithm,
-)
+from .model import Gate, LinearAlgorithm, Rotation
+from .model import read_algorithm, write_algorithm  # noqa: F401 -- called through gates
 
 
 class GateArrays(NamedTuple):
@@ -123,7 +113,7 @@ def rotate_rows(
 ) -> None:
     """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place.
 
-    Row i becomes cos*A[i] + sin*A[j] and row j (-sin)*A[i] + cos*A[j].  The
+    Row i becomes cos*A[i] + sin*A[j] and row j cos*A[j] - sin*A[i].  The
     two cross products go to ``scratch``, two rows of at most a row's
     columns, and the rows are then updated in place: rows with more columns
     than it are rotated a slice of that many columns at a time, so rotating
@@ -136,11 +126,11 @@ def rotate_rows(
             part = A[:, lo : lo + width]
             rotate_rows(part, i, j, cos_t, sin_t, scratch[:, : part.shape[1]])
         return
-    sin_xj, neg_sin_xi = scratch[0, ...], scratch[1, ...]
+    sin_xj, sin_xi = scratch[0, ...], scratch[1, ...]
     np.multiply(sin_t, xj, out=sin_xj)
-    np.multiply(-sin_t, xi, out=neg_sin_xi)
+    np.multiply(sin_t, xi, out=sin_xi)
     np.add(np.multiply(cos_t, xi, out=xi), sin_xj, out=xi)
-    np.add(neg_sin_xi, np.multiply(cos_t, xj, out=xj), out=xj)
+    np.subtract(np.multiply(cos_t, xj, out=xj), sin_xi, out=xj)
 
 
 def apply_to_vector(
@@ -369,25 +359,29 @@ class UnitRows(Sequence):
 
 
 class Blocks(Sequence):
-    """A layering's blocks, packed into arrays in block order.
+    """The algorithm's units of R consecutive gates, layered and cut into
+    blocks, packed into arrays in block order.
 
-    Block b holds the units ``units[cuts[b]:cuts[b + 1]]`` and the rows
+    Unit w holds gates w*R .. min((w+1)*R, m) - 1 and rewrites the rows
+    ``unit_rows[w]`` (ascending); ``layers`` counts the layers.  Block b
+    holds the units ``units[cuts[b]:cuts[b + 1]]`` and the rows
     ``rows[row_cuts[b]:row_cuts[b + 1]]`` (``row_units`` names each row's
     unit); its gates are sorted by step, then rotations before constants,
     then by unit, and ``gate_cuts`` bounds each (block, step, kind) run.
     ``gate_rows`` holds each gate's rows i and j of the matrix (j = i for a
-    constant), ``first`` its cos (or c), ``second`` its sin (or 1/c) and
-    ``neg_sin`` its -sin.  Indexing makes a ``Block`` of views, so the
-    layering keeps a dozen arrays in all rather than a dozen per block.
+    constant), ``first`` its cos (or c) and ``second`` its sin (or 1/c).
+    Indexing makes a ``Block`` of views, so the layering keeps a dozen
+    arrays in all rather than a dozen per block.
     """
 
-    def __init__(self, R, units, rows, unit_starts, row_units, cuts, row_cuts, groups,
-                 gates, gate_cuts, gate_rows, first, second, neg_sin):
-        self.R, self.units, self.rows = R, units, rows
+    def __init__(self, R, unit_rows, layers, units, rows, unit_starts, row_units, cuts,
+                 row_cuts, groups, gates, gate_cuts, gate_rows, first, second):
+        self.R, self.unit_rows, self.layers = R, unit_rows, layers
+        self.units, self.rows = units, rows
         self.unit_starts, self.row_units = unit_starts, row_units
         self.cuts, self.row_cuts, self.groups = cuts, row_cuts, groups
         self.gates, self.gate_cuts, self.gate_rows = gates, gate_cuts, gate_rows
-        self.first, self.second, self.neg_sin = first, second, neg_sin
+        self.first, self.second = first, second
         self.gate_counts = [
             gate_cuts[2 * R * (b + 1)] - gate_cuts[2 * R * b] for b in range(len(groups))
         ]
@@ -406,19 +400,7 @@ class Blocks(Sequence):
         )
 
 
-class Layering(NamedTuple):
-    """The algorithm's units of R consecutive gates, layered and cut into blocks.
-
-    Unit w holds gates w*R .. min((w+1)*R, m) - 1 and rewrites the rows
-    ``unit_rows[w]`` (ascending).  ``layers`` counts the layers.
-    """
-
-    unit_rows: UnitRows
-    blocks: Blocks
-    layers: int
-
-
-def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> Layering:
+def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> Blocks:
     """As-soon-as-possible layering of the algorithm's units of R gates.
 
     A unit joins the layer after the last one that touched any of its rows,
@@ -492,8 +474,10 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> L
     segment = (block_of[position] * R + np.arange(m) % R) * 2 + constant
     gates = np.lexsort((position, segment))
     rotation = arrays.rotation[gates]
-    blocks = Blocks(
+    return Blocks(
         R,
+        unit_rows=UnitRows(flat, starts),
+        layers=max(levels, default=-1) + 1,
         units=order,
         rows=rows_o,
         unit_starts=unit_starts,
@@ -506,15 +490,13 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> L
         gate_rows=np.stack((arrays.i[gates], np.where(constant, arrays.i, arrays.j)[gates])),
         first=np.where(rotation, arrays.cos[gates], arrays.c[gates]),
         second=np.where(rotation, arrays.sin[gates], arrays.inv_c[gates]),
-        neg_sin=-arrays.sin[gates],
     )
-    return Layering(UnitRows(flat, starts), blocks, layers=max(levels, default=-1) + 1)
 
 
 def replay_layers(
     blocks: Blocks, A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None
 ) -> Iterator[tuple[Block, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Apply the blocks of a ``Layering`` to A and B in place, in order.
+    """Apply the blocks of a layering (``layer``) to A and B in place, in order.
 
     Each (step, kind) run of a block's gates rewrites its rows of A and B
     in place, all gates at once: ``rotate_rows`` and the row scalings of
@@ -533,7 +515,7 @@ def replay_layers(
         workspace = Workspace()
     n = A.shape[1]
     rows_i, rows_j = blocks.gate_rows
-    first, second, neg_sin = blocks.first[:, None], blocks.second[:, None], blocks.neg_sin[:, None]
+    first, second = blocks.first[:, None], blocks.second[:, None]
     cuts, runs = blocks.gate_cuts, 2 * blocks.R
     for b, block in enumerate(blocks):
         shape = (2, block.rows.size, n)
@@ -543,7 +525,7 @@ def replay_layers(
             r0, r1, r2 = cuts[s : s + 3]
             if r1 > r0:
                 i, j = rows_i[r0:r1], rows_j[r0:r1]
-                cos, sin, nsin = first[r0:r1], second[r0:r1], neg_sin[r0:r1]
+                cos, sin = first[r0:r1], second[r0:r1]
                 xi, xj, ri, tmp = workspace.take("scratch", (4, r1 - r0, n))
                 for x in (A, B):
                     gather_rows(x, i, xi)
@@ -551,8 +533,8 @@ def replay_layers(
                     np.multiply(cos, xi, out=ri)
                     np.add(ri, np.multiply(sin, xj, out=tmp), out=ri)
                     x[i] = ri
-                    np.multiply(nsin, xi, out=xi)
-                    np.add(xi, np.multiply(cos, xj, out=tmp), out=xi)
+                    np.multiply(sin, xi, out=xi)
+                    np.subtract(np.multiply(cos, xj, out=tmp), xi, out=xi)
                     x[j] = xi
             if r2 > r1:
                 i = rows_i[r1:r2]
@@ -575,7 +557,7 @@ class VectorWalk:
     """
 
     def __init__(self, algorithm: LinearAlgorithm):
-        blocks = layer(algorithm, width=1).blocks
+        blocks = layer(algorithm, width=1)
         self.n = algorithm.n
         self.rows = blocks.rows
         self.steps = blocks.row_units + 1
@@ -586,7 +568,7 @@ class VectorWalk:
         self._gates = blocks.gates
         run_block = np.repeat(np.arange(len(blocks)), np.diff(self._cuts[::2]))
         self._i, self._j = blocks.gate_rows
-        self._first, self._second, self._neg_sin = blocks.first, blocks.second, blocks.neg_sin
+        self._first, self._second = blocks.first, blocks.second
         self._gate_i, self._gate_j = algorithm.arrays.i, algorithm.arrays.j
         self._block_of = np.empty(algorithm.m, dtype=np.int64)
         self._block_of[blocks.gates] = run_block
@@ -613,7 +595,7 @@ class VectorWalk:
                 ri, rj = self._i[r0:r1], self._j[r0:r1]
                 xi, xj = x[ri], x[rj]
                 x[ri] = first[r0:r1] * xi + second[r0:r1] * xj
-                x[rj] = self._neg_sin[r0:r1] * xi + first[r0:r1] * xj
+                x[rj] = first[r0:r1] * xj - second[r0:r1] * xi
             if r2 > r1:
                 x[self._i[r1:r2]] *= second[r1:r2] if inverse_transpose else first[r1:r2]
             lo, hi = row_cuts[b], row_cuts[b + 1]
@@ -644,7 +626,7 @@ class VectorWalk:
                 ri, rj = self._i[r0:rot_end], self._j[r0:rot_end]
                 cos, sin = first[r0:rot_end], second[r0:rot_end]
                 xi, xj = x[ri], x[rj]
-                x[ri] = cos * xi + self._neg_sin[r0:rot_end] * xj
+                x[ri] = cos * xi - sin * xj
                 x[rj] = sin * xi + cos * xj
         return x
 

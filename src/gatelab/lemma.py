@@ -22,8 +22,9 @@ per-trial loop's bit for bit; the tests judge them against such loops
 entry-term kernel at once (``stacked_quasi_entropy``), and every squared
 norm is ``gates.squared_row_norms``, as in the walks.
 
-The names stay importable from ``potential`` and ``bottleneck``, which load
-this module on first access, so that only ``lemma`` compiles it.
+``gatelab lemma`` calls the four sweeps through ``potential`` and
+``bottleneck``, which load this module on first access, so that only
+``lemma`` compiles it.
 """
 
 from __future__ import annotations

@@ -253,15 +253,14 @@ def ledger_walk(
     """
     if not 1 <= R <= algorithm.n // 2:
         raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
-    layering = layer(algorithm, R, width=panel_width(algorithm.n))
-    blocks = layering.blocks
+    blocks = layer(algorithm, R, width=panel_width(algorithm.n))
     # the blocks whose gates are all reflections (rotations have c = 1)
     kept = np.cumsum(algorithm.arrays.c[blocks.gates] != -1.0)
     kept = np.concatenate(([0], kept))[blocks.gate_cuts[:: 2 * R]]
     reflections = (kept[1:] == kept[:-1]).tolist()
     workspace = Workspace()
     phi_identity = phi_final = -0.0
-    units = len(layering.unit_rows)
+    units = len(blocks.unit_rows)
     squares = np.zeros((4 if ledger else 2, units))  # |A_I|^2, |B_I|^2 at the start, then the end
     moves = np.full(units, -0.0) if ledger else None
     scale = 1.0
@@ -276,14 +275,12 @@ def ledger_walk(
             unchecked = done = 0
             for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
                 for x, sums in zip((a0, b0, a1, b1), squares):
-                    block_squares = np.empty(block.units.size)
                     for size, first, end in block.groups:
                         start = block.unit_starts[first]
                         rows = x[start : start + (end - first) * size]
-                        block_squares[first:end] = squared_row_norms(
+                        sums[block.units[first:end]] += squared_row_norms(
                             rows.reshape(end - first, size * x.shape[1])
                         )
-                    sums[block.units] += block_squares
                 if not ledger:
                     continue
                 old = contribs[block.rows]
@@ -318,7 +315,7 @@ def ledger_walk(
         if not residual <= DRIFT_TOL * max(scale, abs(phi_identity), abs(phi_final)):
             raise ArithmeticError(f"window moves miss the potential change by {residual:.3e}")
     return WindowWalk(
-        unit_rows=layering.unit_rows,
+        unit_rows=blocks.unit_rows,
         phi_identity=phi_identity,
         phi_final=phi_final,
         start_products=norm_products(squares[0], squares[1]),
@@ -358,16 +355,13 @@ def trace_potential(
     )
 
 
-# The sweeps of ``gatelab lemma`` live in ``lemma``; these names load it on
-# first access (PEP 562), so that ``trace``, ``scan`` and ``chain`` do not.
+# The sweeps of ``gatelab lemma`` live in ``lemma``; these names, which
+# ``cmd_lemma`` calls and the benchmark traces here, load it on first access
+# (PEP 562), so that ``trace``, ``scan`` and ``chain`` do not.
 _LEMMA_NAMES = {
-    "UNIT_PAIR_SHARP_DIM2",
-    "BoundSweepReport",
-    "random_orthogonal",
     "sweep_nonsingular_change_bound",
     "sweep_orthogonal_change_bound",
     "sweep_unit_pair_bound",
-    "unit_pair_sharp_bound",
 }
 
 

@@ -109,7 +109,7 @@ def _score_rows(
         bits[e] = np.add(scratch, 1.0, out=scratch).sum()
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantizedRunStats:
     """Bit usage per touch event: event k scores row ``rows[k]`` as step
     ``steps[k]`` left it, by the mean of bits(v) over the samples
@@ -207,7 +207,7 @@ def simulate(
     return QuantizedRunStats(epsilon, sigma, samples, word_budget, steps, rows, bits_sum, max_abs)
 
 
-@dataclass
+@dataclass(eq=False)
 class UnderflowReport:
     epsilon: float
     tau: float

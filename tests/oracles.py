@@ -62,15 +62,9 @@ from hypothesis import strategies as st
 
 from gatelab.builders import wht_matrix
 from gatelab.directions import DirectionSystem, ExtendedBasis, speedup_factor
-from gatelab.gates import (
-    Constant,
-    LinearAlgorithm,
-    Rotation,
-    TrajectoryDiagnostics,
-    replay,
-    touched,
-)
+from gatelab.gates import TrajectoryDiagnostics, replay
 from gatelab import lemma
+from gatelab.model import Constant, LinearAlgorithm, Rotation, touched
 from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound, quasi_entropy
 from gatelab.quantized import QuantizedRunStats
 

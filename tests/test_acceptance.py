@@ -27,13 +27,14 @@ from gatelab import (
     uncertainty_volume_log,
     verify_bottleneck_chain,
 )
-from gatelab.bottleneck import random_projection, verify_fourier_projection_bound
 from gatelab.cli import main as cli_main
-from gatelab.potential import (
+from gatelab.lemma import (
     UNIT_PAIR_SHARP_DIM2,
+    random_projection,
     sweep_nonsingular_change_bound,
     sweep_orthogonal_change_bound,
     sweep_unit_pair_bound,
+    verify_fourier_projection_bound,
 )
 
 from oracles import (

@@ -27,10 +27,9 @@ from gatelab import (
     verify_fourier_projection_bound,
     write_algorithm,
 )
-from gatelab.bottleneck import random_projection, sweep_fourier_projection_bound
 from gatelab.cli import main
-from gatelab.gates import touched
-
+from gatelab.lemma import random_projection, sweep_fourier_projection_bound
+from gatelab.model import touched
 from gatelab.potential import DRIFT_TOL, change_bound
 
 from oracles import (

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gatelab import quantized
 from gatelab.potential import trace_potential
 from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
-from gatelab.gates import read_algorithm, touched
+from gatelab.model import read_algorithm, touched
 
 from oracles import (
     assert_lemma_contract,
@@ -328,6 +328,10 @@ def test_every_csv_cell_is_a_number(tmp_path):
          "argument --sigma: '-1' is not non-negative"),
         (["volume", "ALG", "--b", "0"], "argument --b: '0' is not positive"),
         (["volume", "ALG", "--b", "-1"], "argument --b: '-1' is not positive"),
+        (["extract", "ALG", "--tau", "0"], "argument --tau: '0' is not positive"),
+        (["volume", "ALG", "--tau", "-1"], "argument --tau: '-1' is not positive"),
+        (["underflow", "ALG", "--eps", "2^-10", "--tau", "0"],
+         "argument --tau: '0' is not positive"),
         (["lemma", "--trials", "0"], "argument --trials: '0' is not at least 1"),
         (["lemma", "--pair-trials", "0"], "argument --pair-trials: '0' is not at least 1"),
         (["lemma", "--proj-trials", "0"], "argument --proj-trials: '0' is not at least 1"),

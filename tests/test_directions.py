@@ -11,6 +11,7 @@ from gatelab import (
     LinearAlgorithm,
     Rotation,
     directions,
+    build_dft_real,
     build_inverse_scaled_fixture,
     build_random,
     build_scaled_bottleneck_fixture,
@@ -21,7 +22,7 @@ from gatelab import (
     uncertainty_volume_log,
 )
 from gatelab import gates
-from gatelab.gates import touched
+from gatelab.model import touched
 
 from oracles import (
     apply_gate_reference,
@@ -309,6 +310,13 @@ def test_extraction_rejects_wrong_target():
         build_random(8, 30, seed=1), tau=100.0, require_wht_target=False
     )
     assert over.size == 0 and under.size == 0
+
+
+def test_extraction_rejects_a_bad_threshold_before_its_walk():
+    # tau = 0 on DFT 16 would otherwise fail the target check after the walk
+    for algorithm, tau in ((build_dft_real(16), 0.0), (build_wht(8), float("nan"))):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            extract_directions(algorithm, tau=tau)
 
 
 def test_default_threshold_from_speedup():

@@ -177,7 +177,7 @@ def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance):
                 rows = list(windows.unit_rows[(t - 1) // R])
                 after[(t - 1) // R] = (M[rows].tobytes(), Minv_T[rows].tobytes())
         A, B = start_pair(algorithm.n, P, Q)
-        for block, _, _, a1, b1 in replay_layers(windows.blocks, A, B):
+        for block, _, _, a1, b1 in replay_layers(windows, A, B):
             for u, w in enumerate(block.units.tolist()):
                 start = block.unit_starts[u]
                 rows = slice(start, start + len(windows.unit_rows[w]))
@@ -192,7 +192,7 @@ def test_vector_push_matches_the_per_step_walk_bit_for_bit(instance):
     # what gate-by-gate application shows; the vector ends as apply_to_vector's
     algorithm, _, P, _ = instance
     walk = VectorWalk(algorithm)
-    assert np.array_equal(walk.rows, layer(algorithm).blocks.rows)
+    assert np.array_equal(walk.rows, layer(algorithm).rows)
     x = P[0]
     with np.errstate(all="ignore"):
         for inverse_transpose in (False, True):
@@ -303,14 +303,14 @@ def test_column_panels_tile_the_start_pair(n, elements, monkeypatch):
 
 def test_layering_keeps_row_order_and_cuts_wide_layers_into_blocks():
     a = build_wht(256)
-    windows = layer(a)
-    assert windows.layers == 16  # log2(256) butterfly stages, rotations then reflections
-    assert len(windows.blocks) > windows.layers
-    for block in windows.blocks:
+    blocks = layer(a)
+    assert blocks.layers == 16  # log2(256) butterfly stages, rotations then reflections
+    assert len(blocks) > blocks.layers
+    for block in blocks:
         assert block.rows.size * a.n <= BLOCK_ELEMENTS
         assert len(set(block.rows.tolist())) == block.rows.size
     position = {}
-    for k, block in enumerate(windows.blocks):
+    for k, block in enumerate(blocks):
         for w in block.units.tolist():
             position[w] = k
     last = {}
@@ -334,7 +334,7 @@ def test_layering_keeps_row_order_and_cuts_wide_layers_into_blocks():
 def test_layered_gates_name_their_rows_of_the_matrix(algorithm, R, width):
     # each gate's rows i and j (i again for a constant) as rows of A and B,
     # in the layering's gate order, each row of the pair contiguous
-    blocks = layer(algorithm, R, width=width).blocks
+    blocks = layer(algorithm, R, width=width)
     arrays = algorithm.arrays
     want = np.stack((arrays.i, np.where(arrays.rotation, arrays.j, arrays.i)))[:, blocks.gates]
     assert np.array_equal(blocks.gate_rows, want)
@@ -344,7 +344,7 @@ def test_layered_gates_name_their_rows_of_the_matrix(algorithm, R, width):
 def test_layered_walk_applies_gate_runs_in_place():
     # one layered kernel: runs of gates act on A and B themselves, with no
     # per-step objects and no block-relative row positions
-    assert not hasattr(gates, "LayerStep")
+    assert not hasattr(gates, "LayerStep") and not hasattr(gates, "Layering")
     assert "steps" not in gates.Block._fields
 
 

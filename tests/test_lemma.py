@@ -302,17 +302,30 @@ def test_projection_bound_rejects_as_the_per_pair_formula(P, Q):
 
 
 def test_sweep_names_stay_in_potential_and_bottleneck():
+    # only the four sweeps that ``gatelab lemma`` calls through them
     from gatelab import bottleneck
 
     for name in ("sweep_unit_pair_bound", "sweep_orthogonal_change_bound",
-                 "sweep_nonsingular_change_bound", "random_orthogonal", "BoundSweepReport",
-                 "UNIT_PAIR_SHARP_DIM2", "unit_pair_sharp_bound"):
+                 "sweep_nonsingular_change_bound"):
         assert getattr(potential, name) is getattr(lemma, name)
-    for name in ("sweep_fourier_projection_bound", "verify_fourier_projection_bound",
-                 "random_projection", "FourierProjectionReport", "ProjectionSweepReport",
-                 "LOWER_SLOPE", "LOWER_OFFSET", "PROJ_SLACK_TOL"):
-        assert getattr(bottleneck, name) is getattr(lemma, name)
-    with pytest.raises(AttributeError):
-        potential.no_such_name
-    with pytest.raises(AttributeError):
-        bottleneck.no_such_name
+    assert bottleneck.sweep_fourier_projection_bound is lemma.sweep_fourier_projection_bound
+    for module, names in (
+        (potential, ("random_orthogonal", "BoundSweepReport", "UNIT_PAIR_SHARP_DIM2",
+                     "unit_pair_sharp_bound", "no_such_name")),
+        (bottleneck, ("verify_fourier_projection_bound", "random_projection",
+                      "FourierProjectionReport", "ProjectionSweepReport", "LOWER_SLOPE",
+                      "LOWER_OFFSET", "PROJ_SLACK_TOL", "no_such_name")),
+    ):
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+
+
+def test_gates_imports_only_the_model_names_it_uses():
+    from gatelab import gates, model
+
+    for name in ("Gate", "LinearAlgorithm", "Rotation", "read_algorithm", "write_algorithm"):
+        assert getattr(gates, name) is getattr(model, name)
+    for name in ("touched", "parse_algorithm", "render_algorithm", "ParseError",
+                 "is_reflection", "Constant"):
+        assert not hasattr(gates, name)

@@ -16,13 +16,13 @@ from gatelab import (
 )
 from gatelab import gates, potential
 from gatelab.gates import BLOCK_ELEMENTS
-from gatelab.potential import (
+from gatelab.lemma import (
     UNIT_PAIR_SHARP_DIM2,
-    change_bound,
     sweep_nonsingular_change_bound,
     sweep_orthogonal_change_bound,
     sweep_unit_pair_bound,
 )
+from gatelab.potential import change_bound
 
 from oracles import (
     dft_embedding_matrix,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gatelab import quantized
 from gatelab.builders import build_dft_real, build_random
-from gatelab.gates import VectorWalk, touched
+from gatelab.gates import VectorWalk
+from gatelab.model import touched
 from gatelab import (
     Constant,
     LinearAlgorithm,
@@ -17,6 +18,7 @@ from gatelab import (
     build_scaled_bottleneck_fixture,
     build_wht,
     empirical_uncertainty_check,
+    extend_basis,
     extract_directions,
     quantize,
     simulate,
@@ -264,6 +266,20 @@ def test_underflow_widths_on_inverse_fixture():
     assert report.widths[4:] == [EPS] * 4
     assert abs(report.volume_log - 8.0) < 1e-9
     assert report.basis.u_vectors.shape == (8, 8)
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    # an elementwise array comparison has no truth value, so these records
+    # compare as objects: == and in give bools instead of raising
+    a = build_inverse_scaled_fixture(8, 4.0, 4)
+
+    def records():
+        _, under = extract_directions(a, tau=2.0)
+        return (under, extend_basis(under, a.n), underflow_widths(a, epsilon=EPS, tau=2.0),
+                simulate(a, epsilon=EPS, samples=5))
+
+    for x, y in zip(records(), records()):
+        assert (x == x) is True and (x in [x]) is True and (x != y) is True
 
 
 def test_underflow_widths_reject_a_non_positive_epsilon():
