@@ -11,11 +11,19 @@ extraction guarantee, the incremental-potential drift guard of trace and
 chain, a trajectory whose inverse-consistency residual or condition number
 is not finite (validate), or a walk over numbers that are not finite (trace,
 scan and chain; extraction, when M(m) or a squared row norm overflows).
+
+``python -m gatelab.cli`` and the ``gatelab`` script run ``entry``, which
+calls ``main`` and then freezes the cyclic collector before the interpreter
+exits: shutdown then skips its full collections over the objects numpy's
+import left tracked, while atexit handlers still run and every stream is
+still flushed and closed.  ``main`` itself leaves the collector alone, so
+in-process callers see no change.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from collections.abc import Iterable, Iterator
@@ -626,5 +634,13 @@ def _fail(exc: BaseException, code: int) -> int:
     return code
 
 
+def entry() -> NoReturn:
+    """Run ``main`` on ``sys.argv``, freeze every object the cyclic collector
+    tracks (see the module docstring), and exit with ``main``'s code."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -208,7 +208,8 @@ def _squared_row_norms(
     # an overflow is reported as an error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, (A, B) in zip(range(0, n, width), column_panels(n)):
-            for b, (_, _, _, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+            walk = replay_layers(blocks, A, B, workspace, before=False)
+            for b, (_, _, _, a1, b1) in enumerate(walk):
                 rows = slice(cuts[b], cuts[b + 1])
                 squares[0, rows] += squared_row_norms(a1)
                 squares[1, rows] += squared_row_norms(b1)

@@ -494,8 +494,13 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> B
 
 
 def replay_layers(
-    blocks: Blocks, A: np.ndarray, B: np.ndarray, workspace: Workspace | None = None
-) -> Iterator[tuple[Block, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    blocks: Blocks,
+    A: np.ndarray,
+    B: np.ndarray,
+    workspace: Workspace | None = None,
+    before: bool = True,
+    after: bool = True,
+) -> Iterator[tuple]:
     """Apply the blocks of a layering (``layer``) to A and B in place, in order.
 
     Each (step, kind) run of a block's gates rewrites its rows of A and B
@@ -503,7 +508,8 @@ def replay_layers(
     ``replay``, with the same multiplications and additions, on rows
     gathered into the workspace and written back.  Yields ``(block, a0,
     b0, a1, b1)`` after each block: the block's rows of A and B, in
-    ``block.rows`` order, before and after it.  They, and every temporary
+    ``block.rows`` order, before and after it; with ``before`` or ``after``
+    False that pair is not gathered and is None.  They, and every temporary
     of the walk, live in ``workspace`` (a fresh one if None), which grows
     to the largest block and is then reused: they are overwritten by the
     next block, so copy what must outlive it.  Every element of A and B
@@ -519,8 +525,10 @@ def replay_layers(
     cuts, runs = blocks.gate_cuts, 2 * blocks.R
     for b, block in enumerate(blocks):
         shape = (2, block.rows.size, n)
-        before, after = workspace.take("before", shape), workspace.take("after", shape)
-        a0, b0 = gather_rows(A, block.rows, before[0]), gather_rows(B, block.rows, before[1])
+        a0 = b0 = a1 = b1 = None
+        if before:
+            out = workspace.take("before", shape)
+            a0, b0 = gather_rows(A, block.rows, out[0]), gather_rows(B, block.rows, out[1])
         for s in range(runs * b, runs * (b + 1), 2):
             r0, r1, r2 = cuts[s : s + 3]
             if r1 > r0:
@@ -541,7 +549,9 @@ def replay_layers(
                 (scaled,) = workspace.take("scratch", (1, r2 - r1, n))
                 for x, scale in ((A, first[r1:r2]), (B, second[r1:r2])):
                     x[i] = np.multiply(gather_rows(x, i, scaled), scale, out=scaled)
-        a1, b1 = gather_rows(A, block.rows, after[0]), gather_rows(B, block.rows, after[1])
+        if after:
+            out = workspace.take("after", shape)
+            a1, b1 = gather_rows(A, block.rows, out[0]), gather_rows(B, block.rows, out[1])
         yield block, a0, b0, a1, b1
 
 

@@ -273,7 +273,9 @@ def ledger_walk(
             if ledger:
                 contribs = row_contribs(A, B, workspace).copy()
             unchecked = done = 0
-            for k, (block, a0, b0, a1, b1) in enumerate(replay_layers(blocks, A, B, workspace)):
+            for k, (block, a0, b0, a1, b1) in enumerate(
+                replay_layers(blocks, A, B, workspace, after=ledger)
+            ):
                 for x, sums in zip((a0, b0, a1, b1), squares):
                     for size, first, end in block.groups:
                         start = block.unit_starts[first]

@@ -25,20 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .directions import (
-    DirectionSystem,
-    ExtendedBasis,
-    VolumeBound,
-    extend_basis,
-    extract_directions,
-    speedup_factor,
-    uncertainty_volume_log,
-)
 from .gates import LinearAlgorithm, VectorWalk, replay
+
+if TYPE_CHECKING:
+    from .directions import DirectionSystem, ExtendedBasis, VolumeBound
 
 # Fixed vectorization width so results are byte-identical regardless of
 # available memory; chunks degrade gracefully for very wide problems.
@@ -228,6 +222,8 @@ def underflow_widths(
     """
     if epsilon <= 0:
         raise ValueError(f"quantization step must be positive, got {epsilon}")
+    from .directions import extend_basis, extract_directions, speedup_factor, uncertainty_volume_log
+
     _, under = extract_directions(algorithm, tau=tau)
     basis = extend_basis(under, algorithm.n)
     widths = [epsilon * g for g in under.magnitudes]
@@ -242,6 +238,20 @@ def underflow_widths(
         basis=basis,
         volume=volume,
     )
+
+
+# ``underflow_widths`` imports the extraction from ``directions`` when it runs,
+# so that ``simulate`` compiles neither ``directions`` nor ``builders``; these
+# names, which the benchmark traces here, load it on first access (PEP 562).
+_DIRECTIONS_NAMES = {"extend_basis", "extract_directions"}
+
+
+def __getattr__(name: str):
+    if name not in _DIRECTIONS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import directions
+
+    return getattr(directions, name)
 
 
 @dataclass

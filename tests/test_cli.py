@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -561,6 +562,45 @@ def test_help_exits_zero(capsys):
     assert "usage: gatelab" in capsys.readouterr().out
 
 
+def _child_env() -> dict:
+    """This environment, with the source tree first on the child's path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_the_process_entry_point_gives_what_main_gives(tmp_path, capsys):
+    # ``python -m gatelab.cli`` runs ``entry``, which freezes the collector
+    # before the interpreter exits; ``main`` never touches it.
+    alg = tmp_path / "wht8.alg"
+    run(["build", "--wht", 8, "-o", alg])
+    overflow = tmp_path / "overflow.alg"
+    overflow.write_text("n 2 m 2\nC 0 1e200\nC 0 1e200\n")
+    csv, summary = tmp_path / "sim.csv", tmp_path / "sim.json"
+    cases = [
+        (["trace", alg], [], 0),
+        (["simulate", alg, "--eps", "2^-10", "--samples", 50, "--seed", 3, "-o", csv,
+          "--summary", summary], [csv, summary], 0),
+        (["trace", tmp_path / "missing.alg"], [], 1),
+        (["trace", overflow], [], 2),
+    ]
+    for args, outputs, code in cases:
+        capsys.readouterr()
+        frozen = gc.get_freeze_count()
+        assert run(args) == code
+        assert gc.get_freeze_count() == frozen
+        out, err = capsys.readouterr()
+        files = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+        proc = subprocess.run([sys.executable, "-m", "gatelab.cli", *map(str, args)],
+                              env=_child_env(), capture_output=True, timeout=60)
+        assert proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (out.encode(), err.encode())
+        assert [path.read_bytes() for path in outputs] == files
+        assert len(err.splitlines()) == (code != 0)
+
+
 _ANALYSES = {"gatelab.potential", "gatelab.bottleneck", "gatelab.directions", "gatelab.quantized"}
 
 # Calls ``cli.main`` with the given arguments, then prints the modules it
@@ -598,7 +638,8 @@ _WALK_ABSENT = {"numpy.random", "gatelab.builders", "gatelab.directions", "gatel
         (["build", "--inverse-scaled", "8,4,2", "-o", "OUT"], _BUILD_ABSENT),
         (["--help"], _BUILD_ABSENT),
         (["validate", "ALG"], _ANALYSES),
-        (["simulate", "ALG", "--eps", "2^-10", "--samples", "10"], {"gatelab.bottleneck"}),
+        (["simulate", "ALG", "--eps", "2^-10", "--samples", "10"],
+         {"gatelab.bottleneck", "gatelab.directions", "gatelab.builders"}),
         (["trace", "ALG", "-o", "OUT"], _WALK_ABSENT),
         (["scan", "ALG"], _WALK_ABSENT),
         (["chain", "ALG"], _WALK_ABSENT),
@@ -607,19 +648,18 @@ _WALK_ABSENT = {"numpy.random", "gatelab.builders", "gatelab.directions", "gatel
         (["extract", "ALG"],
          {"numpy.random", "gatelab.potential", "gatelab.bottleneck", "gatelab.lemma",
           "gatelab.quantized"}),
+        (["underflow", "ALG", "--eps", "2^-10"],
+         {"numpy.random", "gatelab.potential", "gatelab.bottleneck", "gatelab.lemma"}),
     ],
     ids=["build-wht", "build-dft", "build-random", "build-random-angle-only", "build-scaled",
          "build-inverse-scaled", "help", "validate", "simulate", "trace", "scan", "chain",
-         "lemma", "extract"],
+         "lemma", "extract", "underflow"],
 )
 def test_each_subcommand_loads_only_the_modules_it_runs(args, absent, tmp_path):
     alg = tmp_path / "wht4.alg"
     run(["build", "--wht", 4, "-o", alg])
     argv = [str(alg) if a == "ALG" else str(tmp_path / "out") if a == "OUT" else a for a in args]
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, *argv], env=_child_env(),
                           capture_output=True, text=True, check=True, timeout=60)
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["code"] == 0, proc.stderr

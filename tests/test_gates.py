@@ -185,6 +185,25 @@ def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance):
     assert (A.tobytes(), B.tobytes()) == (M.tobytes(), Minv_T.tobytes())
 
 
+@settings(max_examples=20, deadline=None)
+@given(kernel_instances())
+def test_layered_walk_gathers_only_the_rows_asked_for(instance):
+    # a pair switched off is None; the other pair and the end matrices keep
+    # the full walk's bytes
+    algorithm, R, P, Q = instance
+    windows = layer(algorithm, R)
+    with np.errstate(all="ignore"):
+        A, B = start_pair(algorithm.n, P, Q)
+        full = [[x.tobytes() for x in step[1:]] for step in replay_layers(windows, A, B)]
+        for before, after in ((False, True), (True, False), (False, False)):
+            A2, B2 = start_pair(algorithm.n, P, Q)
+            for step, want in zip(replay_layers(windows, A2, B2, before=before, after=after), full):
+                kept = (before, before, after, after)
+                got = [x.tobytes() if keep else x for x, keep in zip(step[1:], kept)]
+                assert got == [w if keep else None for w, keep in zip(want, kept)]
+            assert (A2.tobytes(), B2.tobytes()) == (A.tobytes(), B.tobytes())
+
+
 @settings(max_examples=60, deadline=None)
 @given(kernel_instances())
 def test_vector_push_matches_the_per_step_walk_bit_for_bit(instance):
