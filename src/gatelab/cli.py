@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="window scan for touched-row bottlenecks")
     p.add_argument("algorithm")
-    p.add_argument("--R", type=int, default=1)
+    p.add_argument("--R", type=_count, default=1)
     p.add_argument("--P", default="id")
     p.add_argument("--Q", default="id")
     p.add_argument("--include-constants", action="store_true")
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="verify each link of the averaged bottleneck bound")
     p.add_argument("algorithm")
-    p.add_argument("--R", type=int, default=1)
+    p.add_argument("--R", type=_count, default=1)
     p.add_argument("--P", default="id")
     p.add_argument("--Q", default="id")
     p.add_argument("-o", "--output", default=None)
@@ -597,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algorithm")
     p.add_argument("--eps", type=_number, required=True)
     p.add_argument("--sigma", type=_nonnegative, default=1.0)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--W", type=_positive, default=32.0)
     p.add_argument("-o", "--output", default=None)

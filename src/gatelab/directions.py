@@ -200,14 +200,13 @@ def _squared_row_norms(
     M(m)^{-T} is not finite, or a squared norm that is not finite, raises
     ``ArithmeticError`` before that panel's target check."""
     n = algorithm.n
-    width = panel_width(n)
-    blocks = layer(algorithm, width=width)
+    blocks = layer(algorithm)
     cuts = blocks.row_cuts
     squares = np.zeros((2, blocks.rows.size))  # 0.0 + x is x for every x >= 0
     workspace = Workspace()
     # an overflow is reported as an error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, (A, B) in zip(range(0, n, width), column_panels(n)):
+        for lo, (A, B) in zip(range(0, n, panel_width(n)), column_panels(n)):
             walk = replay_layers(blocks, A, B, workspace, before=False)
             for b, (_, _, _, a1, b1) in enumerate(walk):
                 rows = slice(cuts[b], cuts[b + 1])

@@ -10,9 +10,10 @@ operations: a rotation applies to its rows unchanged (rotations are
 orthogonal), a scaling by c scales the matching row by 1/c.  Every gate
 therefore touches at most two rows of both matrices.
 
-A ``LinearAlgorithm`` is compiled once into arrays (``GateArrays``: kind, i,
-j, cos, sin, c and 1/c), and every walk applies gates from those arrays, in
-one of two kernels:
+A ``LinearAlgorithm`` is compiled once into four arrays (``GateArrays``: i,
+j, first and second; cos and sin for a rotation, c and 1/c for a constant,
+whose j is -1), and every walk applies gates from those numbers, in one of
+two kernels, which rotate through the one row-pair rotation ``rotate_pair``:
 
 - ``replay`` applies one gate per step to the caller's arrays in place:
   ``apply_to_vector``'s vector, (Id, Id) for ``validate``, or the sample
@@ -39,15 +40,15 @@ Gates act on rows, so each column of (M(t) P, M(t)^{-T} Q) evolves alone, and
 the potential and every squared row or window norm is a sum over columns.
 The two layered walks therefore take the columns in panels
 (``column_panels``): n x w slices of P and Q, w = ``panel_width(n)``, each
-walked over one layering cut for that width, adding into per-gate or
-per-window sums (square roots come only at the end).  Every n with
+walked over one layering cut for that width (``layer``'s default), adding
+into per-gate or per-window sums (square roots come only at the end).  Every n with
 n^2 <= ``PANEL_ELEMENTS`` (n <= 512) is one panel, the whole matrices, and
 gives exactly the full-width numbers; more panels move the sums by ulps.
 
-Both walks give bit-identical matrices: every element sees the same
-elementwise multiplications and additions in the same order (numpy's
-elementwise ufuncs never fuse or reassociate), so only the order in which
-disjoint rows are visited differs.
+Both walks give bit-identical matrices: they share ``rotate_pair`` and the
+row scalings, so every element sees the same elementwise multiplications
+and additions in the same order (numpy's elementwise ufuncs never fuse or
+reassociate); only the order in which disjoint rows are visited differs.
 
 A single vector walks the same layering, cut for one column so that a
 layer is one block (``VectorWalk``): ``push`` takes x to M(m) x or
@@ -55,7 +56,9 @@ M(m)^{-T} x and reports its entry at every touched (t, i) on the way, in
 O(m) numpy work and a few calls per layer; ``row`` walks e_i back through
 the transposed gates to give one row of M(t) or M(t)^{-T}, the only way
 the lab reads a single row.  ``extract_directions`` and the quantized
-uncertainty check use them.
+uncertainty check use them.  Both read the ``Blocks`` record and rotate in
+numpy expressions of the same operations, which on a vector's few entries
+per gate run measured faster than ``rotate_pair`` with scratch.
 
 Coordinates are 0-based everywhere, including the text file format.
 """
@@ -74,50 +77,60 @@ from .model import read_algorithm, write_algorithm  # noqa: F401 -- called throu
 
 
 class GateArrays(NamedTuple):
-    """Gate g, applied at step g + 1, as entry g of read-only arrays.
+    """Gate g, applied at step g + 1, as entry g of four read-only arrays.
 
-    Rotations have c = 1/c = 1; constants have j = -1, cos = 1 and sin = 0.
-    ``cos``/``sin`` are ``math.cos``/``math.sin`` of the angle and ``inv_c``
-    is ``1.0 / c``: the numbers every walk applies.
+    A rotation of rows i and j stores ``math.cos`` and ``math.sin`` of its
+    angle as ``first`` and ``second``; a constant c on row i stores j = -1,
+    c and ``1.0 / c``.  These are the numbers every walk applies.
     """
 
-    rotation: np.ndarray  # bool: the gate's kind
     i: np.ndarray
     j: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-    c: np.ndarray
-    inv_c: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+
+    @property
+    def rotation(self) -> np.ndarray:
+        """Whether each gate is a rotation (bool)."""
+        return self.j >= 0
 
     @classmethod
     def compile(cls, gates: tuple[Gate, ...]) -> GateArrays:
-        rotation = [isinstance(g, Rotation) for g in gates]
-        angles = [g.theta if rot else 0.0 for rot, g in zip(rotation, gates)]
-        c = [1.0 if rot else g.c for rot, g in zip(rotation, gates)]
-        columns = dict(
-            rotation=np.array(rotation, dtype=bool),
-            i=np.array([g.i for g in gates], dtype=np.int64),
-            j=np.array([g.j if rot else -1 for rot, g in zip(rotation, gates)], dtype=np.int64),
-            cos=np.array([math.cos(a) for a in angles], dtype=float),
-            sin=np.array([math.sin(a) for a in angles], dtype=float),
-            c=np.array(c, dtype=float),
-            inv_c=np.array([1.0 / x for x in c], dtype=float),
+        rot = [isinstance(g, Rotation) for g in gates]
+        arrays = cls(
+            np.array([g.i for g in gates], np.int64),
+            np.array([g.j if r else -1 for r, g in zip(rot, gates)], np.int64),
+            np.array([math.cos(g.theta) if r else g.c for r, g in zip(rot, gates)], float),
+            np.array([math.sin(g.theta) if r else 1.0 / g.c for r, g in zip(rot, gates)], float),
         )
-        for array in columns.values():
+        for array in arrays:
             array.setflags(write=False)
-        return cls(**columns)
+        return arrays
+
+
+def rotate_pair(
+    xi: np.ndarray, xj: np.ndarray, cos_t, sin_t, scratch: tuple[np.ndarray, np.ndarray]
+) -> None:
+    """The one rotation of both matrix walks, in place: xi becomes cos*xi +
+    sin*xj and xj cos*xj - sin*xi, the cross products going to the two
+    ``scratch`` arrays of the rows' shape.  ``replay`` rotates two row views
+    (``rotate_rows``), ``replay_layers`` a run of gathered row pairs by a
+    column of cos and sin."""
+    sin_xj, sin_xi = scratch
+    np.multiply(sin_t, xj, out=sin_xj)
+    np.multiply(sin_t, xi, out=sin_xi)
+    np.add(np.multiply(cos_t, xi, out=xi), sin_xj, out=xi)
+    np.subtract(np.multiply(cos_t, xj, out=xj), sin_xi, out=xj)
 
 
 def rotate_rows(
     A: np.ndarray, i: int, j: int, cos_t: float, sin_t: float, scratch: np.ndarray
 ) -> None:
-    """Left-multiply rows i, j of A by [[cos, sin], [-sin, cos]] in place.
+    """Rotate rows i, j of A in place (``rotate_pair`` on their views).
 
-    Row i becomes cos*A[i] + sin*A[j] and row j cos*A[j] - sin*A[i].  The
-    two cross products go to ``scratch``, two rows of at most a row's
-    columns, and the rows are then updated in place: rows with more columns
-    than it are rotated a slice of that many columns at a time, so rotating
-    long sample rows allocates nothing.
+    ``scratch`` holds two rows of at most a row's columns: rows with more
+    columns than it are rotated a slice of that many columns at a time, so
+    rotating long sample rows allocates nothing.
     """
     xi, xj = A[i, ...], A[j, ...]  # views, also of a vector's entries
     if xi.ndim and len(xi) > scratch.shape[1]:
@@ -126,11 +139,7 @@ def rotate_rows(
             part = A[:, lo : lo + width]
             rotate_rows(part, i, j, cos_t, sin_t, scratch[:, : part.shape[1]])
         return
-    sin_xj, sin_xi = scratch[0, ...], scratch[1, ...]
-    np.multiply(sin_t, xj, out=sin_xj)
-    np.multiply(sin_t, xi, out=sin_xi)
-    np.add(np.multiply(cos_t, xi, out=xi), sin_xj, out=xi)
-    np.subtract(np.multiply(cos_t, xj, out=xj), sin_xi, out=xj)
+    rotate_pair(xi, xj, cos_t, sin_t, (scratch[0, ...], scratch[1, ...]))
 
 
 def apply_to_vector(
@@ -177,29 +186,24 @@ def replay(
         # the gate columns as Python numbers, a bounded chunk at a time
         for lo in range(0, stop, REPLAY_CHUNK):
             hi = min(lo + REPLAY_CHUNK, stop)
-            columns = zip(
-                *(
-                    getattr(arrays, name)[lo:hi].tolist()
-                    for name in ("rotation", "i", "j", "cos", "sin", "c", "inv_c")
-                )
-            )
-            for t, (rotation, i, j, cos, sin, c, inv_c) in enumerate(columns, start=lo + 1):
-                if rotation:
-                    rotate_rows(A, i, j, cos, sin, scratch)
+            columns = zip(*(column[lo:hi].tolist() for column in arrays))
+            for t, (i, j, first, second) in enumerate(columns, start=lo + 1):
+                if j >= 0:
+                    rotate_rows(A, i, j, first, second, scratch)
                     if B is not None:
-                        rotate_rows(B, i, j, cos, sin, scratch)
+                        rotate_rows(B, i, j, first, second, scratch)
                     yield t, (i, j)
                 else:
-                    A[i] *= c
+                    A[i] *= first
                     if B is not None:
-                        B[i] *= inv_c
+                        B[i] *= second
                     yield t, (i,)
 
     return steps()
 
 
-# Gates per chunk of ``replay``'s Python-number columns: about 150 bytes a
-# gate, so a chunk holds some 40 kB however long the gate list.
+# Gates per chunk of ``replay``'s Python-number columns: at most about 140
+# bytes a gate, so a chunk holds under 40 kB however long the gate list.
 REPLAY_CHUNK = 256
 
 # Columns per pass of ``replay``'s rotations: their two temporaries take at
@@ -333,14 +337,13 @@ class Block(NamedTuple):
     ascending order; unit ``units[u]`` starts at ``unit_starts[u]``.  Units
     are sorted by row count, then by index, and ``groups`` lists each run of
     equal-sized units as (rows per unit, first position, end position) in
-    ``units``.  ``gates`` counts the block's gates.
+    ``units``.
     """
 
     units: np.ndarray
     rows: np.ndarray
     unit_starts: np.ndarray
     groups: tuple[tuple[int, int, int], ...]
-    gates: int
 
 
 class UnitRows(Sequence):
@@ -367,9 +370,10 @@ class Blocks(Sequence):
     holds the units ``units[cuts[b]:cuts[b + 1]]`` and the rows
     ``rows[row_cuts[b]:row_cuts[b + 1]]`` (``row_units`` names each row's
     unit); its gates are sorted by step, then rotations before constants,
-    then by unit, and ``gate_cuts`` bounds each (block, step, kind) run.
+    then by unit, ``gates`` lists them in that order, ``gate_cuts`` bounds
+    each (block, step, kind) run and ``gate_counts`` counts each block's.
     ``gate_rows`` holds each gate's rows i and j of the matrix (j = i for a
-    constant), ``first`` its cos (or c) and ``second`` its sin (or 1/c).
+    constant), and ``first`` and ``second`` its ``GateArrays`` numbers.
     Indexing makes a ``Block`` of views, so the layering keeps a dozen
     arrays in all rather than a dozen per block.
     """
@@ -394,10 +398,7 @@ class Blocks(Sequence):
             raise IndexError(b)
         us, ue = self.cuts[b], self.cuts[b + 1]
         rs, re = self.row_cuts[b], self.row_cuts[b + 1]
-        return Block(
-            self.units[us:ue], self.rows[rs:re], self.unit_starts[us:ue], self.groups[b],
-            self.gate_counts[b],
-        )
+        return Block(self.units[us:ue], self.rows[rs:re], self.unit_starts[us:ue], self.groups[b])
 
 
 def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> Blocks:
@@ -407,8 +408,9 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> B
     so units in one layer touch disjoint rows and units that share a row
     keep their order.  Each layer is cut into blocks of at most
     ``BLOCK_ELEMENTS`` elements per side (a unit is never split), for rows
-    of ``width`` columns (default n).  The width moves only the cuts: units
-    and rows come in the same order at every width.
+    of ``width`` columns (default ``panel_width(n)``, the layered walks'
+    panels).  The width moves only the cuts: units and rows come in the same
+    order at every width.
     """
     if R < 1:
         raise ValueError(f"unit size must be at least 1, got {R}")
@@ -441,7 +443,7 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> B
     # into blocks of at most ``cap`` rows
     order = np.lexsort((sizes, level))
     sizes_o = sizes[order]
-    cap = max(1, BLOCK_ELEMENTS // (n if width is None else width))
+    cap = max(1, BLOCK_ELEMENTS // (panel_width(n) if width is None else width))
     cuts = []
     used, current = 0, -1
     for p, (lv, size) in enumerate(zip(level[order].tolist(), sizes_o.tolist())):
@@ -470,10 +472,9 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> B
     position = np.empty(W, dtype=np.int64)
     position[order] = np.arange(W)
     position = position[np.arange(m) // R]
-    constant = ~arrays.rotation
-    segment = (block_of[position] * R + np.arange(m) % R) * 2 + constant
+    segment = (block_of[position] * R + np.arange(m) % R) * 2 + (arrays.j < 0)
     gates = np.lexsort((position, segment))
-    rotation = arrays.rotation[gates]
+    i, j = arrays.i[gates], arrays.j[gates]
     return Blocks(
         R,
         unit_rows=UnitRows(flat, starts),
@@ -487,9 +488,9 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> B
         groups=[tuple(g) for g in groups],
         gates=gates,
         gate_cuts=np.searchsorted(segment[gates], np.arange(2 * R * len(groups) + 1)).tolist(),
-        gate_rows=np.stack((arrays.i[gates], np.where(constant, arrays.i, arrays.j)[gates])),
-        first=np.where(rotation, arrays.cos[gates], arrays.c[gates]),
-        second=np.where(rotation, arrays.sin[gates], arrays.inv_c[gates]),
+        gate_rows=np.stack((i, np.where(j < 0, i, j))),
+        first=arrays.first[gates],
+        second=arrays.second[gates],
     )
 
 
@@ -504,18 +505,17 @@ def replay_layers(
     """Apply the blocks of a layering (``layer``) to A and B in place, in order.
 
     Each (step, kind) run of a block's gates rewrites its rows of A and B
-    in place, all gates at once: ``rotate_rows`` and the row scalings of
-    ``replay``, with the same multiplications and additions, on rows
-    gathered into the workspace and written back.  Yields ``(block, a0,
-    b0, a1, b1)`` after each block: the block's rows of A and B, in
-    ``block.rows`` order, before and after it; with ``before`` or ``after``
-    False that pair is not gathered and is None.  They, and every temporary
-    of the walk, live in ``workspace`` (a fresh one if None), which grows
-    to the largest block and is then reused: they are overwritten by the
-    next block, so copy what must outlive it.  Every element of A and B
-    ends bit-identical to ``replay``'s, and right after a block the rows of
-    each of its units are those ``replay`` shows right after the unit's
-    last gate.
+    in place, all gates at once: ``rotate_pair`` and the row scalings of
+    ``replay``, on rows gathered into the workspace and written back.
+    Yields ``(block, a0, b0, a1, b1)`` after each block: the block's rows
+    of A and B, in ``block.rows`` order, before and after it; with
+    ``before`` or ``after`` False that pair is not gathered and is None.
+    They, and every temporary of the walk, live in ``workspace`` (a fresh
+    one if None), which grows to the largest block and is then reused:
+    they are overwritten by the next block, so copy what must outlive it.
+    Every element of A and B ends bit-identical to ``replay``'s, and right
+    after a block the rows of each of its units are those ``replay`` shows
+    right after the unit's last gate.
     """
     if workspace is None:
         workspace = Workspace()
@@ -534,16 +534,11 @@ def replay_layers(
             if r1 > r0:
                 i, j = rows_i[r0:r1], rows_j[r0:r1]
                 cos, sin = first[r0:r1], second[r0:r1]
-                xi, xj, ri, tmp = workspace.take("scratch", (4, r1 - r0, n))
+                xi, xj, *scratch = workspace.take("scratch", (4, r1 - r0, n))
                 for x in (A, B):
-                    gather_rows(x, i, xi)
-                    gather_rows(x, j, xj)
-                    np.multiply(cos, xi, out=ri)
-                    np.add(ri, np.multiply(sin, xj, out=tmp), out=ri)
-                    x[i] = ri
-                    np.multiply(sin, xi, out=xi)
-                    np.subtract(np.multiply(cos, xj, out=tmp), xi, out=xi)
-                    x[j] = xi
+                    rotate_pair(gather_rows(x, i, xi), gather_rows(x, j, xj), cos, sin, scratch)
+                    x[i] = xi
+                    x[j] = xj
             if r2 > r1:
                 i = rows_i[r1:r2]
                 (scaled,) = workspace.take("scratch", (1, r2 - r1, n))
@@ -567,24 +562,22 @@ class VectorWalk:
     """
 
     def __init__(self, algorithm: LinearAlgorithm):
-        blocks = layer(algorithm, width=1)
         self.n = algorithm.n
-        self.rows = blocks.rows
+        self.blocks = blocks = layer(algorithm, width=1)
         self.steps = blocks.row_units + 1
-        self._row_cuts = blocks.row_cuts
+        self._arrays = algorithm.arrays
         # R = 1: gate runs (block b, rotations) and (block b, constants) are
-        # bounded by cuts[2b : 2b + 3], each run in ascending gate order
-        self._cuts = blocks.gate_cuts
-        self._gates = blocks.gates
-        run_block = np.repeat(np.arange(len(blocks)), np.diff(self._cuts[::2]))
-        self._i, self._j = blocks.gate_rows
-        self._first, self._second = blocks.first, blocks.second
-        self._gate_i, self._gate_j = algorithm.arrays.i, algorithm.arrays.j
+        # bounded by gate_cuts[2b : 2b + 3], each run in ascending gate order
+        run_block = np.repeat(np.arange(len(blocks)), np.diff(blocks.gate_cuts[::2]))
         self._block_of = np.empty(algorithm.m, dtype=np.int64)
         self._block_of[blocks.gates] = run_block
         # the last block holding any of gates 0..g: a gate of an earlier
         # step may sit in a later layer than gate g
         self._last_block = np.maximum.accumulate(self._block_of)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.blocks.rows
 
     def push(
         self, x: np.ndarray, inverse_transpose: bool = False, out: np.ndarray | None = None
@@ -596,20 +589,22 @@ class VectorWalk:
         entry of x sees the operations of ``replay`` in order, so x ends
         bit-identical to ``apply_to_vector``.
         """
+        blocks = self.blocks
         if out is None:
-            out = np.empty(self.rows.size)
-        cuts, row_cuts, first, second = self._cuts, self._row_cuts, self._first, self._second
+            out = np.empty(blocks.rows.size)
+        cuts, row_cuts, (rows_i, rows_j) = blocks.gate_cuts, blocks.row_cuts, blocks.gate_rows
+        first, second = blocks.first, blocks.second
         for b in range(len(row_cuts) - 1):
             r0, r1, r2 = cuts[2 * b : 2 * b + 3]
             if r1 > r0:
-                ri, rj = self._i[r0:r1], self._j[r0:r1]
+                ri, rj = rows_i[r0:r1], rows_j[r0:r1]
                 xi, xj = x[ri], x[rj]
                 x[ri] = first[r0:r1] * xi + second[r0:r1] * xj
                 x[rj] = first[r0:r1] * xj - second[r0:r1] * xi
             if r2 > r1:
-                x[self._i[r1:r2]] *= second[r1:r2] if inverse_transpose else first[r1:r2]
+                x[rows_i[r1:r2]] *= second[r1:r2] if inverse_transpose else first[r1:r2]
             lo, hi = row_cuts[b], row_cuts[b + 1]
-            gather_rows(x, self.rows[lo:hi], out[lo:hi])
+            gather_rows(x, blocks.rows[lo:hi], out[lo:hi])
         return out
 
     def row(self, t: int, i: int, inverse_transpose: bool = False) -> np.ndarray:
@@ -623,19 +618,23 @@ class VectorWalk:
         """
         x = np.zeros(self.n)
         x[i] = 1.0
-        touched = t and i in (self._gate_i[t - 1], self._gate_j[t - 1])
+        touched = t and i in (self._arrays.i[t - 1], self._arrays.j[t - 1])
         start = int((self._block_of if touched else self._last_block)[t - 1]) if t else -1
-        cuts, first, second = self._cuts, self._first, self._second
+        blocks = self.blocks
+        cuts, gates, (rows_i, rows_j) = blocks.gate_cuts, blocks.gates, blocks.gate_rows
+        first, second = blocks.first, blocks.second
         for b in range(start, -1, -1):
             r0, r1, r2 = cuts[2 * b : 2 * b + 3]
-            rot_end = r0 + int(np.searchsorted(self._gates[r0:r1], t))
-            const_end = r1 + int(np.searchsorted(self._gates[r1:r2], t))
+            rot_end = r0 + int(np.searchsorted(gates[r0:r1], t))
+            const_end = r1 + int(np.searchsorted(gates[r1:r2], t))
             if const_end > r1:
-                x[self._i[r1:const_end]] *= (second if inverse_transpose else first)[r1:const_end]
+                x[rows_i[r1:const_end]] *= (second if inverse_transpose else first)[r1:const_end]
             if rot_end > r0:
-                ri, rj = self._i[r0:rot_end], self._j[r0:rot_end]
+                ri, rj = rows_i[r0:rot_end], rows_j[r0:rot_end]
                 cos, sin = first[r0:rot_end], second[r0:rot_end]
                 xi, xj = x[ri], x[rj]
+                # the transposed rotation is ``rotate_pair`` on (xj, xi),
+                # bit for bit: x[rj] = cos*xj + sin*xi, x[ri] = cos*xi - sin*xj
                 x[ri] = cos * xi - sin * xj
                 x[rj] = sin * xi + cos * xj
         return x
@@ -673,7 +672,8 @@ def validate(algorithm: LinearAlgorithm) -> TrajectoryDiagnostics:
     (an overflowed trajectory), or a condition number that is not finite,
     raises ``ArithmeticError`` naming its first such step.
     """
-    rescales = (np.abs(algorithm.arrays.c) != 1.0).tolist()
+    arrays = algorithm.arrays
+    rescales = ((arrays.j < 0) & (np.abs(arrays.first) != 1.0)).tolist()
     max_residual = 0.0
     kappas: list[float] = []
     M, Minv_T = np.eye(algorithm.n), np.eye(algorithm.n)

@@ -69,11 +69,6 @@ def _orthogonal_factor(G: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def random_orthogonal(rng: np.random.Generator, a: int) -> np.ndarray:
-    """Haar-ish orthogonal matrix: QR of a Gaussian with sign-fixed diagonal."""
-    return _orthogonal_factor(rng.standard_normal((a, a)))
-
-
 # Sharp two-row unit-pair value: maximizing -2u*log2(u) over entry products
 # u with u + u <= 1 peaks at u = 1/e, which beats the uniform pair's log2(2).
 # For three or more rows the uniform value log2(a) is the true supremum.

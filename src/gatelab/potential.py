@@ -63,7 +63,6 @@ from .gates import (
     check_finite,
     column_panels,
     layer,
-    panel_width,
     replay_layers,
     squared_row_norms,
 )
@@ -253,9 +252,10 @@ def ledger_walk(
     """
     if not 1 <= R <= algorithm.n // 2:
         raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
-    blocks = layer(algorithm, R, width=panel_width(algorithm.n))
-    # the blocks whose gates are all reflections (rotations have c = 1)
-    kept = np.cumsum(algorithm.arrays.c[blocks.gates] != -1.0)
+    blocks = layer(algorithm, R)
+    # the blocks whose gates are all reflections (constants c = -1)
+    arrays = algorithm.arrays
+    kept = np.cumsum((arrays.rotation | (arrays.first != -1.0))[blocks.gates])
     kept = np.concatenate(([0], kept))[blocks.gate_cuts[:: 2 * R]]
     reflections = (kept[1:] == kept[:-1]).tolist()
     workspace = Workspace()
@@ -294,8 +294,8 @@ def ledger_walk(
                 moves[block.units] += delta
                 total += float(delta.sum())
                 scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
-                unchecked += block.gates
-                done += block.gates
+                unchecked += blocks.gate_counts[k]
+                done += blocks.gate_counts[k]
                 if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
                     exact = quasi_entropy(A, B, workspace)
                     if not abs(exact - total) <= DRIFT_TOL * max(scale, abs(exact)):

@@ -177,7 +177,10 @@ def simulate(
     seed = _check_draws(seed, samples)
     n, m = algorithm.n, algorithm.m
     chunk = _chunk_size(n, samples)
-    events = n + m + int(np.count_nonzero(algorithm.arrays.rotation))
+    # the inputs, then one row per gate and one more per rotation (j = -1
+    # marks a constant): counted without ``rotation``'s integer comparison,
+    # which pages in about 128 kB of numpy code that nothing else here runs
+    events = n + m + int(np.count_nonzero(algorithm.arrays.j + 1))
     steps, rows = np.empty(events, dtype=np.int64), np.empty(events, dtype=np.int64)
     bits_sum, max_abs = np.zeros(events), np.zeros(events)
     cur_bits, cur_max = np.empty(events), np.empty(events)
@@ -321,7 +324,8 @@ def empirical_uncertainty_check(
     for lo in range(0, samples, chunk):
         hi = min(lo + chunk, samples)
         X0 = _draw_inputs(seed, lo, hi, sigma, n)
-        Xq = quantize(X0, epsilon)
+        Xq = X0.copy()  # rounded in place, as ``simulate`` rounds
+        _quantize_rows(Xq, range(n), epsilon)
         for _, rows in replay(algorithm, Xq, stop=step):
             _quantize_rows(Xq, rows, epsilon)
         words[lo:hi] = Xq[coord]

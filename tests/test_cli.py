@@ -357,6 +357,10 @@ def test_every_csv_cell_is_a_number(tmp_path):
         (["build", "--scaled", "8,0.5,1", "-o", "ALG"], "--scaled: c must exceed 1, got 0.5"),
         (["build", "--inverse-scaled", "8,4,9", "-o", "ALG"],
          "--inverse-scaled: k must be in [1, 8], got 9"),
+        (["simulate", "ALG", "--eps", "2^-10", "--samples", "0"],
+         "argument --samples: '0' is not at least 1"),
+        (["scan", "ALG", "--R", "0"], "argument --R: '0' is not at least 1"),
+        (["chain", "ALG", "--R", "0"], "argument --R: '0' is not at least 1"),
     ],
 )
 def test_usage_errors_exit_one_with_a_one_line_message(args, reason, tmp_path, capsys):

@@ -360,6 +360,28 @@ def test_layered_gates_name_their_rows_of_the_matrix(algorithm, R, width):
     assert all(rows.flags.c_contiguous for rows in blocks.gate_rows)
 
 
+def test_one_gate_encoding_and_one_rotation_for_both_matrix_walks(monkeypatch):
+    # every gate compiles to (i, j, first, second), and the per-step and the
+    # layered walk rotate through the one shared row-pair rotation
+    algorithm = build_random(8, 60, 3)
+    arrays = algorithm.arrays
+    assert arrays._fields == ("i", "j", "first", "second")
+    kinds = [isinstance(g, Rotation) for g in algorithm.gates]
+    assert arrays.rotation.tolist() == kinds and any(kinds) and not all(kinds)
+    calls = []
+    rotate_pair = gates.rotate_pair
+    monkeypatch.setattr(gates, "rotate_pair", lambda *args: calls.append(1) or rotate_pair(*args))
+    A, B = start_pair(algorithm.n)
+    for _ in replay(algorithm, A, B):
+        pass
+    assert len(calls) == 2 * sum(kinds)  # each rotation on M and on M^{-T}
+    calls.clear()
+    A, B = start_pair(algorithm.n)
+    for _ in replay_layers(layer(algorithm), A, B):
+        pass
+    assert calls
+
+
 def test_layered_walk_applies_gate_runs_in_place():
     # one layered kernel: runs of gates act on A and B themselves, with no
     # per-step objects and no block-relative row positions

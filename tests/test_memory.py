@@ -7,7 +7,8 @@ plus one fixed workspace; an extraction holds its two n x n bases and
 nothing else of that size, and ``extend_basis`` its u and z bases;
 ``validate`` holds M and M^{-T} plus a few rows; ``simulate`` holds one
 n x chunk sample array plus its touch events (at most n + 2m), and its
-draws one row buffer of at most 2**15 floats beside that array; a lemma
+draws one row buffer of at most 2**15 floats beside that array;
+``empirical_uncertainty_check`` holds its draws and one rounded copy; a lemma
 sweep holds one chunk of draws (``lemma.SWEEP_ELEMENTS`` floats) and what
 it evaluates, whatever its number of trials.
 """
@@ -34,7 +35,7 @@ from gatelab import (
 from gatelab import lemma
 from gatelab.gates import panel_width
 from gatelab.potential import row_contribs
-from gatelab.quantized import _draw_inputs, simulate
+from gatelab.quantized import _draw_inputs, empirical_uncertainty_check, simulate
 
 MB = 1 << 20
 
@@ -112,6 +113,21 @@ def test_simulate_keeps_its_statistics_per_touch_event():
     samples = 1000
     one_array = algorithm.n * samples * 8
     assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + 2 * MB
+
+
+@pytest.mark.parametrize("samples", [20_000, 50_000])
+def test_uncertainty_check_holds_the_draws_and_one_rounded_copy(samples):
+    # the drawn samples and their copy rounded in place, each step's rows
+    # rounded in place too, plus a few per-sample vectors: no temporaries
+    # of the sample array's size for the first rounding
+    algorithm = build_wht(32)
+    algorithm.arrays  # compiled before the measurement
+    z = np.full(algorithm.n, algorithm.n**-0.5)
+    one_array = algorithm.n * samples * 8
+    check = lambda: empirical_uncertainty_check(
+        algorithm, 2.0**-6, z, samples=samples, seed=5, step=40, coord=3
+    )
+    assert _peak(check) <= 2.5 * one_array
 
 
 def test_draws_hold_the_sample_array_and_one_row_buffer():
