@@ -18,13 +18,13 @@ _EXPORTS = {
         "Rotation",
         "is_reflection",
         "parse_algorithm",
-        "read_algorithm",
         "render_algorithm",
         "touched",
         "write_algorithm",
     ),
     "gates": (
         "apply_to_vector",
+        "read_algorithm",
         "replay",
         "validate",
     ),

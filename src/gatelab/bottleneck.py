@@ -29,7 +29,7 @@ window.  The chain reads its scan report from its own walk, so it equals
 
 Both read one record of ``potential.ledger_walk``, the walk of
 ``trace_potential`` too, which layers the windows as units
-(``gates.layer(algorithm, R)``; R = 1 is the gate case) and takes every
+(``layering.layer(algorithm, R)``; R = 1 is the gate case) and takes every
 window's touched-row products at its start and, for the chain, at its end.
 The chain keeps the walk's row ledger and its drift guard: a recheck of the
 potential every ``RECOMPUTE_EVERY`` gates of a panel and, at the end, a

@@ -24,7 +24,7 @@ The default threshold is sqrt(b/2) for speedup factor b = n*log2(n)/m.
 
 The ledger.  P and Q are never formed.  For a candidate row r and an
 orthonormal system v_1..v_k, |r P|^2 = |r|^2 - sum_j (r . v_j)^2, and
-r . v = (M(t) v)_i.  So one layered walk of (I, I) (``gates.replay_layers``)
+r . v = (M(t) v)_i.  So one layered walk of (I, I) (``layering.replay_layers``)
 gives every candidate's |r|^2 and |s|^2 (s its row of M(t)^{-T}) and the
 final M(m) for the target check.  The walk takes the identity's columns in
 panels (``gates.column_panels``): each panel adds its part of every squared
@@ -34,11 +34,11 @@ beyond n = 512.  After that a round
 
 - rates every candidate from its two squared residuals;
 - materialises only the winner's row, by a transposed walk of e_i
-  (``gates.VectorWalk.row``), and orthogonalises it against its own system
+  (``layering.VectorWalk.row``), and orthogonalises it against its own system
   (Gram-Schmidt, twice), so the recorded magnitude is the norm |w| of that
   row, not the ledger's value;
 - pushes the new unit vector once through M (overflow) or M^{-T}
-  (underflow) (``gates.VectorWalk.push``), which gives r . v for every
+  (underflow) (``layering.VectorWalk.push``), which gives r . v for every
   candidate and updates the ledger in O(m).
 
 One round costs O(m + kn), not the O(mn) of replaying both matrices.
@@ -98,15 +98,13 @@ from .builders import wht_entries
 from .gates import (
     BLOCK_ELEMENTS,
     LinearAlgorithm,
-    VectorWalk,
     Workspace,
     check_finite,
     column_panels,
-    layer,
     panel_width,
-    replay_layers,
     squared_row_norms,
 )
+from .layering import VectorWalk, layer, replay_layers
 
 
 # A system's Gram matrix may miss the identity by ORTHO_TOL (``check``), and

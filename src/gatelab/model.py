@@ -7,8 +7,13 @@ the trajectory M(0)=Id, M(1), ..., M(m); ``gates`` compiles and walks it.
 
 This module holds only the gate objects, ``LinearAlgorithm`` and the text
 format, in plain Python: building and writing a gate file never loads numpy.
-``LinearAlgorithm.arrays`` imports the numpy kernel the first time an
-analysis asks for the compiled gate arrays.
+The format has one parser, ``parse_columns``, which reads the text into
+three columns (i, j and value, j = -1 for a constant) and checks every gate
+on the way.  ``parse_algorithm`` wraps the columns in a
+``LinearAlgorithm`` that builds its gate objects when ``gates`` is first
+read; ``gates.read_algorithm`` compiles them into the numpy gate arrays
+without building any.  ``LinearAlgorithm.arrays`` imports the numpy kernel
+the first time an analysis asks for the compiled gate arrays.
 
 Coordinates are 0-based everywhere, including the text file format.
 """
@@ -17,13 +22,14 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Union
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
     from .gates import GateArrays
 
-# The gate objects and LinearAlgorithm are tuples of their fields: immutable,
-# equal and hashed by value, and checked in ``__new__``.
+# The gate objects are tuples of their fields: immutable, equal and hashed by
+# value, and checked in ``__new__``.
 
 
 class _RotationFields(NamedTuple):
@@ -57,7 +63,8 @@ class _ConstantFields(NamedTuple):
 
 
 class Constant(_ConstantFields):
-    """Multiplication of coordinate ``i`` by the nonzero scalar ``c``."""
+    """Multiplication of coordinate ``i`` by the nonzero scalar ``c``, whose
+    reciprocal scales the row of the inverse transpose and must be finite."""
 
     __slots__ = ()
 
@@ -66,6 +73,8 @@ class Constant(_ConstantFields):
             raise ValueError(f"negative coordinate in constant gate ({i})")
         if not math.isfinite(c) or c == 0.0:
             raise ValueError(f"constant gate scalar must be finite and nonzero, got {c!r}")
+        if not math.isfinite(1.0 / c):
+            raise ValueError(f"constant gate scalar must have a finite reciprocal, got {c!r}")
         return super().__new__(cls, i, c)
 
 
@@ -84,34 +93,68 @@ def touched(gate: Gate) -> tuple[int, ...]:
     return (gate.i,)
 
 
-class _AlgorithmFields(NamedTuple):
-    n: int
-    gates: tuple[Gate, ...]
-    label: str
+def _check_rows(n: int, i: Sequence[int], j: Sequence[int]) -> None:
+    """Raise ValueError unless n >= 2 and every row the gates touch is below n."""
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+    if max(i, default=0) >= n or max(j, default=0) >= n:
+        pos = next(g for g in range(len(i)) if i[g] >= n or j[g] >= n)
+        row = i[pos] if i[pos] >= n else j[pos]
+        raise ValueError(f"gate {pos} touches coordinate {row}, out of range for n={n}")
 
 
-class LinearAlgorithm(_AlgorithmFields):
-    """Dimension n plus an ordered gate list; the composed map is M(m)."""
+class LinearAlgorithm:
+    """Dimension n plus an ordered gate list; the composed map is M(m).
 
-    def __new__(cls, n: int, gates: tuple[Gate, ...], label: str = "") -> LinearAlgorithm:
-        if n < 2:
-            raise ValueError(f"dimension must be at least 2, got {n}")
+    Frozen, and equal and hashed by (n, gates, label).  ``columns`` holds
+    the gate list as three columns (i, j, value), one entry per gate: a
+    rotation of rows i and j by the angle value, or, where j is -1, the
+    constant value on row i; ``arrays`` compiles them.  One made by
+    ``from_columns`` builds its gate objects only when ``gates`` is first
+    read, so an analysis of a gate file never builds one.
+    """
+
+    def __init__(self, n: int, gates: Iterable[Gate], label: str = "") -> None:
         gates = tuple(gates)
-        for pos, gate in enumerate(gates):
-            for idx in touched(gate):
-                if idx >= n:
-                    raise ValueError(
-                        f"gate {pos} touches coordinate {idx}, out of range for n={n}"
-                    )
-        return super().__new__(cls, n, gates, label)
+        i = [g.i for g in gates]
+        j = [g.j if isinstance(g, Rotation) else -1 for g in gates]
+        _check_rows(n, i, j)
+        columns = (i, j, [g[-1] for g in gates])  # the last field: theta or c
+        self.__dict__.update(n=n, m=len(gates), label=label, gates=gates, columns=columns)
+
+    @classmethod
+    def from_columns(
+        cls, n: int, columns: tuple, label: str = "", arrays: GateArrays | None = None
+    ) -> LinearAlgorithm:
+        """The algorithm of checked columns (``parse_columns``'s, or any
+        sequences of the same numbers), with its compiled ``arrays`` if given."""
+        algorithm = cls.__new__(cls)
+        algorithm.__dict__.update(n=n, m=len(columns[0]), label=label, columns=columns)
+        if arrays is not None:
+            algorithm.__dict__["arrays"] = arrays
+        return algorithm
 
     def __setattr__(self, name: str, value: object) -> None:
-        # the instance dict exists only for the cached ``arrays``
         raise AttributeError(f"cannot assign to {name!r} of a LinearAlgorithm")
 
-    @property
-    def m(self) -> int:
-        return len(self.gates)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearAlgorithm):
+            return NotImplemented
+        return (self.n, self.gates, self.label) == (other.n, other.gates, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.gates, self.label))
+
+    def __repr__(self) -> str:
+        return f"LinearAlgorithm(n={self.n}, gates={self.gates!r}, label={self.label!r})"
+
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        # Python numbers, whatever sequences the columns are
+        return tuple(
+            Rotation(int(i), int(j), float(v)) if j >= 0 else Constant(int(i), float(v))
+            for i, j, v in zip(*self.columns)
+        )
 
     @cached_property
     def arrays(self) -> GateArrays:
@@ -120,7 +163,7 @@ class LinearAlgorithm(_AlgorithmFields):
         # a gate file never load.
         from .gates import GateArrays
 
-        return GateArrays.compile(self.gates)
+        return GateArrays.compile(self.columns)
 
 
 class ParseError(ValueError):
@@ -148,8 +191,12 @@ def render_algorithm(algorithm: LinearAlgorithm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_algorithm(text: str, label: str = "") -> LinearAlgorithm:
-    """Parse the gate text format; raises ParseError with a line number."""
+def parse_columns(text: str) -> tuple[int, tuple[list, list, list]]:
+    """The one parser of the gate text format: the dimension n and the gate
+    columns (i, j, value) of ``LinearAlgorithm.columns``.  Every gate is
+    checked as ``Rotation``, ``Constant`` and ``LinearAlgorithm`` check it,
+    in plain Python as the lines are read; raises ParseError with a line
+    number."""
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input, expected header 'n <n> m <m>'")
@@ -161,35 +208,66 @@ def parse_algorithm(text: str, label: str = "") -> LinearAlgorithm:
     except ValueError:
         raise ParseError(1, f"non-integer dimensions in header {lines[0]!r}") from None
 
-    gates: list[Gate] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        if not parts:
-            continue
-        try:
-            if parts[0] == "R" and len(parts) == 4:
-                gates.append(Rotation(int(parts[1]), int(parts[2]), float(parts[3])))
-            elif parts[0] == "C" and len(parts) == 3:
-                gates.append(Constant(int(parts[1]), float(parts[2])))
-            else:
-                raise ParseError(lineno, f"unrecognized gate line {raw!r}")
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    if len(gates) != m:
-        raise ParseError(1, f"header declares m={m} gates but {len(gates)} were parsed")
+    columns = ([], [], [])
+    add_i, add_j, add_value = (column.append for column in columns)
+    isfinite = math.isfinite
+    # rows below n (two per line at most: the table costs no more than the
+    # text) under their decimals ``str(r)``, read twice as fast as by ``int``;
+    # other text (``07``, ``1_0``, a larger row) takes ``int`` and range checks
+    rows = {str(r): r for r in range(min(n, 2 * len(lines)))}
+    beyond_rows = False
+    raw = ""
     try:
-        return LinearAlgorithm(n=n, gates=tuple(gates), label=label)
+        for raw in islice(lines, 1, None):
+            parts = raw.split()
+            size = len(parts)
+            # a gate that fails the quick check is made, to raise its own error
+            if size == 4 and parts[0] == "R":
+                try:
+                    i, j = rows[parts[1]], rows[parts[2]]
+                except KeyError:
+                    i, j = int(parts[1]), int(parts[2])
+                    beyond_rows = True
+                value = float(parts[3])
+                if i == j or i < 0 or j < 0 or not isfinite(value):
+                    Rotation(i, j, value)
+            elif size == 3 and parts[0] == "C":
+                try:
+                    i = rows[parts[1]]
+                except KeyError:
+                    i = int(parts[1])
+                    beyond_rows = True
+                j, value = -1, float(parts[2])
+                if i < 0 or not isfinite(value) or not value or not isfinite(1.0 / value):
+                    Constant(i, value)
+            elif size:
+                raise ValueError(f"unrecognized gate line {raw!r}")
+            else:
+                continue  # a blank line
+            add_i(i)
+            add_j(j)
+            add_value(value)
+    except ValueError as exc:
+        # whether a line parses depends on its text alone, so no earlier
+        # line holds the same text
+        raise ParseError(lines.index(raw, 1) + 1, str(exc)) from None
+    if len(columns[0]) != m:
+        raise ParseError(1, f"header declares m={m} gates but {len(columns[0])} were parsed")
+    try:
+        if n < 2 or beyond_rows:
+            _check_rows(n, *columns[:2])
     except ValueError as exc:
         raise ParseError(1, str(exc)) from None
+    return n, columns
+
+
+def parse_algorithm(text: str, label: str = "") -> LinearAlgorithm:
+    """Parse the gate text format (``parse_columns``) into an algorithm whose
+    gate objects are built from the columns when ``gates`` is first read."""
+    n, columns = parse_columns(text)
+    return LinearAlgorithm.from_columns(n, columns, label)
 
 
 def write_algorithm(algorithm: LinearAlgorithm, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(render_algorithm(algorithm))
-
-
-def read_algorithm(path: str) -> LinearAlgorithm:
-    with open(path) as fh:
-        return parse_algorithm(fh.read(), label=path)

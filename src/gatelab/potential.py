@@ -52,20 +52,21 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gates import (
     BLOCK_ELEMENTS,
     LinearAlgorithm,
-    UnitRows,
     Workspace,
     check_finite,
     column_panels,
-    layer,
-    replay_layers,
     squared_row_norms,
 )
+
+if TYPE_CHECKING:
+    from .layering import UnitRows
 
 # Entry products below this threshold are treated as exact zeros; keeps log2
 # clear of subnormal underflow.
@@ -250,6 +251,10 @@ def ledger_walk(
     contribution seen.  At the end the moves must add up to the change of
     the potential within ``DRIFT_TOL`` of that scale and both end values.
     """
+    # Imported here: ``lemma`` reaches this module for its potentials alone,
+    # and never compiles the layering.
+    from .layering import layer, replay_layers
+
     if not 1 <= R <= algorithm.n // 2:
         raise ValueError(f"window size {R} out of range [1, {algorithm.n // 2}]")
     blocks = layer(algorithm, R)

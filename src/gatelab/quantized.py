@@ -29,10 +29,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .gates import LinearAlgorithm, VectorWalk, replay
+from .gates import ROTATE_COLUMNS, LinearAlgorithm, replay
 
 if TYPE_CHECKING:
     from .directions import DirectionSystem, ExtendedBasis, VolumeBound
+    from .layering import VectorWalk
 
 # Fixed vectorization width so results are byte-identical regardless of
 # available memory; chunks degrade gracefully for very wide problems.
@@ -188,13 +189,17 @@ def simulate(
         # the drawn chunk is the only n x chunk array: rounded and scored in
         # place, row by row, as each step rounds and scores its rows
         X = _draw_inputs(seed, lo, min(lo + chunk, samples), sigma, n)
-        scratch = np.empty(X.shape[1])
+        # one scratch serves the scoring's row and, between steps, the
+        # rotations' two rows of at most ``ROTATE_COLUMNS`` columns
+        columns = X.shape[1]
+        width = min(columns, ROTATE_COLUMNS)
+        scratch = np.empty(max(columns, 2 * width))
         k = 0
-        for t, touched in replay(algorithm, X):
+        for t, touched in replay(algorithm, X, scratch=scratch[: 2 * width].reshape(2, width)):
             touched = touched or range(n)  # t = 0 rewrites no row: the inputs
             hi = k + len(touched)
             _quantize_rows(X, touched, epsilon)
-            _score_rows(X, touched, epsilon, cur_bits[k:hi], cur_max[k:hi], scratch)
+            _score_rows(X, touched, epsilon, cur_bits[k:hi], cur_max[k:hi], scratch[:columns])
             steps[k:hi], rows[k:hi] = t, touched
             k = hi
         bits_sum += cur_bits
@@ -305,6 +310,10 @@ def empirical_uncertainty_check(
         raise ValueError(f"direction must have length {n}")
     if abs(np.linalg.norm(z) - 1.0) > 1e-9:
         raise ValueError("direction must be unit norm")
+
+    # Imported here: ``simulate`` never layers, so its process never
+    # compiles the layering.
+    from .layering import VectorWalk
 
     walk = VectorWalk(algorithm)
     if step is None or coord is None:

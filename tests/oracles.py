@@ -27,6 +27,9 @@ replay and of its filled cell grids bit for bit.
 
 ``matrices_at`` is the dense pair (M(t), M(t)^{-T}) replayed from the
 identity, the judge of ``VectorWalk.row`` and of the dense checks.
+``layer_reference`` is ``layering.layer`` with its layers found unit by unit,
+each unit's rows sliced into a list, and its blocks cut and grouped unit by
+unit: the judge of the packed layering bit for bit.
 
 The per-step references at the end walk the trajectory one gate at a time
 through ``gatelab.replay`` from ``start_pair`` (the replay itself checked
@@ -62,7 +65,8 @@ from hypothesis import strategies as st
 
 from gatelab.builders import wht_matrix
 from gatelab.directions import DirectionSystem, ExtendedBasis, speedup_factor
-from gatelab.gates import TrajectoryDiagnostics, replay
+from gatelab.gates import BLOCK_ELEMENTS, TrajectoryDiagnostics, panel_width, replay
+from gatelab.layering import Blocks, UnitRows
 from gatelab import lemma
 from gatelab.model import Constant, LinearAlgorithm, Rotation, touched
 from gatelab.potential import DRIFT_TOL, ZERO_PRODUCT, change_bound, quasi_entropy
@@ -217,6 +221,84 @@ def apply_gate_reference(A: np.ndarray, gate, inverse_transpose: bool = False) -
         A[gate.j] = -s * xi + c * xj
     else:
         A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
+
+
+def layer_reference(algorithm, R=1, width=None):
+    """``layering.layer`` with a Python step per unit for its layers, cuts and groups."""
+    n, m, arrays = algorithm.n, algorithm.m, algorithm.arrays
+    W = -(-m // R)
+    ij = np.full((2, W * R), -1, dtype=np.int64)
+    ij[0, :m], ij[1, :m] = arrays.i, arrays.j
+    touched_rows = ij.reshape(2, W, R).transpose(1, 0, 2).reshape(W, 2 * R)
+    touched_rows.sort(axis=1)
+    keep = touched_rows >= 0
+    keep[:, 1:] &= touched_rows[:, 1:] != touched_rows[:, :-1]
+    sizes = keep.sum(axis=1)
+    flat = touched_rows[keep]
+    starts = np.zeros(W + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+
+    levels = []
+    free = [0] * n
+    flat_list, bounds = flat.tolist(), starts.tolist()
+    for w in range(W):
+        rows = flat_list[bounds[w] : bounds[w + 1]]
+        level = max([free[r] for r in rows])
+        for r in rows:
+            free[r] = level + 1
+        levels.append(level)
+    level = np.array(levels, dtype=np.int64)
+
+    order = np.lexsort((sizes, level))
+    sizes_o = sizes[order]
+    cap = max(1, BLOCK_ELEMENTS // (panel_width(n) if width is None else width))
+    cuts = []
+    used, current = 0, -1
+    for p, (lv, size) in enumerate(zip(level[order].tolist(), sizes_o.tolist())):
+        if lv != current or used + size > cap:
+            cuts.append(p)
+            used, current = 0, lv
+        used += size
+    cuts.append(W)
+    block_of = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    offsets = np.zeros(W + 1, dtype=np.int64)
+    np.cumsum(sizes_o, out=offsets[1:])
+    row_cuts = offsets[cuts]
+    rows_o = flat[np.repeat(starts[order] - offsets[:-1], sizes_o) + np.arange(offsets[-1])]
+    unit_starts = offsets[:-1] - row_cuts[block_of]
+
+    groups = [[] for _ in range(len(cuts) - 1)]
+    run_starts = np.zeros(W, dtype=bool)
+    run_starts[cuts[:-1]] = True
+    run_starts[1:] |= sizes_o[1:] != sizes_o[:-1]
+    runs = np.flatnonzero(run_starts).tolist()
+    for first, end in zip(runs, runs[1:] + [W]):
+        b = int(block_of[first])
+        groups[b].append((int(sizes_o[first]), first - cuts[b], end - cuts[b]))
+
+    position = np.empty(W, dtype=np.int64)
+    position[order] = np.arange(W)
+    position = position[np.arange(m) // R]
+    segment = (block_of[position] * R + np.arange(m) % R) * 2 + (arrays.j < 0)
+    gates = np.lexsort((position, segment))
+    i, j = arrays.i[gates], arrays.j[gates]
+    return Blocks(
+        R,
+        unit_rows=UnitRows(flat, starts),
+        layers=max(levels, default=-1) + 1,
+        units=order,
+        rows=rows_o,
+        unit_starts=unit_starts,
+        row_units=np.repeat(order, sizes_o),
+        cuts=cuts,
+        row_cuts=row_cuts.tolist(),
+        groups=[tuple(g) for g in groups],
+        gates=gates,
+        gate_cuts=np.searchsorted(segment[gates], np.arange(2 * R * len(groups) + 1)).tolist(),
+        gate_rows=np.stack((i, np.where(j < 0, i, j))),
+        first=arrays.first[gates],
+        second=arrays.second[gates],
+    )
 
 
 class DenseRunStats(NamedTuple):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from gatelab import quantized
 from gatelab.potential import trace_potential
 from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
-from gatelab.model import read_algorithm, touched
+from gatelab.gates import read_algorithm
+from gatelab.model import touched
 
 from oracles import (
     assert_lemma_contract,
@@ -246,6 +247,22 @@ def test_garbled_gate_file_exits_one_with_a_one_line_message(tmp_path, capsys):
     bad.write_text("n 4 m 1\r\nR 0 1 1e999\x0c\n\t-.e nan\n")
     assert run(["trace", bad]) == 1
     assert capsys.readouterr() == ("", "error: line 2: non-finite rotation angle inf\n")
+
+
+@pytest.mark.parametrize("sub", ["trace", "validate", "simulate"])
+def test_a_constant_without_a_finite_reciprocal_exits_one(sub, tmp_path, capsys):
+    # 1 / 1e-320 overflows: refused as the file is read, not reported as an
+    # overflowed trajectory (exit 2) or simulated (exit 0)
+    alg = tmp_path / "tiny.alg"
+    alg.write_text("n 2 m 2\nR 0 1 0.5\nC 0 1e-320\n")
+    out = tmp_path / "out"
+    options = ["--eps", "2^-10", "--samples", 20] if sub == "simulate" else []
+    args = [sub, alg, "-o", out] + options
+    assert run(args) == 1
+    assert not out.exists()
+    assert capsys.readouterr() == (
+        "", "error: line 3: constant gate scalar must have a finite reciprocal, got 1e-320\n"
+    )
 
 
 def test_build_requires_exactly_one_source(tmp_path):
@@ -605,7 +622,8 @@ def test_the_process_entry_point_gives_what_main_gives(tmp_path, capsys):
         assert len(err.splitlines()) == (code != 0)
 
 
-_ANALYSES = {"gatelab.potential", "gatelab.bottleneck", "gatelab.directions", "gatelab.quantized"}
+_ANALYSES = {"gatelab.potential", "gatelab.bottleneck", "gatelab.directions", "gatelab.quantized",
+             "gatelab.layering"}
 
 # Calls ``cli.main`` with the given arguments, then prints the modules it
 # loaded as the last line of stdout; ``json`` is imported only after they are
@@ -643,12 +661,12 @@ _WALK_ABSENT = {"numpy.random", "gatelab.builders", "gatelab.directions", "gatel
         (["--help"], _BUILD_ABSENT),
         (["validate", "ALG"], _ANALYSES),
         (["simulate", "ALG", "--eps", "2^-10", "--samples", "10"],
-         {"gatelab.bottleneck", "gatelab.directions", "gatelab.builders"}),
+         {"gatelab.bottleneck", "gatelab.directions", "gatelab.builders", "gatelab.layering"}),
         (["trace", "ALG", "-o", "OUT"], _WALK_ABSENT),
         (["scan", "ALG"], _WALK_ABSENT),
         (["chain", "ALG"], _WALK_ABSENT),
         (["lemma", "--pair-trials", "50", "--trials", "5", "--proj-trials", "1", "--n-list", "4"],
-         {"gatelab.directions", "gatelab.quantized"}),
+         {"gatelab.directions", "gatelab.quantized", "gatelab.layering"}),
         (["extract", "ALG"],
          {"numpy.random", "gatelab.potential", "gatelab.bottleneck", "gatelab.lemma",
           "gatelab.quantized"}),

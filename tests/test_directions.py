@@ -21,7 +21,7 @@ from gatelab import (
     speedup_factor,
     uncertainty_volume_log,
 )
-from gatelab import gates
+from gatelab import gates, layering
 from gatelab.model import touched
 
 from oracles import (
@@ -253,14 +253,14 @@ def test_wht256_fills_both_systems_within_a_second():
 def test_ledger_rounding_beyond_the_bound_raises(monkeypatch):
     # a ledger that rates a row far above its true factor is caught by the
     # exact materialised row, not recorded as a direction
-    real = gates.VectorWalk.push
+    real = layering.VectorWalk.push
 
     def inflated(self, x, inverse_transpose=False, out=None):
         out = real(self, x, inverse_transpose, out)
         out[:] = 0.0  # subtracts no projection: the first winner stays on top
         return out
 
-    monkeypatch.setattr(gates.VectorWalk, "push", inflated)
+    monkeypatch.setattr(layering.VectorWalk, "push", inflated)
     with pytest.raises(RuntimeError, match="rounding beyond the ledger's bound"):
         extract_directions(build_wht(8))
 

@@ -21,21 +21,20 @@ from gatelab import (
     validate,
 )
 
-from gatelab import gates
-from gatelab.builders import build_dft_real
-from gatelab.gates import (
-    BLOCK_ELEMENTS,
-    VectorWalk,
-    column_panels,
-    layer,
-    panel_width,
-    replay_layers,
+from gatelab import gates, layering
+from gatelab.builders import (
+    build_dft_real,
+    build_inverse_scaled_fixture,
+    build_scaled_bottleneck_fixture,
 )
+from gatelab.gates import BLOCK_ELEMENTS, column_panels, panel_width
+from gatelab.layering import VectorWalk, layer, replay_layers
 
 from oracles import (
     apply_gate_reference,
     compose_dense,
     compose_dense_inverse_transpose,
+    layer_reference,
     matrices_at,
     start_pair,
     validate_reference,
@@ -360,6 +359,37 @@ def test_layered_gates_name_their_rows_of_the_matrix(algorithm, R, width):
     assert all(rows.flags.c_contiguous for rows in blocks.gate_rows)
 
 
+def _assert_same_layering(got, want):
+    for name in ("units", "rows", "unit_starts", "row_units", "gates", "gate_rows", "first",
+                 "second"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("cuts", "row_cuts", "groups", "gate_cuts", "gate_counts", "unit_rows"):
+        assert list(getattr(got, name)) == list(getattr(want, name)), name
+    assert got.layers == want.layers
+
+
+@pytest.mark.parametrize("R", [1, 2, 3])
+@pytest.mark.parametrize(
+    "algorithm",
+    [build_wht(1024), build_dft_real(64), build_scaled_bottleneck_fixture(16, 2.0**20, 4),
+     build_inverse_scaled_fixture(16, 2.0**8, 4), build_random(8, 60, 3),
+     build_random(300, 400, 5)],
+    ids=["wht1024", "dft64", "scaled16", "inverse_scaled16", "random8", "random300"],
+)
+def test_layering_matches_the_unit_by_unit_reference(algorithm, R):
+    # at WHT n=1024 the panel width, 256, cuts every layer into blocks
+    for width in (1, panel_width(algorithm.n)):
+        _assert_same_layering(layer(algorithm, R, width), layer_reference(algorithm, R, width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_instances())
+def test_layering_of_random_programs_matches_the_unit_by_unit_reference(instance):
+    algorithm, R, _, _ = instance
+    for width in (1, 2, panel_width(algorithm.n)):
+        _assert_same_layering(layer(algorithm, R, width), layer_reference(algorithm, R, width))
+
+
 def test_one_gate_encoding_and_one_rotation_for_both_matrix_walks(monkeypatch):
     # every gate compiles to (i, j, first, second), and the per-step and the
     # layered walk rotate through the one shared row-pair rotation
@@ -370,7 +400,10 @@ def test_one_gate_encoding_and_one_rotation_for_both_matrix_walks(monkeypatch):
     assert arrays.rotation.tolist() == kinds and any(kinds) and not all(kinds)
     calls = []
     rotate_pair = gates.rotate_pair
-    monkeypatch.setattr(gates, "rotate_pair", lambda *args: calls.append(1) or rotate_pair(*args))
+    assert layering.rotate_pair is rotate_pair  # the layered walk's, imported by name
+    for module in (gates, layering):
+        monkeypatch.setattr(module, "rotate_pair",
+                            lambda *args: calls.append(1) or rotate_pair(*args))
     A, B = start_pair(algorithm.n)
     for _ in replay(algorithm, A, B):
         pass
@@ -385,8 +418,9 @@ def test_one_gate_encoding_and_one_rotation_for_both_matrix_walks(monkeypatch):
 def test_layered_walk_applies_gate_runs_in_place():
     # one layered kernel: runs of gates act on A and B themselves, with no
     # per-step objects and no block-relative row positions
-    assert not hasattr(gates, "LayerStep") and not hasattr(gates, "Layering")
-    assert "steps" not in gates.Block._fields
+    for module in (gates, layering):
+        assert not hasattr(module, "LayerStep") and not hasattr(module, "Layering")
+    assert "steps" not in layering.Block._fields
 
 
 def test_full_wht4_matches_dense_gate_product():

@@ -6,8 +6,10 @@ walk holds one column panel of A and of B (2nw floats, w = ``panel_width(n)``)
 plus one fixed workspace; an extraction holds its two n x n bases and
 nothing else of that size, and ``extend_basis`` its u and z bases;
 ``validate`` holds M and M^{-T} plus a few rows; ``simulate`` holds one
-n x chunk sample array plus its touch events (at most n + 2m), and its
-draws one row buffer of at most 2**15 floats beside that array;
+n x chunk sample array plus its touch events (at most n + 2m) and one
+scratch row, and its draws one row buffer of at most 2**15 floats beside
+that array; reading a gate file holds its lines and columns, never a gate
+object;
 ``empirical_uncertainty_check`` holds its draws and one rounded copy; a lemma
 sweep holds one chunk of draws (``lemma.SWEEP_ELEMENTS`` floats) and what
 it evaluates, whatever its number of trials.
@@ -33,7 +35,8 @@ from gatelab import (
     verify_bottleneck_chain,
 )
 from gatelab import lemma
-from gatelab.gates import panel_width
+from gatelab.gates import panel_width, read_algorithm
+from gatelab.model import write_algorithm
 from gatelab.potential import row_contribs
 from gatelab.quantized import _draw_inputs, empirical_uncertainty_check, simulate
 
@@ -100,10 +103,25 @@ def test_validate_converts_the_gate_columns_in_bounded_chunks():
 
 
 def test_simulate_holds_one_sample_array():
+    # and one scratch row, which also holds the rotations' two rows of at
+    # most ``ROTATE_COLUMNS``: 433 kB beyond the array (682 kB while each
+    # had its own)
     algorithm = build_wht(32)
     samples = 50_000
     one_array = algorithm.n * samples * 8
-    assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + 1 * MB
+    assert _peak(lambda: simulate(algorithm, 2**-10, samples=samples)) <= one_array + MB // 2
+
+
+def test_reading_a_gate_file_holds_its_lines_and_columns_beyond_the_text(tmp_path):
+    # the text's lines and three columns as Python numbers at the peak, then
+    # the compiled arrays and the values: 157 bytes a gate beyond the text at
+    # WHT n=1024 (217 while every gate became an object)
+    path = tmp_path / "wht1024.alg"
+    write_algorithm(build_wht(1024), str(path))
+    text_bytes = path.stat().st_size
+    read_algorithm(str(path))  # loads nothing the measured call would
+    peak = _peak(lambda: read_algorithm(str(path)))
+    assert (peak - text_bytes) / 10_240 <= 175
 
 
 def test_simulate_keeps_its_statistics_per_touch_event():

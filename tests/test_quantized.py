@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gatelab import quantized
 from gatelab.builders import build_dft_real, build_random
-from gatelab.gates import VectorWalk
+from gatelab.layering import VectorWalk
 from gatelab.model import touched
 from gatelab import (
     Constant,
@@ -180,6 +180,30 @@ def test_simulate_matches_the_gate_object_reference_bit_for_bit(name, chunk, mon
     assert got.mean_bits.tobytes() == want.mean_bits.tobytes()
     assert got.max_abs.tobytes() == want.max_abs.tobytes()
     assert np.array_equal(got.overflow_flags, want.overflow_flags)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 37])
+def test_simulate_rotates_in_its_scoring_row_bit_for_bit(chunk, monkeypatch):
+    # one scratch: the rotations' two rows are the start of the scoring row,
+    # here 7 columns wide, so each rotation of 100 samples goes in slices
+    algorithm, samples = build_dft_real(16), 100
+    monkeypatch.setattr(quantized, "ROTATE_COLUMNS", 7)
+    if chunk:
+        monkeypatch.setattr(quantized, "_CHUNK_BUDGET", algorithm.n * chunk)
+    lent, scored = [], []
+    real_replay, real_score = quantized.replay, quantized._score_rows
+    monkeypatch.setattr(quantized, "replay", lambda *args, scratch: lent.append(scratch)
+                        or real_replay(*args, scratch=scratch))
+    monkeypatch.setattr(quantized, "_score_rows", lambda *args: scored.append(args[-1])
+                        or real_score(*args))
+    got = simulate(algorithm, epsilon=EPS, samples=samples, seed=17, word_budget=20.0)
+    want = simulate_reference(algorithm, EPS, samples=samples, seed=17, word_budget=20.0,
+                              chunk=chunk)
+    assert got.mean_bits.tobytes() == want.mean_bits.tobytes()
+    assert got.max_abs.tobytes() == want.max_abs.tobytes()
+    width = min(7, chunk or samples)
+    assert all(s.shape == (2, width) for s in lent)
+    assert np.shares_memory(lent[0], scored[0]) and np.shares_memory(lent[-1], scored[-1])
 
 
 @settings(max_examples=200, deadline=None)
