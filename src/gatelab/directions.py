@@ -199,17 +199,15 @@ def _squared_row_norms(
     ``ArithmeticError`` before that panel's target check."""
     n = algorithm.n
     blocks = layer(algorithm)
-    cuts = blocks.row_cuts
     squares = np.zeros((2, blocks.rows.size))  # 0.0 + x is x for every x >= 0
     workspace = Workspace()
     # an overflow is reported as an error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, (A, B) in zip(range(0, n, panel_width(n)), column_panels(n)):
             walk = replay_layers(blocks, A, B, workspace, before=False)
-            for b, (_, _, _, a1, b1) in enumerate(walk):
-                rows = slice(cuts[b], cuts[b + 1])
-                squares[0, rows] += squared_row_norms(a1)
-                squares[1, rows] += squared_row_norms(b1)
+            for block, _, _, a1, b1 in walk:  # a zero row would add 0.0
+                squares[0, block.positions] += squared_row_norms(a1)
+                squares[1, block.positions] += squared_row_norms(b1)
             # no gate makes an entry that is not finite finite again
             if not (np.isfinite(A).all() and np.isfinite(B).all()):
                 raise ArithmeticError("the trajectory overflowed: M(m) or M(m)^{-T} is not finite")

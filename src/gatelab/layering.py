@@ -11,14 +11,20 @@ numpy and a step per block.
 block's gates that share a step and a kind rewrites its rows of the
 matrices in place, all gates at once, with fancy indexing on the gates' own
 rows and scratch in a ``gates.Workspace`` that the walk reuses, so the walk
-allocates nothing per block.  ``potential.ledger_walk`` (the one walk of
+allocates no block-sized array.  ``potential.ledger_walk`` (the one walk of
 ``trace_potential``, ``scan_bottlenecks`` and ``verify_bottleneck_chain``,
 which layers windows of R gates as units, R = 1 for the trace) and
 ``extract_directions`` (once, for its row norms) use it: the walk hands over
-every row of a block's units, gathered before and after the block and
-sorted within each unit, so a walk rates a whole block in a few numpy
-calls.  Its matrices are bit-identical to ``gates.replay``'s: both rotate
-through ``gates.rotate_pair`` and scale rows by the same numbers.
+the rows of a block's live units, gathered before and after the block and
+sorted within each unit, so a walk rates a block in a few numpy calls.
+Rows that are +0.0 in every column of both matrices are dormant: a column
+panel of the identity starts with n - w of them, which the butterflies fill
+in only over the first layers.  A unit whose rows are all dormant sleeps:
+its gates act on one proxy column per side instead of its rows, and it is
+not handed over, since zero rows add nothing to any norm or potential.  The
+matrices are bit-identical to ``gates.replay``'s: both rotate through
+``gates.rotate_pair`` and scale rows by the same numbers, and the proxies
+carry each dormant row's signed zero.
 
 A single vector walks the same layering, cut for one column so that a
 layer is one block (``VectorWalk``): ``push`` takes x to M(m) x or
@@ -52,13 +58,16 @@ class Block(NamedTuple):
     ascending order; unit ``units[u]`` starts at ``unit_starts[u]``.  Units
     are sorted by row count, then by index, and ``groups`` lists each run of
     equal-sized units as (rows per unit, first position, end position) in
-    ``units``.
+    ``units``.  ``positions`` indexes the rows in ``Blocks.rows``, the
+    layering's row order: a slice for a whole block, an array for the live
+    units that ``replay_layers`` hands over.
     """
 
     units: np.ndarray
     rows: np.ndarray
     unit_starts: np.ndarray
     groups: tuple[tuple[int, int, int], ...]
+    positions: slice | np.ndarray
 
 
 class UnitRows(Sequence):
@@ -113,7 +122,8 @@ class Blocks(Sequence):
             raise IndexError(b)
         us, ue = self.cuts[b], self.cuts[b + 1]
         rs, re = self.row_cuts[b], self.row_cuts[b + 1]
-        return Block(self.units[us:ue], self.rows[rs:re], self.unit_starts[us:ue], self.groups[b])
+        return Block(self.units[us:ue], self.rows[rs:re], self.unit_starts[us:ue], self.groups[b],
+                     slice(rs, re))
 
 
 def _levels(n: int, columns: list[list[int]]) -> list[int]:
@@ -236,6 +246,55 @@ def layer(algorithm: LinearAlgorithm, R: int = 1, width: int | None = None) -> B
     )
 
 
+def _zero_rows(x: np.ndarray) -> np.ndarray:
+    """Whether each row of x is +0.0 in every column: no entry has a bit set
+    (a reduction over the row's bits, with no n x w temporary).  ``np.any``
+    runs inner loops the walks already run, where a ``bitwise_or`` reduction
+    mapped 128 kB more of numpy into every walking process."""
+    return ~np.any(x.view(np.uint64), axis=1)
+
+
+def _apply(
+    A: np.ndarray,
+    B: np.ndarray,
+    gates: slice | np.ndarray,
+    rotation: bool,
+    blocks: Blocks,
+    workspace: Workspace,
+) -> None:
+    """Apply the layering's gates ``gates`` (positions in its gate arrays,
+    one (step, kind) run of a block, on disjoint rows) to A and B in place:
+    ``rotate_pair`` or the row scalings of ``replay``, on rows gathered into
+    the workspace and written back."""
+    i = blocks.gate_rows[0][gates]
+    first, second = blocks.first[gates, None], blocks.second[gates, None]
+    if rotation:
+        j = blocks.gate_rows[1][gates]
+        xi, xj, *scratch = workspace.take("scratch", (4, i.size, A.shape[1]))
+        for x in (A, B):
+            rotate_pair(gather_rows(x, i, xi), gather_rows(x, j, xj), first, second, scratch)
+            x[i] = xi
+            x[j] = xj
+    else:
+        (scaled,) = workspace.take("scratch", (1, i.size, A.shape[1]))
+        for x, scale in ((A, first), (B, second)):
+            x[i] = np.multiply(gather_rows(x, i, scaled), scale, out=scaled)
+
+
+def _live_units(block: Block, live: np.ndarray, keep: np.ndarray, sizes: np.ndarray) -> Block:
+    """The part of ``block`` that holds its ``live`` units, whose rows are
+    ``keep`` among the block's; ``sizes`` counts each unit's rows."""
+    counts = [0, *np.cumsum(live).tolist()]  # live units before each position
+    kept = sizes[live]
+    return Block(
+        block.units[live],
+        block.rows[keep],
+        np.cumsum(kept) - kept,
+        tuple((size, counts[f], counts[e]) for size, f, e in block.groups if counts[e] > counts[f]),
+        block.positions.start + np.flatnonzero(keep),
+    )
+
+
 def replay_layers(
     blocks: Blocks,
     A: np.ndarray,
@@ -249,47 +308,82 @@ def replay_layers(
     Each (step, kind) run of a block's gates rewrites its rows of A and B
     in place, all gates at once: ``rotate_pair`` and the row scalings of
     ``replay``, on rows gathered into the workspace and written back.
-    Yields ``(block, a0, b0, a1, b1)`` after each block: the block's rows
-    of A and B, in ``block.rows`` order, before and after it; with
-    ``before`` or ``after`` False that pair is not gathered and is None.
-    They, and every temporary of the walk, live in ``workspace`` (a fresh
-    one if None), which grows to the largest block and is then reused:
-    they are overwritten by the next block, so copy what must outlive it.
-    Every element of A and B ends bit-identical to ``replay``'s, and right
-    after a block the rows of each of its units are those ``replay`` shows
-    right after the unit's last gate.
+
+    Rows that are +0.0 in every column of both A and B at the start are
+    dormant: every column of such a row sees the same operations on the same
+    numbers, so one column per side stands for all of them.  A unit whose
+    rows are all dormant at its start sleeps: its gates act on two n x 1
+    proxy columns, one per side, through the same operations, and its rows
+    of A and B are neither gathered nor rewritten.  A unit with a live row
+    wakes its dormant rows first, writing the proxies' signed zeros across
+    them, and the walk's end writes the rows still dormant from the
+    proxies.  Gates keep every row an exact zero until it meets a live one
+    (a constant and its reciprocal are finite), so a dormant row stays a
+    zero row of A and B throughout, if of either sign.
+
+    Yields ``(block, a0, b0, a1, b1)`` after each block: ``block`` holds
+    the block's live units only (a ``Block`` of none when all sleep), and
+    the arrays their rows of A and B, in ``block.rows`` order, before and
+    after it; with ``before`` or ``after`` False that pair is not gathered
+    and is None.  They, and every temporary of the walk, live in
+    ``workspace`` (a fresh one if None), which grows to the largest block
+    and is then reused: they are overwritten by the next block, so copy
+    what must outlive it.  Right after a block the rows of each unit handed
+    over are those ``replay`` shows right after the unit's last gate; a
+    sleeping unit's rows are zero rows there.  Between blocks a dormant
+    row of A and B holds +0.0 where ``replay`` may hold -0.0; once the walk
+    is exhausted every element of A and B is bit-identical to ``replay``'s.
     """
     if workspace is None:
         workspace = Workspace()
-    n = A.shape[1]
-    rows_i, rows_j = blocks.gate_rows
-    first, second = blocks.first[:, None], blocks.second[:, None]
     cuts, runs = blocks.gate_cuts, 2 * blocks.R
+    rows_i = blocks.gate_rows[0]
+    dormant = _zero_rows(A) & _zero_rows(B)
+    asleep = int(np.count_nonzero(dormant))
+    proxies = np.zeros((2, A.shape[0], 1))  # each dormant row's value, in A and in B
     for b, block in enumerate(blocks):
-        shape = (2, block.rows.size, n)
+        handed = block
+        if asleep:
+            d = dormant[block.rows]
+            if d.any():
+                starts = block.unit_starts
+                sizes = np.concatenate((starts[1:], [block.rows.size])) - starts
+                live = ~np.logical_and.reduceat(d, starts)
+                keep = np.repeat(live, sizes)
+                wake = block.rows[d & keep]
+                if wake.size:
+                    A[wake] = proxies[0, wake]
+                    B[wake] = proxies[1, wake]
+                    dormant[wake] = False
+                    asleep -= wake.size
+                if not live.all():
+                    handed = _live_units(block, live, keep, sizes)
+        shape = (2, handed.rows.size, A.shape[1])
         a0 = b0 = a1 = b1 = None
         if before:
             out = workspace.take("before", shape)
-            a0, b0 = gather_rows(A, block.rows, out[0]), gather_rows(B, block.rows, out[1])
+            a0, b0 = gather_rows(A, handed.rows, out[0]), gather_rows(B, handed.rows, out[1])
         for s in range(runs * b, runs * (b + 1), 2):
             r0, r1, r2 = cuts[s : s + 3]
-            if r1 > r0:
-                i, j = rows_i[r0:r1], rows_j[r0:r1]
-                cos, sin = first[r0:r1], second[r0:r1]
-                xi, xj, *scratch = workspace.take("scratch", (4, r1 - r0, n))
-                for x in (A, B):
-                    rotate_pair(gather_rows(x, i, xi), gather_rows(x, j, xj), cos, sin, scratch)
-                    x[i] = xi
-                    x[j] = xj
-            if r2 > r1:
-                i = rows_i[r1:r2]
-                (scaled,) = workspace.take("scratch", (1, r2 - r1, n))
-                for x, scale in ((A, first[r1:r2]), (B, second[r1:r2])):
-                    x[i] = np.multiply(gather_rows(x, i, scaled), scale, out=scaled)
+            for lo, hi, rotation in ((r0, r1, True), (r1, r2, False)):
+                if hi == lo:
+                    continue
+                if handed is block:
+                    _apply(A, B, slice(lo, hi), rotation, blocks, workspace)
+                    continue
+                sleeps = dormant[rows_i[lo:hi]]  # the gates of sleeping units
+                for pair, gates in ((proxies, sleeps), ((A, B), ~sleeps)):
+                    gates = lo + np.flatnonzero(gates)
+                    if gates.size:
+                        _apply(*pair, gates, rotation, blocks, workspace)
         if after:
             out = workspace.take("after", shape)
-            a1, b1 = gather_rows(A, block.rows, out[0]), gather_rows(B, block.rows, out[1])
-        yield block, a0, b0, a1, b1
+            a1, b1 = gather_rows(A, handed.rows, out[0]), gather_rows(B, handed.rows, out[1])
+        yield handed, a0, b0, a1, b1
+    if asleep:
+        rest = np.flatnonzero(dormant)
+        A[rest] = proxies[0, rest]
+        B[rest] = proxies[1, rest]
 
 
 class VectorWalk:

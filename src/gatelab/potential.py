@@ -236,9 +236,14 @@ def ledger_walk(
     summed over the panels and ``norm_products`` takes the square roots at
     the end.  With ``ledger`` the walk also measures each unit's end and
     keeps a row ledger per panel; a unit's move is the change in its rows'
-    contribution, summed over the panels.  A block of reflections (c = -1
-    only) carries its rows' contributions, since negating both factors
-    leaves every entry product bitwise unchanged.  Sums over the panels
+    contribution, summed over the panels.  The walk rates only the units
+    ``replay_layers`` hands over: a sleeping unit's rows are zero rows,
+    which add nothing to the squares and +0.0 to the move, added in panel
+    order.  A block of reflections (c = -1 only) carries its rows'
+    contributions, since negating both factors leaves every entry product
+    bitwise unchanged.  Rechecks still count every gate and recompute the
+    whole panel, whose dormant rows are zeros of one sign or the other,
+    which no potential tells apart.  Sums over the panels
     start at -0.0 (or 0.0 for squares, which are never negative), so one
     panel gives its own numbers bit for bit.  The layering, the panels, the
     ledgers and the workspace die with the call.
@@ -268,6 +273,7 @@ def ledger_walk(
     units = len(blocks.unit_rows)
     squares = np.zeros((4 if ledger else 2, units))  # |A_I|^2, |B_I|^2 at the start, then the end
     moves = np.full(units, -0.0) if ledger else None
+    slept = np.empty(units, bool)  # the units a panel's walk did not hand over
     scale = 1.0
     # an overflow is reported as an error, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -278,6 +284,7 @@ def ledger_walk(
             if ledger:
                 contribs = row_contribs(A, B, workspace).copy()
             unchecked = done = 0
+            slept.fill(True)
             for k, (block, a0, b0, a1, b1) in enumerate(
                 replay_layers(blocks, A, B, workspace, after=ledger)
             ):
@@ -290,6 +297,7 @@ def ledger_walk(
                         )
                 if not ledger:
                     continue
+                slept[block.units] = False
                 old = contribs[block.rows]
                 new = old if reflections[k] else row_contribs(a1, b1, workspace)
                 before = np.add.reduceat(old, block.unit_starts)
@@ -298,7 +306,8 @@ def ledger_walk(
                 delta = after - before
                 moves[block.units] += delta
                 total += float(delta.sum())
-                scale = max(scale, float(np.abs(before).max()), float(np.abs(after).max()))
+                scale = max(scale, float(np.abs(before).max(initial=0.0)),
+                            float(np.abs(after).max(initial=0.0)))
                 unchecked += blocks.gate_counts[k]
                 done += blocks.gate_counts[k]
                 if k + 1 < len(blocks) and unchecked + blocks.gate_counts[k + 1] > RECOMPUTE_EVERY:
@@ -309,6 +318,8 @@ def ledger_walk(
                             f"after {done} of {algorithm.m} gates"
                         )
                     unchecked = 0
+            if ledger:
+                np.add(moves, 0.0, out=moves, where=slept)
             # no gate makes an entry that is not finite finite again
             if not (np.isfinite(A).all() and np.isfinite(B).all()):
                 raise ArithmeticError(

@@ -27,7 +27,10 @@ replay and of its filled cell grids bit for bit.
 
 ``matrices_at`` is the dense pair (M(t), M(t)^{-T}) replayed from the
 identity, the judge of ``VectorWalk.row`` and of the dense checks.
-``layer_reference`` is ``layering.layer`` with its layers found unit by unit,
+``units_awake_reference`` replays the columns of one panel gate by gate
+and names the units with a nonzero entry at their start: the judge of the
+units the layered walk hands over.  ``layer_reference`` is
+``layering.layer`` with its layers found unit by unit,
 each unit's rows sliced into a list, and its blocks cut and grouped unit by
 unit: the judge of the packed layering bit for bit.
 
@@ -221,6 +224,24 @@ def apply_gate_reference(A: np.ndarray, gate, inverse_transpose: bool = False) -
         A[gate.j] = -s * xi + c * xj
     else:
         A[gate.i] *= (1.0 / gate.c) if inverse_transpose else gate.c
+
+
+def units_awake_reference(algorithm, R, P, Q, columns):
+    """Each unit (window of R gates) whose rows hold a nonzero entry of
+    M(t) P or M(t)^{-T} Q in ``columns`` at its start t, as {unit: its rows
+    ascending}: a dense per-step replay of those columns through the gate
+    objects, the judge of the units ``replay_layers`` hands over."""
+    A, B = (X[:, columns].copy() for X in start_pair(algorithm.n, P, Q))
+    gates, awake = algorithm.gates, {}
+    for w in range(-(-len(gates) // R)):
+        window = gates[w * R : (w + 1) * R]
+        rows = sorted({r for gate in window for r in touched(gate)})
+        if A[rows].any() or B[rows].any():
+            awake[w] = tuple(rows)
+        for gate in window:
+            apply_gate_reference(A, gate)
+            apply_gate_reference(B, gate, inverse_transpose=True)
+    return awake
 
 
 def layer_reference(algorithm, R=1, width=None):

@@ -27,6 +27,7 @@ from gatelab.builders import (
     build_inverse_scaled_fixture,
     build_scaled_bottleneck_fixture,
 )
+from gatelab.cli import parse_operator
 from gatelab.gates import BLOCK_ELEMENTS, column_panels, panel_width
 from gatelab.layering import VectorWalk, layer, replay_layers
 
@@ -37,6 +38,7 @@ from oracles import (
     layer_reference,
     matrices_at,
     start_pair,
+    units_awake_reference,
     validate_reference,
     wht_sign_matrix,
 )
@@ -135,11 +137,17 @@ def test_replay_matches_dense_composition_at_every_step(raw_gates):
 _KERNEL_CONSTANTS = [-1.0, 1.0, 0.5, -3.0, 1.0 / 3.0, 1e-300, -1e300, 2.0**-1000, -(2.0**1000)]
 
 
+# How kernel_instances draws P or Q: the identity, a dense draw, or a dense
+# draw whose chosen rows are +0.0, -0.0 or a mix of both in every column.
+_OPERATOR_KINDS = ["identity", "dense", "+0.0 rows", "-0.0 rows", "mixed zero rows"]
+
+
 @st.composite
 def kernel_instances(draw):
-    """Random gate lists with non-identity P, Q.  Few rows make pairs repeat
-    and gates follow each other on one row; at n = 300 one layer spans
-    several blocks."""
+    """Random gate lists with P and Q drawn as the identity (None) or dense,
+    with or without zero rows (the same rows in both).  Few rows make pairs
+    repeat and gates follow each other on one row; at n = 300 one layer
+    spans several blocks."""
     n = draw(st.sampled_from([2, 3, 4, 8, 300]))
     count = draw(st.integers(0, 400 if n == 300 else 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -155,52 +163,139 @@ def kernel_instances(draw):
             j = int(rng.integers(n - 1))
             gates.append(Rotation(i, j + (j >= i), float(rng.uniform(-7, 7))))
     R = draw(st.integers(1, 3))
-    P = rng.standard_normal((n, n))
-    Q = rng.standard_normal((n, n))
-    return LinearAlgorithm(n, tuple(gates)), R, P, Q
+    zero = rng.random(n) < draw(st.sampled_from([0.25, 0.5, 0.9]))
+    kinds = [draw(st.sampled_from(_OPERATOR_KINDS))]
+    kinds.append(kinds[0] if draw(st.booleans()) else draw(st.sampled_from(_OPERATOR_KINDS)))
+    operators = []
+    for kind in kinds:
+        X = rng.standard_normal((n, n))
+        if kind == "+0.0 rows":
+            X[zero] = 0.0
+        elif kind == "-0.0 rows":
+            X[zero] = -0.0
+        elif kind == "mixed zero rows":  # each such row holds both zeros: it stays live
+            X[zero] = np.where(np.arange(n) % 2, 0.0, -0.0)
+        operators.append(None if kind == "identity" else X)
+    return LinearAlgorithm(n, tuple(gates)), R, *operators
+
+
+def _panel_elements(n: int, panels: int) -> int:
+    """A ``gates.PANEL_ELEMENTS`` that cuts n columns into panels of an even
+    width, about ``panels`` of them (one when that width reaches n)."""
+    width = -(-n // panels)
+    width += width % 2
+    return n * min(width, n)
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel_instances())
-def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance):
-    # right after each unit (a gate, or a window of R gates) its rows of
-    # M(t) P and M(t)^{-T} Q hold exactly the bytes the per-step replay shows
-    # (the extreme constants overflow to inf and nan, in both walks alike)
+@given(kernel_instances(), st.integers(1, 3))
+def test_layered_walk_matches_the_per_step_replay_bit_for_bit(instance, panels):
+    # in every column panel, right after each unit handed over (a gate, or a
+    # window of R gates) its rows of M(t) P and M(t)^{-T} Q hold exactly the
+    # bytes the per-step replay shows, a unit left out is all zeros there,
+    # and each panel ends as the replay's columns (the extreme constants
+    # overflow to inf and nan, in both walks alike)
     algorithm, R, P, Q = instance
-    windows = layer(algorithm, R)
+    n = algorithm.n
     after = {}
-    with np.errstate(all="ignore"):
-        M, Minv_T = start_pair(algorithm.n, P, Q)
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "PANEL_ELEMENTS", _panel_elements(n, panels))
+        windows = layer(algorithm, R)
+        M, Minv_T = start_pair(n, P, Q)
         for t, _ in replay(algorithm, M, Minv_T):
             if t and (t % R == 0 or t == algorithm.m):
                 rows = list(windows.unit_rows[(t - 1) // R])
-                after[(t - 1) // R] = (M[rows].tobytes(), Minv_T[rows].tobytes())
-        A, B = start_pair(algorithm.n, P, Q)
-        for block, _, _, a1, b1 in replay_layers(windows, A, B):
-            for u, w in enumerate(block.units.tolist()):
-                start = block.unit_starts[u]
-                rows = slice(start, start + len(windows.unit_rows[w]))
-                assert (a1[rows].tobytes(), b1[rows].tobytes()) == after[w]
-    assert (A.tobytes(), B.tobytes()) == (M.tobytes(), Minv_T.tobytes())
+                after[(t - 1) // R] = (M[rows], Minv_T[rows])
+        lo = 0
+        for A, B in column_panels(n, P, Q):
+            columns = slice(lo, lo + A.shape[1])
+            handed = set()
+            for block, _, _, a1, b1 in replay_layers(windows, A, B):
+                assert np.array_equal(windows.rows[block.positions], block.rows)
+                for u, w in enumerate(block.units.tolist()):
+                    start = block.unit_starts[u]
+                    rows = slice(start, start + len(windows.unit_rows[w]))
+                    want = [x[:, columns].tobytes() for x in after[w]]
+                    assert [a1[rows].tobytes(), b1[rows].tobytes()] == want
+                handed.update(block.units.tolist())
+            for w in set(after) - handed:
+                assert not (after[w][0][:, columns].any() or after[w][1][:, columns].any())
+            assert (A.tobytes(), B.tobytes()) == (
+                M[:, columns].tobytes(), Minv_T[:, columns].tobytes()
+            )
+            lo += A.shape[1]
 
 
 @settings(max_examples=20, deadline=None)
-@given(kernel_instances())
-def test_layered_walk_gathers_only_the_rows_asked_for(instance):
-    # a pair switched off is None; the other pair and the end matrices keep
-    # the full walk's bytes
+@given(kernel_instances(), st.integers(1, 3))
+def test_layered_walk_gathers_only_the_rows_asked_for(instance, panels):
+    # a pair switched off is None; the units handed over, the other pair and
+    # the end matrices keep the full walk's bytes, in every column panel
     algorithm, R, P, Q = instance
-    windows = layer(algorithm, R)
-    with np.errstate(all="ignore"):
-        A, B = start_pair(algorithm.n, P, Q)
-        full = [[x.tobytes() for x in step[1:]] for step in replay_layers(windows, A, B)]
-        for before, after in ((False, True), (True, False), (False, False)):
-            A2, B2 = start_pair(algorithm.n, P, Q)
-            for step, want in zip(replay_layers(windows, A2, B2, before=before, after=after), full):
-                kept = (before, before, after, after)
-                got = [x.tobytes() if keep else x for x, keep in zip(step[1:], kept)]
-                assert got == [w if keep else None for w, keep in zip(want, kept)]
-            assert (A2.tobytes(), B2.tobytes()) == (A.tobytes(), B.tobytes())
+    n = algorithm.n
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gates, "PANEL_ELEMENTS", _panel_elements(n, panels))
+        windows = layer(algorithm, R)
+        for A, B in column_panels(n, P, Q):
+            start = (A.copy(), B.copy())
+            full = [
+                [step[0].units.tobytes()] + [x.tobytes() for x in step[1:]]
+                for step in replay_layers(windows, A, B)
+            ]
+            for before, after in ((False, True), (True, False), (False, False)):
+                A2, B2 = (x.copy() for x in start)
+                walk = replay_layers(windows, A2, B2, before=before, after=after)
+                for (block, *pairs), (units, *want) in zip(walk, full):
+                    kept = (before, before, after, after)
+                    assert block.units.tobytes() == units
+                    got = [x.tobytes() if keep else x for x, keep in zip(pairs, kept)]
+                    assert got == [w if keep else None for w, keep in zip(want, kept)]
+                assert (A2.tobytes(), B2.tobytes()) == (A.tobytes(), B.tobytes())
+
+
+def test_a_woken_row_keeps_the_signed_zero_it_slept_into(monkeypatch):
+    # in the first panel of two columns row 3 is a zero row: it sleeps
+    # through a reflection to -0.0, and the rotation that meets live row 0
+    # then writes cos*(-0.0) - sin*(+0.0) = -0.0 into column 1, where a row
+    # woken as +0.0 would hold +0.0
+    monkeypatch.setattr(gates, "PANEL_ELEMENTS", 8)
+    algorithm = LinearAlgorithm(4, (Constant(3, -1.0), Rotation(0, 3, 0.5)))
+    M, Minv_T = start_pair(4)
+    for _ in replay(algorithm, M, Minv_T):
+        pass
+    assert math.copysign(1.0, M[3, 1]) == math.copysign(1.0, Minv_T[3, 1]) == -1.0
+    handed = []
+    for lo, (A, B) in zip((0, 2), column_panels(4)):
+        walk = replay_layers(layer(algorithm), A, B)
+        handed.append([block.units.tolist() for block, *_ in walk])
+        assert (A.tobytes(), B.tobytes()) == (
+            M[:, lo : lo + 2].tobytes(), Minv_T[:, lo : lo + 2].tobytes()
+        )
+    assert handed == [[[], [1]], [[0], [1]]]
+
+
+@pytest.mark.parametrize("R", [1, 2])
+def test_layered_walk_hands_over_exactly_the_units_with_a_nonzero_entry(R, monkeypatch):
+    # WHT 64 from the identity in panels of 16 columns, and at one panel from
+    # coordinate projections (``--P proj:...``): a unit whose rows are all
+    # zero rows of both matrices at its start sleeps, and only the others
+    # are handed over, as a dense per-step replay judges
+    n = 64
+    algorithm = build_wht(n)
+    projections = (parse_operator("proj:0,1,2,3,17,40", n), parse_operator("proj:2,3,9,33", n))
+    for elements, P, Q in ((n * 16, None, None), (n * n, *projections)):
+        monkeypatch.setattr(gates, "PANEL_ELEMENTS", elements)
+        windows, width = layer(algorithm, R), panel_width(n)
+        for lo, (A, B) in zip(range(0, n, width), column_panels(n, P, Q)):
+            handed = {}
+            for block, *_ in replay_layers(windows, A, B, before=False, after=False):
+                for u, w in enumerate(block.units.tolist()):
+                    start = block.unit_starts[u]
+                    rows = block.rows[start : start + len(windows.unit_rows[w])]
+                    handed[w] = tuple(rows.tolist())
+            awake = units_awake_reference(algorithm, R, P, Q, slice(lo, lo + width))
+            assert handed == awake
+            assert len(awake) < len(windows.unit_rows)  # some units sleep
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,6 +304,7 @@ def test_vector_push_matches_the_per_step_walk_bit_for_bit(instance):
     # entry k of a push is row k's entry right after its gate, bit for bit
     # what gate-by-gate application shows; the vector ends as apply_to_vector's
     algorithm, _, P, _ = instance
+    P, _ = start_pair(algorithm.n, P)
     walk = VectorWalk(algorithm)
     assert np.array_equal(walk.rows, layer(algorithm).rows)
     x = P[0]
@@ -247,6 +343,7 @@ def test_replay_matches_the_gate_reference_bit_for_bit(instance):
     # on a vector and on n x 7 columns (the extreme constants overflow to inf
     # and nan, in both alike)
     algorithm, _, P, Q = instance
+    P, Q = start_pair(algorithm.n, P, Q)
     _assert_replay_matches_the_gate_reference(algorithm, P[0].copy(), Q[0].copy())
     A, B = np.tile(P, 7)[:, :7], np.tile(Q, 7)[:, :7]
     _assert_replay_matches_the_gate_reference(algorithm, A, B)

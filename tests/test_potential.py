@@ -22,7 +22,8 @@ from gatelab.lemma import (
     sweep_orthogonal_change_bound,
     sweep_unit_pair_bound,
 )
-from gatelab.potential import change_bound
+from gatelab.cli import parse_operator
+from gatelab.potential import change_bound, ledger_walk
 
 from oracles import (
     dft_embedding_matrix,
@@ -32,6 +33,7 @@ from oracles import (
     potential_brute,
     row_contribs_reference,
     trace_bounds_reference,
+    units_awake_reference,
     within_drift,
     wht_sign_matrix,
 )
@@ -337,6 +339,24 @@ def test_multi_panel_trace_matches_the_one_panel_trace(instance):
     assert within_drift(panels.values, one.values)
     assert within_drift(panels.per_step_bound, one.per_step_bound)
     assert panels.touched_sets == one.touched_sets
+
+
+@pytest.mark.parametrize("elements", [64 * 64, 64 * 16])
+def test_a_unit_on_zero_rows_moves_the_potential_by_plus_zero(elements, monkeypatch):
+    # each panel adds a unit's after - before, which on zero rows is
+    # (-0.0) - (-0.0) = +0.0, so a unit whose rows stay zero rows of both
+    # matrices in every panel moves by +0.0, whether or not its rows are
+    # walked; in panels of 16 columns the others each sleep in some panels
+    monkeypatch.setattr(gates, "PANEL_ELEMENTS", elements)
+    n = 64
+    algorithm = build_wht(n)
+    P, Q = parse_operator("proj:0,1,2,3,17,40", n), parse_operator("proj:2,3,9,33", n)
+    for R in (1, 2):
+        walk = ledger_walk(algorithm, P, Q, R)
+        awake = units_awake_reference(algorithm, R, P, Q, slice(0, n))
+        zero = [w for w in range(len(walk.unit_rows)) if w not in awake]
+        assert zero and all(math.copysign(1.0, walk.moves[w]) == 1.0 for w in zero)
+        assert not walk.moves[zero].any()
 
 
 def test_two_row_change_bound_single_row_is_zero():
