@@ -6,7 +6,7 @@ difference smaller than that.  For two trees and one Python expression this
 copies each tree's ``src`` into a temporary directory under a name of the
 same length (``a...`` for the base, ``b...`` for the change) and runs one
 process per (tree, pad): the child first allocates a ``bytearray`` pad of
-that many bytes (0, 1000, 4000, 70000 and 300000 by default), which shifts
+that many bytes (0, 1000, 4000, 70000 and 300000), which shifts
 every later allocation, then runs ``--setup`` once and the expression
 ``--calls`` times, and reports the best call.  The two trees alternate
 which goes first from pad to pad.  Each child runs with
@@ -65,8 +65,8 @@ def _best(src: Path, pad: int, setup: str, expr: str, calls: int, cpu: int | Non
 
 
 def sweep(base: Path, change: Path, setup: str, expr: str, calls: int, rounds: int,
-          pads: list[int], cpu: int | None) -> dict:
-    best = {side: [float("inf")] * len(pads) for side in ("base", "change")}
+          cpu: int | None) -> dict:
+    best = {side: [float("inf")] * len(PADS) for side in ("base", "change")}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
         for side, tree, letter in (("base", base, "a"), ("change", change, "b")):
@@ -75,7 +75,7 @@ def sweep(base: Path, change: Path, setup: str, expr: str, calls: int, rounds: i
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         k = 0
         for _ in range(rounds):
-            for p, pad in enumerate(pads):
+            for p, pad in enumerate(PADS):
                 for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
                     seconds = _best(trees[side], pad, setup, expr, calls, cpu)
                     best[side][p] = min(best[side][p], seconds)
@@ -86,7 +86,7 @@ def sweep(base: Path, change: Path, setup: str, expr: str, calls: int, rounds: i
         "expr": expr,
         "calls": calls,
         "rounds": rounds,
-        "pads": pads,
+        "pads": list(PADS),
         "base": {"best_s": best["base"], "median_s": medians["base"]},
         "change": {"best_s": best["change"], "median_s": medians["change"]},
         "base_over_change": [b / c for b, c in zip(best["base"], best["change"])],
@@ -103,12 +103,10 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--expr", required=True, help="the Python expression to time")
     parser.add_argument("--calls", type=int, default=5, help="calls per process; the best counts")
     parser.add_argument("--rounds", type=int, default=1, help="sweeps over the pads")
-    parser.add_argument("--pads", type=lambda s: [int(v) for v in s.split(",")],
-                        default=list(PADS), help="comma-separated pad sizes in bytes")
     parser.add_argument("--cpu", type=int, help="pin every child to this CPU")
     args = parser.parse_args(argv)
     result = sweep(args.base.resolve(), args.change.resolve(), args.setup, args.expr,
-                   args.calls, args.rounds, args.pads, args.cpu)
+                   args.calls, args.rounds, args.cpu)
     json.dump(result, sys.stdout, indent=1)
     sys.stdout.write("\n")
 
