@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatelab import quantized
+from gatelab import cli, quantized
 from gatelab.potential import trace_potential
 from gatelab.cli import _simulate_csv, main, parse_number, parse_operator
 from gatelab.gates import read_algorithm
@@ -581,6 +582,106 @@ def test_help_exits_zero(capsys):
         run(["--help"])
     assert exc.value.code == 0
     assert "usage: gatelab" in capsys.readouterr().out
+
+
+# Every subcommand's arguments, in order: option strings (a positional's
+# dest), dest, default, required, type, metavar, help, and whether the
+# option is a store_true switch.
+_OUTPUT = (("-o", "--output"), "output", None, False, None, None, None, False)
+_ALGORITHM = ("algorithm", "algorithm", None, True, None, None, None, False)
+_P = (("--P",), "P", "id", False, None, None, None, False)
+_Q = (("--Q",), "Q", "id", False, None, None, None, False)
+_R = (("--R",), "R", 1, False, cli._count, None, None, False)
+_TAU = (("--tau",), "tau", None, False, cli._positive, None, None, False)
+_EPS = (("--eps",), "eps", None, True, cli._number, None, None, False)
+_SURFACE = {
+    "build": ("write a reference algorithm to a gate file", cli.cmd_build, [
+        (("--wht",), "wht", None, False, int, "N", None, False),
+        (("--dft",), "dft", None, False, int, "N", None, False),
+        (("--random",), "random", None, False, None, "N,M,SEED[,angle_only]", None, False),
+        (("--scaled",), "scaled", None, False, None, "N,C,K", None, False),
+        (("--inverse-scaled",), "inverse_scaled", None, False, None, "N,C,K", None, False),
+        (("-o", "--output"), "output", None, True, None, None, None, False),
+    ]),
+    "validate": ("replay and report inverse/condition diagnostics", cli.cmd_validate, [
+        _ALGORITHM, _OUTPUT,
+    ]),
+    "trace": ("CSV trace of the potential along the trajectory", cli.cmd_trace, [
+        _ALGORITHM, _P, _Q, _OUTPUT,
+    ]),
+    "scan": ("window scan for touched-row bottlenecks", cli.cmd_scan, [
+        _ALGORITHM, _R, _P, _Q,
+        (("--include-constants",), "include_constants", False, False, None, None, None, True),
+        _OUTPUT,
+    ]),
+    "chain": ("verify each link of the averaged bottleneck bound", cli.cmd_chain, [
+        _ALGORITHM, _R, _P, _Q, _OUTPUT,
+    ]),
+    "lemma": ("randomized sweep of the potential inequalities", cli.cmd_lemma, [
+        (("--pair-trials",), "pair_trials", 10_000, False, cli._count, None,
+         "trials of the unit-pair sweep (default 10000)", False),
+        (("--trials",), "trials", 1000, False, cli._count, None,
+         "trials of the orthogonal-change and the nonsingular-change sweeps, each "
+         "(default 1000)", False),
+        (("--proj-trials",), "proj_trials", 100, False, cli._count, None,
+         "trials of the projection-bound sweep, per n (default 100)", False),
+        (("--n-list",), "n_list", "8,16,32", False, cli._dims, None,
+         "dimensions n of the projection-bound sweep, powers of two (default 8,16,32)", False),
+        (("--seed",), "seed", 0, False, cli._seed, None,
+         "seed of every sweep's generator (default 0)", False),
+        _OUTPUT,
+    ]),
+    "extract": ("extract overflow/underflow direction systems", cli.cmd_extract, [
+        _ALGORITHM, _TAU,
+        (("--unrestricted",), "unrestricted", False, False, None, None, None, True),
+        (("--no-target-check",), "no_target_check", False, False, None, None, None, True),
+        _OUTPUT,
+    ]),
+    "volume": ("uncertainty-volume lower bounds from the underflow basis", cli.cmd_volume, [
+        _ALGORITHM, _TAU,
+        (("--b",), "b", None, False, cli._positive, None, None, False),
+        _OUTPUT,
+    ]),
+    "simulate": ("quantized replay with bit-usage statistics", cli.cmd_simulate, [
+        _ALGORITHM, _EPS,
+        (("--sigma",), "sigma", 1.0, False, cli._nonnegative, None, None, False),
+        (("--samples",), "samples", 1000, False, cli._count, None, None, False),
+        (("--seed",), "seed", 0, False, cli._seed, None, None, False),
+        (("--W",), "W", 32.0, False, cli._positive, None, None, False),
+        _OUTPUT,
+        (("--summary",), "summary", None, False, None, None, None, False),
+    ]),
+    "underflow": ("per-direction uncertainty widths", cli.cmd_underflow, [
+        _ALGORITHM, _EPS, _TAU, _OUTPUT,
+    ]),
+}
+
+
+def test_the_parser_declares_every_subcommand_and_argument_as_tabled():
+    parser = cli.build_parser()
+    assert (parser.prog, parser.description) == (
+        "gatelab", "Analysis lab for in-place rotation/constant gate algorithms."
+    )
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    listed = [(choice.dest, choice.help) for choice in sub._choices_actions]
+    assert listed == [(name, help) for name, (help, _, _) in _SURFACE.items()]
+    for name, (_, func, table) in _SURFACE.items():
+        command = sub.choices[name]
+        assert command.get_default("func") is func, name
+        surface = [
+            (
+                tuple(a.option_strings) or a.dest, a.dest, a.default, a.required, a.type,
+                a.metavar, a.help, isinstance(a, argparse._StoreTrueAction),
+            )
+            for a in command._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert surface == table, name
+        # 1 == 1.0 == True: the defaults' types must match too
+        assert [list(map(type, row)) for row in surface] == [
+            list(map(type, row)) for row in table
+        ], name
 
 
 def _child_env() -> dict:
