@@ -192,28 +192,27 @@ def build_scaled_bottleneck_fixture(n: int, c: float, k: int) -> LinearAlgorithm
     The final matrix is the plain transform, but intermediate steps carry rows
     of norm c, planting a condition-number bottleneck of magnitude exactly c.
     """
-    _require_power_of_two(n, 2)
-    if c <= 1.0:
-        raise ValueError(f"c must exceed 1, got {c}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    gates = [Constant(i, c) for i in range(k)]
-    gates += [Constant(i, 1.0 / c) for i in range(k)]
-    gates += list(build_wht(n).gates)
-    return LinearAlgorithm(n=n, gates=tuple(gates), label=f"scaled{n}c{c:g}k{k}")
+    return _planted_fixture(n, c, k, inverse=False)
 
 
 def build_inverse_scaled_fixture(n: int, c: float, k: int) -> LinearAlgorithm:
     """Mirror fixture scaling rows down by c first: the bottleneck sits in M^{-T}."""
+    return _planted_fixture(n, c, k, inverse=True)
+
+
+def _planted_fixture(n: int, c: float, k: int, inverse: bool) -> LinearAlgorithm:
+    """Scale rows 0..k-1 up by c and back down (down first if ``inverse``), then run the WHT."""
     _require_power_of_two(n, 2)
     if c <= 1.0:
         raise ValueError(f"c must exceed 1, got {c}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    gates = [Constant(i, 1.0 / c) for i in range(k)]
-    gates += [Constant(i, c) for i in range(k)]
+    first, second = (1.0 / c, c) if inverse else (c, 1.0 / c)
+    gates = [Constant(i, first) for i in range(k)]
+    gates += [Constant(i, second) for i in range(k)]
     gates += list(build_wht(n).gates)
-    return LinearAlgorithm(n=n, gates=tuple(gates), label=f"invscaled{n}c{c:g}k{k}")
+    label = "invscaled" if inverse else "scaled"
+    return LinearAlgorithm(n=n, gates=tuple(gates), label=f"{label}{n}c{c:g}k{k}")
 
 
 class _FixtureFields(NamedTuple):

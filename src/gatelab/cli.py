@@ -170,54 +170,43 @@ def _load(path: str) -> gates.LinearAlgorithm:
     return gates.read_algorithm(path)
 
 
-def _int_field(option: str, field: str, text: str) -> int:
-    """One integer field of a comma-separated ``build`` option, e.g. m of ``--random``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{option}: {field} must be an integer, got {text!r}") from None
-
-
-def _number_field(option: str, field: str, text: str) -> float:
-    """One number field (``parse_number``) of a comma-separated ``build`` option, e.g. c of ``--scaled``."""
-    try:
-        return parse_number(text)
-    except ValueError:
-        raise ValueError(f"{option}: {field} must be a number, got {text!r}") from None
+# The fields of each comma-separated ``build`` option as (name, converter):
+# those of ``--random``, which may add a fourth, ``angle_only``, and those of
+# ``--scaled`` and ``--inverse-scaled``.
+_RANDOM_FIELDS = (("n", int), ("m", int), ("seed", int))
+_PLANTED_FIELDS = (("n", int), ("c", parse_number), ("k", int))
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     from . import builders, model
 
-    sources = [
-        ("wht", args.wht),
-        ("dft_real", args.dft),
-        ("random", args.random),
-        ("scaled", args.scaled),
-        ("inverse_scaled", args.inverse_scaled),
-    ]
-    chosen = [(kind, value) for kind, value in sources if value is not None]
+    values = (args.wht, args.dft, args.random, args.scaled, args.inverse_scaled)  # as in KINDS
+    chosen = [(k, v) for k, v in zip(builders.FixtureSpec.KINDS, values) if v is not None]
     if len(chosen) != 1:
         raise ValueError("exactly one of --wht/--dft/--random/--scaled/--inverse-scaled is required")
     kind, value = chosen[0]
     option = "--dft" if kind == "dft_real" else f"--{kind.replace('_', '-')}"
     if kind in ("wht", "dft_real"):
-        spec = builders.FixtureSpec(kind, int(value))
-    elif kind == "random":
-        parts = value.split(",")
-        if len(parts) not in (3, 4):
-            raise ValueError("--random expects n,m,seed[,angle_only]")
-        if len(parts) == 4 and parts[3] != "angle_only":
-            raise ValueError(f"--random: the fourth field must be angle_only, got {parts[3]!r}")
-        n, m, seed = (_int_field("--random", f, p) for f, p in zip(("n", "m", "seed"), parts))
-        spec = builders.FixtureSpec(kind, n, {"m": m, "seed": seed, "angle_only": len(parts) == 4})
+        spec = builders.FixtureSpec(kind, value)
     else:
         parts = value.split(",")
-        if len(parts) != 3:
+        if kind == "random" and len(parts) not in (3, 4):
+            raise ValueError("--random expects n,m,seed[,angle_only]")
+        if kind != "random" and len(parts) != 3:
             raise ValueError(f"{option} expects n,c,k")
-        n = _int_field(option, "n", parts[0])
-        params = {"c": _number_field(option, "c", parts[1]), "k": _int_field(option, "k", parts[2])}
-        spec = builders.FixtureSpec(kind, n, params)
+        if len(parts) == 4 and parts[3] != "angle_only":
+            raise ValueError(f"--random: the fourth field must be angle_only, got {parts[3]!r}")
+        fields = _RANDOM_FIELDS if kind == "random" else _PLANTED_FIELDS
+        params = {}
+        for (field, convert), text in zip(fields, parts):
+            try:
+                params[field] = convert(text)
+            except ValueError:
+                what = "an integer" if convert is int else "a number"
+                raise ValueError(f"{option}: {field} must be {what}, got {text!r}") from None
+        if kind == "random":
+            params["angle_only"] = len(parts) == 4
+        spec = builders.FixtureSpec(kind, params.pop("n"), params)
     try:
         algorithm = builders.build_fixture(spec)
     except ValueError as exc:  # a field out of range: name the option
@@ -228,21 +217,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import gates
 
-    algorithm = _load(args.algorithm)
-    diag = gates.validate(algorithm)
-    _emit_json(
-        {
-            "n": diag.n,
-            "m": diag.m,
-            "max_residual": diag.max_residual,
-            "max_kappa": diag.max_kappa,
-            "kappas": diag.kappas,
-            "stable": bool(diag.stable),
-        },
-        args.output,
-    )
+    diag = gates.validate(_load(args.algorithm))
+    _emit_json(asdict(diag), args.output)
     return 0 if diag.stable else 2
 
 
@@ -301,6 +281,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import bottleneck
 
     algorithm = _load(args.algorithm)
@@ -320,16 +302,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
                 "rhs": report.triangle_rhs,
                 "slack": report.triangle_slack,
             },
-            "windows": [
-                {
-                    "start": link.start,
-                    "affected": list(link.affected),
-                    "delta_abs": link.delta_abs,
-                    "bound": link.bound,
-                    "slack": link.slack,
-                }
-                for link in report.windows
-            ],
+            "windows": [asdict(link) for link in report.windows],
             "min_window_slack": report.min_window_slack,
             "max_endpoint_product": report.max_endpoint_product,
             "average_requirement": report.average_requirement,
@@ -405,6 +378,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from . import directions
 
     algorithm = _load(args.algorithm)
@@ -412,17 +387,8 @@ def cmd_volume(args: argparse.Namespace) -> int:
     basis = directions.extend_basis(under, algorithm.n)
     b = args.b if args.b is not None else directions.speedup_factor(algorithm)
     bound = directions.uncertainty_volume_log(basis, b=b)
-    _emit_json(
-        {
-            "tau": under.threshold,
-            "b": bound.b,
-            "n_prime": bound.n_prime,
-            "gammas": [float(g) for g in basis.gammas],
-            "sum_log2_gamma": bound.sum_log2_gamma,
-            "closed_form": bound.closed_form,
-        },
-        args.output,
-    )
+    gammas = [float(g) for g in basis.gammas]
+    _emit_json({"tau": under.threshold, "gammas": gammas, **asdict(bound)}, args.output)
     return 0 if bound.sum_log2_gamma >= bound.closed_form - 1e-9 else 2
 
 
@@ -524,93 +490,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="write a reference algorithm to a gate file")
-    p.add_argument("--wht", type=int, default=None, metavar="N")
-    p.add_argument("--dft", type=int, default=None, metavar="N")
-    p.add_argument("--random", default=None, metavar="N,M,SEED[,angle_only]")
-    p.add_argument("--scaled", default=None, metavar="N,C,K")
-    p.add_argument("--inverse-scaled", dest="inverse_scaled", default=None, metavar="N,C,K")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_build)
+    def option(*flags, **settings):
+        return flags, settings
 
-    p = sub.add_parser("validate", help="replay and report inverse/condition diagnostics")
-    p.add_argument("algorithm")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_validate)
+    def command(name, help, func, *options, gate_file=True, required=False):
+        """Add subcommand ``name``: its gate file, then ``options``, then ``-o``."""
+        p = sub.add_parser(name, help=help)
+        if gate_file:
+            p.add_argument("algorithm")
+        for flags, settings in options:
+            p.add_argument(*flags, **settings)
+        p.add_argument("-o", "--output", required=required)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("trace", help="CSV trace of the potential along the trajectory")
-    p.add_argument("algorithm")
-    p.add_argument("--P", default="id")
-    p.add_argument("--Q", default="id")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_trace)
+    operators = (
+        option("--P", default="id"),
+        option("--Q", default="id"),
+    )
+    window = option("--R", type=_count, default=1)
+    tau = option("--tau", type=_positive)
+    eps = option("--eps", type=_number, required=True)
 
-    p = sub.add_parser("scan", help="window scan for touched-row bottlenecks")
-    p.add_argument("algorithm")
-    p.add_argument("--R", type=_count, default=1)
-    p.add_argument("--P", default="id")
-    p.add_argument("--Q", default="id")
-    p.add_argument("--include-constants", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("chain", help="verify each link of the averaged bottleneck bound")
-    p.add_argument("algorithm")
-    p.add_argument("--R", type=_count, default=1)
-    p.add_argument("--P", default="id")
-    p.add_argument("--Q", default="id")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_chain)
-
-    p = sub.add_parser("lemma", help="randomized sweep of the potential inequalities")
-    p.add_argument("--pair-trials", type=_count, default=10_000,
-                   help="trials of the unit-pair sweep (default 10000)")
-    p.add_argument("--trials", type=_count, default=1000,
+    command("build", "write a reference algorithm to a gate file", cmd_build,
+            option("--wht", type=int, metavar="N"),
+            option("--dft", type=int, metavar="N"),
+            option("--random", metavar="N,M,SEED[,angle_only]"),
+            option("--scaled", metavar="N,C,K"),
+            option("--inverse-scaled", metavar="N,C,K"),
+            gate_file=False, required=True)
+    command("validate", "replay and report inverse/condition diagnostics", cmd_validate)
+    command("trace", "CSV trace of the potential along the trajectory", cmd_trace,
+            *operators)
+    command("scan", "window scan for touched-row bottlenecks", cmd_scan,
+            window,
+            *operators,
+            option("--include-constants", action="store_true"))
+    command("chain", "verify each link of the averaged bottleneck bound", cmd_chain,
+            window,
+            *operators)
+    command("lemma", "randomized sweep of the potential inequalities", cmd_lemma,
+            option("--pair-trials", type=_count, default=10_000,
+                   help="trials of the unit-pair sweep (default 10000)"),
+            option("--trials", type=_count, default=1000,
                    help="trials of the orthogonal-change and the nonsingular-change "
-                        "sweeps, each (default 1000)")
-    p.add_argument("--proj-trials", type=_count, default=100,
-                   help="trials of the projection-bound sweep, per n (default 100)")
-    p.add_argument("--n-list", dest="n_list", default="8,16,32", type=_dims,
+                        "sweeps, each (default 1000)"),
+            option("--proj-trials", type=_count, default=100,
+                   help="trials of the projection-bound sweep, per n (default 100)"),
+            option("--n-list", default="8,16,32", type=_dims,
                    help="dimensions n of the projection-bound sweep, powers of two "
-                        "(default 8,16,32)")
-    p.add_argument("--seed", type=_seed, default=0,
-                   help="seed of every sweep's generator (default 0)")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_lemma)
-
-    p = sub.add_parser("extract", help="extract overflow/underflow direction systems")
-    p.add_argument("algorithm")
-    p.add_argument("--tau", type=_positive, default=None)
-    p.add_argument("--unrestricted", action="store_true")
-    p.add_argument("--no-target-check", action="store_true")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("volume", help="uncertainty-volume lower bounds from the underflow basis")
-    p.add_argument("algorithm")
-    p.add_argument("--tau", type=_positive, default=None)
-    p.add_argument("--b", type=_positive, default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("simulate", help="quantized replay with bit-usage statistics")
-    p.add_argument("algorithm")
-    p.add_argument("--eps", type=_number, required=True)
-    p.add_argument("--sigma", type=_nonnegative, default=1.0)
-    p.add_argument("--samples", type=_count, default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--W", type=_positive, default=32.0)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--summary", default=None)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("underflow", help="per-direction uncertainty widths")
-    p.add_argument("algorithm")
-    p.add_argument("--eps", type=_number, required=True)
-    p.add_argument("--tau", type=_positive, default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_underflow)
-
+                        "(default 8,16,32)"),
+            option("--seed", type=_seed, default=0,
+                   help="seed of every sweep's generator (default 0)"),
+            gate_file=False)
+    command("extract", "extract overflow/underflow direction systems", cmd_extract,
+            tau,
+            option("--unrestricted", action="store_true"),
+            option("--no-target-check", action="store_true"))
+    command("volume", "uncertainty-volume lower bounds from the underflow basis", cmd_volume,
+            tau,
+            option("--b", type=_positive))
+    simulate = command("simulate", "quantized replay with bit-usage statistics", cmd_simulate,
+                       eps,
+                       option("--sigma", type=_nonnegative, default=1.0),
+                       option("--samples", type=_count, default=1000),
+                       option("--seed", type=_seed, default=0),
+                       option("--W", type=_positive, default=32.0))
+    simulate.add_argument("--summary")
+    command("underflow", "per-direction uncertainty widths", cmd_underflow,
+            eps,
+            tau)
     return parser
 
 

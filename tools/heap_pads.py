@@ -27,12 +27,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from source_trees import child_env, copy_sources
 
 PADS = (0, 1000, 4000, 70000, 300000)
 
@@ -54,11 +55,9 @@ print(best)
 
 
 def _best(src: Path, pad: int, setup: str, expr: str, calls: int, cpu: int | None) -> float:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(src))
     pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
     done = subprocess.run([sys.executable, "-c", _CHILD, str(pad), setup, expr, str(calls)],
-                          env=env, capture_output=True, text=True, preexec_fn=pin)
+                          env=child_env(src), capture_output=True, text=True, preexec_fn=pin)
     if done.returncode:
         raise RuntimeError(f"the expression failed at pad {pad}:\n{done.stderr}")
     return float(done.stdout)
@@ -68,11 +67,7 @@ def sweep(base: Path, change: Path, setup: str, expr: str, calls: int, rounds: i
           cpu: int | None) -> dict:
     best = {side: [float("inf")] * len(PADS) for side in ("base", "change")}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
-        for side, tree, letter in (("base", base, "a"), ("change", change, "b")):
-            trees[side] = Path(tmp) / (letter * 4) / "src"
-            shutil.copytree(tree / "src", trees[side],
-                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        trees = copy_sources(base, change, Path(tmp), 4)
         k = 0
         for _ in range(rounds):
             for p, pad in enumerate(PADS):

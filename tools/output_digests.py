@@ -5,8 +5,9 @@ files with ``python -m gatelab.cli build`` and runs each of its invocations
 (``perfbench/workloads.py`` of that tree, read and never changed), one
 process at a time with ``OPENBLAS_NUM_THREADS=1`` and no bytecode written,
 in a temporary directory; ``--small`` takes the workload's small tier.
-It prints JSON: each gate file's sha256, and each invocation's exit code and
-the sha256 of its stdout, stderr and every ``-o``/``--summary`` file.  Two
+It prints JSON: the sha256 of the stdout of ``gatelab --help`` and of each
+subcommand's ``--help``, each gate file's sha256, and each invocation's exit
+code and the sha256 of its stdout, stderr and every ``-o``/``--summary`` file.  Two
 trees give byte-identical outputs when their JSON is equal:
 
     python tools/output_digests.py --tree . --workload analysis --seed 11 > new.json
@@ -20,34 +21,24 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
-import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from source_trees import child_env, load_workloads
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _load_workloads(tree: Path):
-    spec = importlib.util.spec_from_file_location(
-        "_digest_workloads", tree / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def digests(tree: Path, workload: str, seed: int, small: bool) -> dict:
-    workloads = _load_workloads(tree)
+    workloads = load_workloads(tree)
     commands = workloads.invocations(workload, seed, small=small)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(tree / "src"))
+    env = child_env(tree / "src")
 
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "files").mkdir()
@@ -56,6 +47,12 @@ def digests(tree: Path, workload: str, seed: int, small: bool) -> dict:
         def run(argv: list[str]) -> subprocess.CompletedProcess:
             return subprocess.run([sys.executable, "-m", "gatelab.cli", *argv],
                                   cwd=tmp, env=env, capture_output=True)
+
+        usage = run(["--help"]).stdout
+        helps = {"--help": _sha256(usage)}
+        # the subcommands, as the usage line lists them: {build,validate,...}
+        for name in re.search(rb"\{([\w,-]+)\}", usage)[1].decode().split(","):
+            helps[f"{name} --help"] = _sha256(run([name, "--help"]).stdout)
 
         built = {}
         for f in workloads.gate_files(commands):
@@ -80,7 +77,8 @@ def digests(tree: Path, workload: str, seed: int, small: bool) -> dict:
                     _sha256(out.read_bytes()) if out.exists() else None
                 )
             runs.append(record)
-    return {"workload": workload, "seed": seed, "small": small, "files": built, "runs": runs}
+    return {"workload": workload, "seed": seed, "small": small, "help": helps, "files": built,
+            "runs": runs}
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -24,10 +24,8 @@ run two ``--name-length`` values to see such a step.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -35,22 +33,13 @@ import tempfile
 import time
 from pathlib import Path
 
-
-def _load_workloads(tree: Path):
-    spec = importlib.util.spec_from_file_location(
-        "_pairs_workloads", tree / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+from source_trees import child_env, copy_sources, load_workloads
 
 
 def _run(argv: list[str], src: Path, cwd: Path) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(src))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "gatelab.cli", *argv], cwd=cwd, env=env,
+    proc = subprocess.Popen([sys.executable, "-m", "gatelab.cli", *argv], cwd=cwd,
+                            env=child_env(src),
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     return {"wall_s": time.perf_counter() - start, "code": os.waitstatus_to_exitcode(status),
@@ -59,17 +48,13 @@ def _run(argv: list[str], src: Path, cwd: Path) -> dict:
 
 def pairs(base: Path, change: Path, workload: str, seed: int, small: bool, rounds: int,
           only: list[str], name_length: int) -> dict:
-    workloads = _load_workloads(base)
+    workloads = load_workloads(base)
     commands = workloads.invocations(workload, seed, small=small)
     if only:
         commands = [inv for inv in commands if inv.label in only]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        trees = {}
-        for side, tree, letter in (("base", base, "a"), ("change", change, "b")):
-            trees[side] = work / (letter * name_length) / "src"
-            shutil.copytree(tree / "src", trees[side],
-                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        trees = copy_sources(base, change, work, name_length)
         (work / "files").mkdir()
         (work / "out").mkdir()
         for f in workloads.gate_files(commands):
