@@ -7,8 +7,8 @@ process at a time with ``OPENBLAS_NUM_THREADS=1`` and no bytecode written,
 in a temporary directory; ``--small`` takes the workload's small tier.
 It prints JSON: the sha256 of the stdout of ``gatelab --help`` and of each
 subcommand's ``--help``, each gate file's sha256, and each invocation's exit
-code and the sha256 of its stdout, stderr and every ``-o``/``--summary`` file.  Two
-trees give byte-identical outputs when their JSON is equal:
+code and the sha256 of its stdout, stderr and every ``-o``/``--summary``
+file.  Two trees give byte-identical outputs when their JSON is equal:
 
     python tools/output_digests.py --tree . --workload analysis --seed 11 > new.json
     python tools/output_digests.py --tree ../old --workload analysis --seed 11 > old.json
