@@ -22,6 +22,7 @@ from oracles import (
     nonsingular_sweep_reference,
     orthogonal_sweep_reference,
     projection_sweep_reference,
+    random_projection_reference,
     unit_pair_sweep_reference,
     verify_fourier_projection_bound_reference,
 )
@@ -101,6 +102,30 @@ def test_projection_sweep_is_the_per_trial_loop(n, trials, seed, budget):
             mp.setattr(lemma, "SWEEP_ELEMENTS", budget)
         got = lemma.sweep_fourier_projection_bound(n, trials, seed)
     assert hexed(got) == hexed(projection_sweep_reference(n, trials, seed))
+
+
+@pytest.mark.parametrize("offset", [-86.0, -88.0])
+def test_projection_sweep_counts_a_trial_once_whichever_bound_fails(offset):
+    # no trial violates the real constants, so the count is checked with a
+    # lowered offset and a tolerance that flags slacks below 12: at -86 two
+    # trials fail only the upper bound, at -88 eleven fail only the lower
+    # one, and four and six fail both
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lemma, "LOWER_OFFSET", offset)
+        mp.setattr(lemma, "PROJ_SLACK_TOL", -12.0)
+        got = lemma.sweep_fourier_projection_bound(8, 40, 3)
+        want = projection_sweep_reference(8, 40, 3)
+        rng = np.random.default_rng(3)
+        kinds = []
+        for _ in range(40):
+            ranks = [8 - int(rng.integers(1, 5)) for _ in "PQ"]
+            P, Q = (random_projection_reference(rng, 8, rank) for rank in ranks)
+            report = verify_fourier_projection_bound_reference(8, P, Q)
+            kinds.append((report.lower_slack < 12.0, report.upper_slack < 12.0))
+    assert hexed(got) == hexed(want)
+    lower_only, upper_only, both = map(kinds.count, [(True, False), (False, True), (True, True)])
+    assert (lower_only, upper_only, both) == {-86.0: (0, 2, 4), -88.0: (11, 0, 6)}[offset]
+    assert got.violations == lower_only + upper_only + both
 
 
 @pytest.mark.parametrize("seed", [0, 7])
