@@ -20,7 +20,9 @@ array as it sums the same numbers raveled, so every report equals the
 per-trial loop's bit for bit; the tests judge them against such loops
 (``tests/oracles.py``).  A stack of pairs goes through ``potential``'s one
 entry-term kernel at once (``stacked_quasi_entropy``), and every squared
-norm is ``gates.squared_row_norms``, as in the walks.
+norm is ``gates.squared_row_norms``, as in the walks.  Both change-bound
+sweeps move (A, B) to (X A, Y B), X = Y = U or (X, Y) = (D, D^{-T}), in one
+kernel (``_paired_moves``), and every sweep rates its slacks as ``_Rating``.
 
 ``gatelab lemma`` calls the four sweeps through ``potential`` and
 ``bottleneck``, which load this module on first access, so that only
@@ -231,12 +233,32 @@ def sweep_unit_pair_bound(trials: int = 10_000, max_dim: int = 64, seed: int = 0
     return _report(trials, nominal, sharp)
 
 
-def _by_rows(groups: dict[tuple[int, ...], np.ndarray]) -> dict[int, list[tuple[int, np.ndarray]]]:
-    """A chunk's (a, n) groups gathered by a: a -> [(n, trials), ...]."""
+def _paired_moves(
+    chunk: Chunk, maps: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], maps_first: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trial's |potential move| from (A, B) to (X A, Y B) and the block
+    products |A|_F |B|_F and |X A|_F |Y B|_F, for a chunk keyed (a, n).  A
+    trial draws A and B (a x n each) and one a x a Gaussian, before them if
+    ``maps_first`` and after them if not; (X, Y) = ``maps(G)`` for the stack
+    G of the Gaussians of one a's trials."""
+    potentials = np.empty((len(chunk.keys), 2))
+    squares = np.empty((len(chunk.keys), 4))
     by_rows: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for (a, n), rows in groups.items():
+    for (a, n), rows in chunk.groups.items():
         by_rows.setdefault(a, []).append((n, rows))
-    return by_rows
+    for a, groups in by_rows.items():
+        G_starts = [chunk.starts[rows] + (0 if maps_first else 2 * a * n) for n, rows in groups]
+        X, Y = maps(stacked_draws(chunk.buffer, np.concatenate(G_starts), (a, a)))
+        cuts = np.cumsum([len(rows) for _, rows in groups])[:-1]
+        for (n, rows), x, y in zip(groups, np.split(X, cuts), np.split(Y, cuts)):
+            AB = stacked_draws(chunk.buffer, chunk.starts[rows] + a * a * maps_first, (2, a, n))
+            # A, B, X A, Y B
+            pairs = np.concatenate([AB, x[:, None] @ AB[:, :1], y[:, None] @ AB[:, 1:]], axis=1)
+            potentials[rows] = stacked_quasi_entropy(pairs[:, 0::2], pairs[:, 1::2])
+            squares[rows] = squared_row_norms(pairs.reshape(len(rows), 4, a * n))
+    before = norm_products(squares[:, 0], squares[:, 1])
+    after = norm_products(squares[:, 2], squares[:, 3])
+    return np.abs(potentials[:, 0] - potentials[:, 1]), before, after
 
 
 def sweep_orthogonal_change_bound(
@@ -253,22 +275,8 @@ def sweep_orthogonal_change_bound(
     nominal, sharp = _Rating(1e-7), _Rating(1e-7)
 
     def evaluate(chunk: Chunk) -> None:
-        potentials = np.empty((len(chunk.keys), 2))
-        squares = np.empty((len(chunk.keys), 2))
-        for a, groups in _by_rows(chunk.groups).items():
-            # each trial draws A and B (a x n each), then the Gaussian of U
-            G_starts = [chunk.starts[rows] + 2 * a * n for n, rows in groups]
-            U = _orthogonal_factor(stacked_draws(chunk.buffer, np.concatenate(G_starts), (a, a)))
-            first = 0
-            for n, rows in groups:
-                AB = stacked_draws(chunk.buffer, chunk.starts[rows], (2, a, n))
-                UAB = U[first : first + len(rows), None] @ AB
-                first += len(rows)
-                X = np.concatenate([AB, UAB], axis=1)  # A, B, U A, U B
-                potentials[rows] = stacked_quasi_entropy(X[:, 0::2], X[:, 1::2])
-                squares[rows] = squared_row_norms(AB.reshape(len(rows), 2, a * n))
-        move = np.abs(potentials[:, 0] - potentials[:, 1])
-        norms = norm_products(squares[:, 0], squares[:, 1])
+        # each trial draws A and B, then the Gaussian of U
+        move, norms, _ = _paired_moves(chunk, lambda G: (_orthogonal_factor(G),) * 2, False)
         dims, log2_dims = _dims(chunk)
         nominal.add(norms * log2_dims - move, dims)
         sharp.add(norms * 2.0 * np.maximum(log2_dims, UNIT_PAIR_SHARP_DIM2) - move, dims)
@@ -301,27 +309,10 @@ def sweep_nonsingular_change_bound(
     nominal = _Rating(1e-7)
 
     def evaluate(chunk: Chunk) -> None:
-        potentials = np.empty((len(chunk.keys), 2))
-        squares = np.empty((len(chunk.keys), 4))
-        for a, groups in _by_rows(chunk.groups).items():
-            # each trial draws D, then A and B (a x n each)
-            D_starts = np.concatenate([chunk.starts[rows] for _, rows in groups])
-            D = stacked_draws(chunk.buffer, D_starts, (a, a))
-            D_inv = np.linalg.inv(D)
-            first = 0
-            for n, rows in groups:
-                part = slice(first, first + len(rows))
-                first += len(rows)
-                AB = stacked_draws(chunk.buffer, chunk.starts[rows] + a * a, (2, a, n))
-                X = np.concatenate(  # A, B, D A, D^{-T} B
-                    [AB, D[part, None] @ AB[:, :1], D_inv[part, None].swapaxes(2, 3) @ AB[:, 1:]],
-                    axis=1,
-                )
-                potentials[rows] = stacked_quasi_entropy(X[:, 0::2], X[:, 1::2])
-                squares[rows] = squared_row_norms(X.reshape(len(rows), 4, a * n))
-        move = np.abs(potentials[:, 0] - potentials[:, 1])
-        before = norm_products(squares[:, 0], squares[:, 1])
-        after = norm_products(squares[:, 2], squares[:, 3])
+        # each trial draws D, then A and B
+        move, before, after = _paired_moves(
+            chunk, lambda D: (D, np.linalg.inv(D).swapaxes(1, 2)), True
+        )
         dims, log2_dims = _dims(chunk)
         nominal.add((before + after) * log2_dims - move, dims)  # change_bound at a >= 2 rows
 
@@ -493,11 +484,9 @@ def sweep_fourier_projection_bound(
     """
     rng = np.random.default_rng(seed)
     F = wht_matrix(n)
-    worst_lower = worst_upper = math.inf
-    violations = 0
+    lower, upper, either = (_Rating(PROJ_SLACK_TOL) for _ in range(3))
 
     def evaluate(chunk: Chunk) -> None:
-        nonlocal worst_lower, worst_upper, violations
         # each trial draws the Gaussians of P, then of Q
         bases = np.linalg.qr(stacked_draws(chunk.buffer, chunk.starts, (2, n, n)))[0]
         pair = np.empty_like(bases)
@@ -506,13 +495,11 @@ def sweep_fourier_projection_bound(
             pair[rows, 1] = _projections(bases[rows, 1], n - r_q)
         del bases  # before the evaluation's own temporaries
         bounds = _projection_bounds(F, pair[:, 0], pair[:, 1], True)
-        lower, upper = bounds["lower_slack"].tolist(), bounds["upper_slack"].tolist()
-        # the running min() of a per-trial loop, which keeps the first minimum
-        worst_lower = min([worst_lower, *lower])
-        worst_upper = min([worst_upper, *upper])
-        violations += sum(
-            1 for lo, up in zip(lower, upper) if lo < -PROJ_SLACK_TOL or up < -PROJ_SLACK_TOL
-        )
+        dims = [n] * len(chunk.keys)
+        lower.add(bounds["lower_slack"], dims)
+        upper.add(bounds["upper_slack"], dims)
+        # a trial violates when either slack does (fmin skips a NaN, as ``or`` does)
+        either.add(np.fmin(bounds["lower_slack"], bounds["upper_slack"]), dims)
 
     # the evaluation holds some ten arrays the size of its chunk's draws
     chunks = TrialChunks(trials, evaluate, SWEEP_ELEMENTS // 8)
@@ -524,7 +511,7 @@ def sweep_fourier_projection_bound(
     return ProjectionSweepReport(
         n=n,
         trials=trials,
-        worst_lower_slack=worst_lower,
-        worst_upper_slack=worst_upper,
-        violations=violations,
+        worst_lower_slack=lower.worst,
+        worst_upper_slack=upper.worst,
+        violations=either.violations,
     )
