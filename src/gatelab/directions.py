@@ -236,6 +236,14 @@ def _matches_wht(A: np.ndarray, lo: int, tol: float, workspace: Workspace) -> bo
     return True
 
 
+def _residual(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
+    """``w`` less its projection onto the rows of ``V``, in place, and its norm:
+    Gram-Schmidt twice, the second pass removing what rounding left of the first."""
+    w -= V.T @ (V @ w)
+    w -= V.T @ (V @ w)
+    return w, float(np.linalg.norm(w))
+
+
 def extract_directions(
     algorithm: LinearAlgorithm,
     tau: float | None = None,
@@ -299,11 +307,7 @@ def extract_directions(
         t, i = int(steps[k]), int(coords[k])
 
         system = systems[side]
-        V = system.vectors
-        w = walk.row(t, i, inverse_transpose=side == 1)
-        w -= V.T @ (V @ w)
-        w -= V.T @ (V @ w)
-        magnitude = float(np.linalg.norm(w))
+        w, magnitude = _residual(walk.row(t, i, inverse_transpose=side == 1), system.vectors)
         if magnitude < tau - MAGNITUDE_SLACK:
             raise RuntimeError(
                 f"{system.kind} candidate ({t}, {i}) rated {factors[side, k]!r} but its row "
@@ -319,11 +323,9 @@ def extract_directions(
         walk.push(v.copy(), inverse_transpose=side == 1, out=pushed[first:])
         np.subtract(residuals[side], np.square(pushed, out=pushed), out=residuals[side])
 
-    over, under = systems
-    per_step = n if unrestricted else 2
-    over.check(per_step=per_step)
-    under.check(per_step=per_step)
-    return over, under
+    for system in systems:
+        system.check(per_step=n if unrestricted else 2)
+    return systems
 
 
 @dataclass(eq=False)
@@ -364,9 +366,7 @@ def extend_basis(underflow: DirectionSystem, n: int) -> ExtendedBasis:
         U = basis[:j]  # no rows at j = 0: nothing projected away
         z = z_vectors[j]
         z[int(np.argmin(explained))] = 1.0
-        w = z - U.T @ (U @ z)
-        w = w - U.T @ (U @ w)
-        gamma = float(np.linalg.norm(w))
+        w, gamma = _residual(z.copy(), U)
         if gamma < 1e-12:
             raise RuntimeError(f"degenerate projection while extending at slot {j}")
         guarantee = math.sqrt(max(1.0 - j / n, 0.0))
@@ -378,9 +378,7 @@ def extend_basis(underflow: DirectionSystem, n: int) -> ExtendedBasis:
         explained += u * u
         gammas.append(gamma)
 
-    return ExtendedBasis(
-        z_vectors=z_vectors, u_vectors=basis, gammas=gammas, n_extracted=n_prime
-    )
+    return ExtendedBasis(z_vectors=z_vectors, u_vectors=basis, gammas=gammas, n_extracted=n_prime)
 
 
 @dataclass

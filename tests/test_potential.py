@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gatelab import (
     build_dft_real,
+    build_inverse_scaled_fixture,
     build_random,
     build_scaled_bottleneck_fixture,
     build_wht,
@@ -241,6 +242,55 @@ def test_trace_deltas_respect_two_row_bound():
         trace = trace_potential(a)
         for delta, bound in zip(trace.per_step_delta, trace.per_step_bound):
             assert delta <= bound + 1e-7
+
+
+def _rotation_moves(algorithm):
+    """Each rotation's |angle|, |move| and change bound along the trace."""
+    trace = trace_potential(algorithm)
+    _, j, value = algorithm.columns
+    steps = [t for t in range(algorithm.m) if j[t] >= 0]
+    return (
+        np.abs(np.array([value[t] for t in steps])),
+        np.array([trace.per_step_delta[t + 1] for t in steps]),
+        np.array([trace.per_step_bound[t + 1] for t in steps]),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_wht(64),
+        lambda: build_wht(256),
+        lambda: build_scaled_bottleneck_fixture(64, 2.0**20, 4),
+        lambda: build_inverse_scaled_fixture(64, 2.0**8, 4),
+    ],
+    ids=["wht64", "wht256", "scaled64", "invscaled64"],
+)
+def test_every_butterfly_program_rotation_moves_half_its_change_bound(build):
+    # an R = 1 rotation keeps its block product p, so its bound is 2p; on
+    # these programs every rotation is a pi/4 butterfly that moves exactly p
+    angles, moves, bounds = _rotation_moves(build())
+    assert np.all(angles == math.pi / 4)
+    assert np.all(np.abs(moves - bounds / 2) <= 1e-12 * bounds)
+
+
+@pytest.mark.parametrize("n, butterflies, swaps", [(64, 167, 39), (256, 927, 175)])
+def test_dft_rotations_move_at_most_half_their_change_bound(n, butterflies, swaps):
+    # the real DFT's pi/4 butterflies move exactly half their bound, its
+    # pi/2 rotations (bit-reversal swaps and -i twiddles) move nothing, and
+    # its other twiddles move less than half: the bounds add up to far more
+    # than the potential the program ends at
+    angles, moves, bounds = _rotation_moves(build_dft_real(n))
+    tol = 1e-12 * bounds
+    butterfly = np.abs(angles - math.pi / 4) <= 1e-15
+    swap = np.abs(angles - math.pi / 2) <= 1e-15
+    assert (butterfly.sum(), swap.sum()) == (butterflies, swaps)
+    assert np.all(moves <= bounds / 2 + tol)
+    assert np.all(np.abs(moves - bounds / 2)[butterfly] <= tol[butterfly])
+    assert np.all(moves[swap] <= tol[swap])
+    if n == 64:
+        assert abs(bounds.sum() - 932.0) <= 1e-9
+        assert abs(trace_potential(build_dft_real(n)).values[-1] - 350.6) < 0.05
 
 
 def test_constant_gates_leave_potential_unchanged():

@@ -3,7 +3,7 @@
 An in-process timing moves by several percent with where the allocator
 happens to place a walk's arrays, so one process per tree cannot show a
 difference smaller than that.  For two trees and one Python expression this
-copies each tree's ``src`` into a temporary directory under a name of the
+copies each whole checkout into a temporary directory under a name of the
 same length (``a...`` for the base, ``b...`` for the change) and runs one
 process per (tree, pad): the child first allocates a ``bytearray`` pad of
 that many bytes (0, 1000, 4000, 70000 and 300000), which shifts
@@ -33,7 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from source_trees import child_env, copy_sources
+from source_trees import child_env, copy_checkouts
 
 PADS = (0, 1000, 4000, 70000, 300000)
 
@@ -67,12 +67,12 @@ def sweep(base: Path, change: Path, setup: str, expr: str, calls: int, rounds: i
           cpu: int | None) -> dict:
     best = {side: [float("inf")] * len(PADS) for side in ("base", "change")}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = copy_sources(base, change, Path(tmp), 4)
+        trees = copy_checkouts(base, change, Path(tmp), 4)
         k = 0
         for _ in range(rounds):
             for p, pad in enumerate(PADS):
                 for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                    seconds = _best(trees[side], pad, setup, expr, calls, cpu)
+                    seconds = _best(trees[side] / "src", pad, setup, expr, calls, cpu)
                     best[side][p] = min(best[side][p], seconds)
                 k += 1
     medians = {side: statistics.median(times) for side, times in best.items()}

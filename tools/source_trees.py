@@ -1,5 +1,5 @@
 """What the measurement tools share: a tree's benchmark workloads, copies of
-two trees' ``src`` under names of one length, and a ``gatelab`` child's
+two whole checkouts under names of one length, and a ``gatelab`` child's
 environment.  ``process_pairs.py``, ``heap_pads.py`` and ``output_digests.py``
 import it from this directory.
 """
@@ -24,16 +24,18 @@ def load_workloads(tree: Path):
     return module
 
 
-def copy_sources(base: Path, change: Path, into: Path, name_length: int) -> dict[str, Path]:
-    """Copy each tree's ``src`` to ``into/a.../src`` (base) or ``into/b.../src``
+def copy_checkouts(base: Path, change: Path, into: Path, name_length: int) -> dict[str, Path]:
+    """Copy each whole checkout to ``into/a...`` (base) or ``into/b...``
     (change), each directory name ``name_length`` letters long, since ru_maxrss
     steps with the length of the path a process compiles its modules from.
-    Returns the two copies keyed ``"base"`` and ``"change"``."""
+    Git metadata, bytecode and benchmark records are left behind.  Returns the
+    two copies' roots keyed ``"base"`` and ``"change"``."""
     copies = {}
+    skip = shutil.ignore_patterns(".git", "__pycache__", "*.egg-info", ".hypothesis",
+                                  ".pytest_cache", "_out")
     for side, tree, letter in (("base", base, "a"), ("change", change, "b")):
-        copies[side] = into / (letter * name_length) / "src"
-        shutil.copytree(tree / "src", copies[side],
-                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        copies[side] = into / (letter * name_length)
+        shutil.copytree(tree, copies[side], ignore=skip)
     return copies
 
 
