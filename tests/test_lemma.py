@@ -118,7 +118,7 @@ def test_projection_sweep_counts_a_trial_once_whichever_bound_fails(offset):
         rng = np.random.default_rng(3)
         kinds = []
         for _ in range(40):
-            ranks = [8 - int(rng.integers(1, 5)) for _ in "PQ"]
+            ranks = [8 - int(rng.integers(1, 5)) for _ in range(2)]  # P, then Q
             P, Q = (random_projection_reference(rng, 8, rank) for rank in ranks)
             report = verify_fourier_projection_bound_reference(8, P, Q)
             kinds.append((report.lower_slack < 12.0, report.upper_slack < 12.0))

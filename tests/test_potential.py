@@ -245,7 +245,7 @@ def test_trace_deltas_respect_two_row_bound():
 
 
 def _rotation_moves(algorithm):
-    """Each rotation's |angle|, |move| and change bound along the trace."""
+    """Each rotation's |angle|, |move| and change bound, and the final potential."""
     trace = trace_potential(algorithm)
     _, j, value = algorithm.columns
     steps = [t for t in range(algorithm.m) if j[t] >= 0]
@@ -253,6 +253,7 @@ def _rotation_moves(algorithm):
         np.abs(np.array([value[t] for t in steps])),
         np.array([trace.per_step_delta[t + 1] for t in steps]),
         np.array([trace.per_step_bound[t + 1] for t in steps]),
+        trace.values[-1],
     )
 
 
@@ -269,18 +270,22 @@ def _rotation_moves(algorithm):
 def test_every_butterfly_program_rotation_moves_half_its_change_bound(build):
     # an R = 1 rotation keeps its block product p, so its bound is 2p; on
     # these programs every rotation is a pi/4 butterfly that moves exactly p
-    angles, moves, bounds = _rotation_moves(build())
+    angles, moves, bounds, _ = _rotation_moves(build())
     assert np.all(angles == math.pi / 4)
     assert np.all(np.abs(moves - bounds / 2) <= 1e-12 * bounds)
 
 
-@pytest.mark.parametrize("n, butterflies, swaps", [(64, 167, 39), (256, 927, 175)])
-def test_dft_rotations_move_at_most_half_their_change_bound(n, butterflies, swaps):
+@pytest.mark.parametrize(
+    "n, butterflies, swaps, bound_sum, final",
+    [(64, 167, 39, 932.0, 350.61), (256, 927, 175, 5316.0, 1929.61)],
+)
+def test_dft_rotations_move_at_most_half_their_change_bound(n, butterflies, swaps, bound_sum,
+                                                            final):
     # the real DFT's pi/4 butterflies move exactly half their bound, its
     # pi/2 rotations (bit-reversal swaps and -i twiddles) move nothing, and
     # its other twiddles move less than half: the bounds add up to far more
-    # than the potential the program ends at
-    angles, moves, bounds = _rotation_moves(build_dft_real(n))
+    # than twice the potential the program ends at
+    angles, moves, bounds, phi_final = _rotation_moves(build_dft_real(n))
     tol = 1e-12 * bounds
     butterfly = np.abs(angles - math.pi / 4) <= 1e-15
     swap = np.abs(angles - math.pi / 2) <= 1e-15
@@ -288,9 +293,8 @@ def test_dft_rotations_move_at_most_half_their_change_bound(n, butterflies, swap
     assert np.all(moves <= bounds / 2 + tol)
     assert np.all(np.abs(moves - bounds / 2)[butterfly] <= tol[butterfly])
     assert np.all(moves[swap] <= tol[swap])
-    if n == 64:
-        assert abs(bounds.sum() - 932.0) <= 1e-9
-        assert abs(trace_potential(build_dft_real(n)).values[-1] - 350.6) < 0.05
+    assert abs(bounds.sum() - bound_sum) <= 1e-9 * bound_sum
+    assert abs(phi_final - final) <= 0.01
 
 
 def test_constant_gates_leave_potential_unchanged():
