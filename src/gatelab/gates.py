@@ -368,9 +368,9 @@ def validate(algorithm: LinearAlgorithm) -> TrajectoryDiagnostics:
     kappas: list[float] = []
     M, Minv_T = np.eye(algorithm.n), np.eye(algorithm.n)
     changed = np.empty((4, algorithm.n))  # the rewritten rows, then the rewritten columns
-    # an overflow shows as a non-finite residual on the rows it hit, which is
-    # reported as an error, so numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow or a zero singular value shows as a residual or condition
+    # number that is not finite, reported as an error; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t, rows in replay(algorithm, M, Minv_T):
             if rows:
                 k = len(rows)

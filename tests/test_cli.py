@@ -447,6 +447,22 @@ def test_validate_of_an_infinite_condition_number_exits_two_without_output(
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("to_file", [False, True])
+def test_validate_of_a_zero_singular_value_writes_one_line_and_no_warning(
+    to_file, tmp_path, capsys
+):
+    # M(2) = diag(1e-300, 1e308): the smallest singular value comes back as
+    # 0.0, and kappa = 1e308 / 0.0 must not reach stderr as numpy's warning
+    alg = tmp_path / "singular.alg"
+    alg.write_text("n 2 m 2\nC 0 1e-300\nC 1 1e308\n")
+    out = tmp_path / "validate.json"
+    assert run(["validate", alg] + (["-o", out] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "error: condition number is not finite at step 2\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("to_file", [False, True])
 def test_simulate_of_an_overflowing_program_exits_two_without_output(to_file, tmp_path, capsys):
     # row 0 overflows to inf at step 2 and the rotation spreads inf and NaN
     alg = tmp_path / "overflow.alg"
