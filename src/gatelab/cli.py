@@ -5,12 +5,17 @@ simulate, underflow.  Machine-readable outputs (CSV or JSON) carry a
 schema_version marker.  Numeric options accept a power literal ``B^E``
 (decimal base, integer exponent), e.g. ``--eps 2^-10``.
 
+``main`` reads a subcommand's inputs once, before it dispatches: the gate
+file as ``args.algorithm``, and ``--P`` and ``--Q`` as arrays (None for ``id``).
+
 Exit codes: 0 success, 1 usage, input, I/O or out-of-memory error, 2 a
 verification failed: an inequality beyond tolerance (regression signal), an
 extraction guarantee, the incremental-potential drift guard of trace and
 chain, a trajectory whose inverse-consistency residual or condition number
 is not finite (validate), or a walk over numbers that are not finite (trace,
 scan and chain; extraction, when M(m) or a squared row norm overflows).
+Exit 2 from a failed inequality writes the full output and nothing to
+stderr; exit 2 from an error, like exit 1, writes one ``error:`` line.
 
 ``python -m gatelab.cli`` and the ``gatelab`` script run ``entry``, which
 calls ``main`` and then freezes the cyclic collector before the interpreter
@@ -32,12 +37,12 @@ from typing import TYPE_CHECKING, NoReturn
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import directions, gates, potential, quantized
+    from . import directions, potential, quantized
 
-# Each subcommand imports the modules it runs, and numpy only with them, so
-# that a process loads no more than its subcommand needs: ``build`` never
-# loads numpy, ``dataclasses`` or ``json``.  Library functions are called
-# through module attributes.
+# Each subcommand imports the modules it runs (``main`` imports ``gates`` to
+# read a gate file), and numpy only with them, so that a process loads no more
+# than its subcommand needs: ``build`` never loads numpy, ``dataclasses`` or
+# ``json``.  Library functions are called through module attributes.
 
 SCHEMA_VERSION = 1
 SLACK_TOL = 1e-7
@@ -137,15 +142,14 @@ def parse_operator(spec: str, n: int) -> np.ndarray | None:
     raise ValueError(f"bad operator spec {spec!r}; use id, proj:i,j,..., or file:PATH")
 
 
-def _operators(args: argparse.Namespace, n: int) -> list[np.ndarray | None]:
-    """P and Q from ``--P`` and ``--Q``; an error names its option."""
-    pair = []
-    for option, spec in (("--P", args.P), ("--Q", args.Q)):
+def _operators(args: argparse.Namespace) -> None:
+    """Parse ``args.P`` and ``args.Q`` for ``args.algorithm``, in place; an
+    error names its option."""
+    for name in ("P", "Q"):
         try:
-            pair.append(parse_operator(spec, n))
+            setattr(args, name, parse_operator(getattr(args, name), args.algorithm.n))
         except (ValueError, OSError) as exc:
-            raise ValueError(f"{option}: {exc}") from None
-    return pair
+            raise ValueError(f"--{name}: {exc}") from None
 
 
 def _emit(pieces: Iterable[str], path: str | None) -> None:
@@ -162,12 +166,6 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     _emit([json.dumps(payload, sort_keys=True, indent=2) + "\n"], path)
-
-
-def _load(path: str) -> gates.LinearAlgorithm:
-    from . import gates
-
-    return gates.read_algorithm(path)
 
 
 # The fields of each comma-separated ``build`` option as (name, converter):
@@ -217,12 +215,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from . import gates
 
-    diag = gates.validate(_load(args.algorithm))
-    _emit_json(asdict(diag), args.output)
+    diag = gates.validate(args.algorithm)
+    _emit_json(vars(diag), args.output)
     return 0 if diag.stable else 2
 
 
@@ -240,9 +236,7 @@ def _trace_csv(trace: potential.PotentialTrace) -> Iterator[str]:
 def cmd_trace(args: argparse.Namespace) -> int:
     from . import potential
 
-    algorithm = _load(args.algorithm)
-    P, Q = _operators(args, algorithm.n)
-    trace = potential.trace_potential(algorithm, P, Q)
+    trace = potential.trace_potential(args.algorithm, args.P, args.Q)
     _emit(_trace_csv(trace), args.output)
     worst = max(
         (d - b for d, b in zip(trace.per_step_delta, trace.per_step_bound)), default=0.0
@@ -253,10 +247,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     from . import bottleneck
 
-    algorithm = _load(args.algorithm)
-    P, Q = _operators(args, algorithm.n)
     report = bottleneck.scan_bottlenecks(
-        algorithm, P, Q, R=args.R, include_constants=args.include_constants
+        args.algorithm, args.P, args.Q, R=args.R, include_constants=args.include_constants
     )
     _emit_json(
         {
@@ -281,13 +273,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from . import bottleneck
 
-    algorithm = _load(args.algorithm)
-    P, Q = _operators(args, algorithm.n)
-    report = bottleneck.verify_bottleneck_chain(algorithm, P, Q, R=args.R)
+    report = bottleneck.verify_bottleneck_chain(args.algorithm, args.P, args.Q, R=args.R)
     slacks = [report.triangle_slack, report.min_window_slack, report.max_vs_average_slack,
               report.scan.slack]
     _emit_json(
@@ -302,7 +290,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
                 "rhs": report.triangle_rhs,
                 "slack": report.triangle_slack,
             },
-            "windows": [asdict(link) for link in report.windows],
+            "windows": [vars(link) for link in report.windows],
             "min_window_slack": report.min_window_slack,
             "max_endpoint_product": report.max_endpoint_product,
             "average_requirement": report.average_requirement,
@@ -315,8 +303,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from . import bottleneck, potential
 
     unit = potential.sweep_unit_pair_bound(trials=args.pair_trials, seed=args.seed)
@@ -328,10 +314,10 @@ def cmd_lemma(args: argparse.Namespace) -> int:
     ]
     _emit_json(
         {
-            "unit_pair_bound": asdict(unit),
-            "orthogonal_change_bound": asdict(orth),
-            "nonsingular_change_bound": asdict(nonsing),
-            "fourier_projection_bound": [asdict(r) for r in proj],
+            "unit_pair_bound": vars(unit),
+            "orthogonal_change_bound": vars(orth),
+            "nonsingular_change_bound": vars(nonsing),
+            "fourier_projection_bound": [vars(r) for r in proj],
         },
         args.output,
     )
@@ -345,10 +331,9 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     from . import directions
 
-    algorithm = _load(args.algorithm)
     try:
         over, under = directions.extract_directions(
-            algorithm,
+            args.algorithm,
             tau=args.tau,
             unrestricted=args.unrestricted,
             require_wht_target=not args.no_target_check,
@@ -378,17 +363,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_volume(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from . import directions
 
-    algorithm = _load(args.algorithm)
-    _, under = directions.extract_directions(algorithm, tau=args.tau)
-    basis = directions.extend_basis(under, algorithm.n)
-    b = args.b if args.b is not None else directions.speedup_factor(algorithm)
+    _, under = directions.extract_directions(args.algorithm, tau=args.tau)
+    basis = directions.extend_basis(under, args.algorithm.n)
+    b = args.b if args.b is not None else directions.speedup_factor(args.algorithm)
     bound = directions.uncertainty_volume_log(basis, b=b)
-    gammas = [float(g) for g in basis.gammas]
-    _emit_json({"tau": under.threshold, "gammas": gammas, **asdict(bound)}, args.output)
+    _emit_json({"tau": under.threshold, "gammas": basis.gammas, **vars(bound)}, args.output)
     return 0 if bound.sum_log2_gamma >= bound.closed_form - 1e-9 else 2
 
 
@@ -413,11 +394,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     from . import quantized
 
-    algorithm = _load(args.algorithm)
     # an overflowing program leaves inf and NaN cells, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         stats = quantized.simulate(
-            algorithm,
+            args.algorithm,
             epsilon=args.eps,
             sigma=args.sigma,
             samples=args.samples,
@@ -439,13 +419,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "samples": stats.samples,
                 "seed": args.seed,
                 "word_budget": stats.word_budget,
-                "n": algorithm.n,
-                "m": algorithm.m,
+                "n": args.algorithm.n,
+                "m": args.algorithm.m,
                 "overflow_count": len(flagged),
                 "flagged": [[t, i] for t, i in flagged],
                 # every cell holds an event's value, and the n inputs come first
                 "max_mean_bits": float(stats.event_bits.max()),
-                "input_row_max_mean_bits": float(stats.event_bits[: algorithm.n].max()),
+                "input_row_max_mean_bits": float(stats.event_bits[: args.algorithm.n].max()),
             },
             args.summary,
         )
@@ -455,14 +435,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_underflow(args: argparse.Namespace) -> int:
     from . import quantized
 
-    algorithm = _load(args.algorithm)
-    report = quantized.underflow_widths(algorithm, epsilon=args.eps, tau=args.tau)
+    report = quantized.underflow_widths(args.algorithm, epsilon=args.eps, tau=args.tau)
     _emit_json(
         {
             "epsilon": report.epsilon,
             "tau": report.tau,
             "n_prime": report.system.size,
-            "widths": [float(w) for w in report.widths],
+            "widths": report.widths,
             "directions": report.basis.u_vectors.tolist(),
             "volume_log": report.volume_log,
             "closed_form": report.volume.closed_form,
@@ -569,6 +548,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         return _fail(exc, 1)
     try:
+        if "algorithm" in args:
+            from . import gates
+
+            args.algorithm = gates.read_algorithm(args.algorithm)
+        if "P" in args:
+            _operators(args)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         return _fail(exc, 1)
