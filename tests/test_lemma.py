@@ -250,6 +250,22 @@ def test_trace_term_of_the_projection_lower_bound_is_sharp():
         assert report.lower_slack >= 0.0
 
 
+def test_trace_term_charges_a_shared_direction_twice():
+    # P = Q = I - e0 e0^T zero column 0 of both F P and F Q, so only that
+    # column's products vanish and the other n - 1 columns keep n products
+    # 1/n each: the potential is (n - 1) log2 n, log2 n above the trace-only
+    # form with tr P^ = tr Q^ = 1.  Removing one direction from both sides
+    # costs log2 n, while the trace term charges it twice.
+    for n in (8, 64, 256):
+        log_n = math.log2(n)
+        P = np.eye(n)
+        P[0, 0] = 0.0
+        report = lemma.verify_fourier_projection_bound(n, P, P.copy(), check_upper=False)
+        assert report.tr_p_hat == report.tr_q_hat == 1.0
+        assert abs(report.lower_lhs - (n - 1) * log_n) <= 1e-12 * n * log_n
+        assert abs(report.lower_lhs - _trace_only_form(report) - log_n) <= 1e-12 * n * log_n
+
+
 def test_projection_lower_bound_needs_its_alpha_term():
     # P = diag(-1/e, 1, ..., 1) with Q = I: column 0's n entry products are
     # -1/(e n), which add -(log2 n + log2 e)/e to the (n - 1) log2 n of the

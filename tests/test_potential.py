@@ -297,6 +297,44 @@ def test_dft_rotations_move_at_most_half_their_change_bound(n, butterflies, swap
     assert abs(phi_final - final) <= 0.01
 
 
+def _rotation_speedup(algorithm) -> float:
+    """b_rot = Phi_final / (2 * rotations).  The WHT's (n/2) log2 n butterflies
+    end at Phi = n log2 n, 2 per rotation, so b_rot is a program's potential
+    per rotation against the WHT's."""
+    angles, _, _, phi_final = _rotation_moves(algorithm)
+    return phi_final / (2 * len(angles))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_wht(8),
+        lambda: build_wht(64),
+        lambda: build_wht(256),
+        lambda: build_scaled_bottleneck_fixture(64, 2**20, 4),
+        lambda: build_inverse_scaled_fixture(64, 2**8, 4),
+    ],
+    ids=["wht8", "wht64", "wht256", "scaled64", "invscaled64"],
+)
+def test_butterfly_programs_have_a_rotation_count_speedup_of_exactly_one(build):
+    # every rotation moves half its change bound, and the bounds add up to
+    # twice the final potential, so a certificate that needs b_rot > 1 is
+    # silent on these programs
+    assert abs(_rotation_speedup(build()) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, speedup",
+    [(lambda: build_dft_real(64), 0.75239), (lambda: build_random(16, 200, 3), 0.23020)],
+    ids=["dft64", "random16"],
+)
+def test_other_programs_have_a_rotation_count_speedup_below_one(build, speedup):
+    # no fixture reaches b_rot > 1: the DFT's pi/2 rotations and twiddles
+    # move less than half their bound, and random angles less still
+    b_rot = _rotation_speedup(build())
+    assert abs(b_rot - speedup) <= 5e-6 and b_rot < 1.0
+
+
 def test_constant_gates_leave_potential_unchanged():
     from gatelab import Constant, LinearAlgorithm
 
