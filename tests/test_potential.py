@@ -317,9 +317,8 @@ def _rotation_speedup(algorithm) -> float:
     ids=["wht8", "wht64", "wht256", "scaled64", "invscaled64"],
 )
 def test_butterfly_programs_have_a_rotation_count_speedup_of_exactly_one(build):
-    # every rotation moves half its change bound, and the bounds add up to
-    # twice the final potential, so a certificate that needs b_rot > 1 is
-    # silent on these programs
+    # every rotation is a pi/4 butterfly that adds 2 to the potential, as the
+    # WHT's do, so a certificate that needs b_rot > 1 is silent on these programs
     assert abs(_rotation_speedup(build()) - 1.0) <= 1e-12
 
 
